@@ -5,6 +5,14 @@ their coordinate denominators up front, so the hot loops add machine
 integers (or small bigints) and equal sums collide exactly.  The atom
 event is exact equality; no epsilon appears anywhere.
 
+One kernel serves every dimension: each scaled d-vector is packed into
+one integer as balanced base-m digits (first coordinate most
+significant, m = 2 * max_j sum_i |v_ij| + 1), a linear map that is
+injective on the box every signed sum lies in and that orders codes
+lexicographically.  A target outside that box is answered 0 before it
+is packed, since its code could alias a reachable sum.  At d = 1 the
+code is the scaled value itself.
+
 Two enumeration strategies:
 
 * direct - sequential convolution of the +-v_i two-point distributions
@@ -47,17 +55,18 @@ def _as_fractions(a: Sequence) -> tuple[Fraction, ...]:
     return out
 
 
-def _as_vectors(v: Sequence[Sequence]) -> tuple[RVector, ...]:
-    out = tuple(tuple(_canon(c) for c in row) for row in v)
-    if not out:
+def _as_vectors(v: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], int]:
+    """Validated vectors as one flat coordinate tuple and their dimension."""
+    rows = [tuple(_canon(c) for c in row) for row in v]
+    if not rows:
         raise InputError("empty vector list")
-    d = len(out[0])
-    if d == 0 or any(len(row) != d for row in out):
+    d = len(rows[0])
+    if d == 0 or any(len(row) != d for row in rows):
         raise InputError("vectors must share a fixed nonzero dimension")
-    return out
+    return tuple(c for row in rows for c in row), d
 
 
-def _int_table_1d(values: tuple[int, ...]) -> dict[int, int]:
+def _int_table(values: tuple[int, ...]) -> dict[int, int]:
     table = {0: 1}
     for a in values:
         nxt: dict[int, int] = {}
@@ -71,61 +80,53 @@ def _int_table_1d(values: tuple[int, ...]) -> dict[int, int]:
     return table
 
 
-def _int_table_nd(vectors: tuple[tuple[int, ...], ...],
-                  d: int) -> dict[tuple[int, ...], int]:
-    table: dict[tuple[int, ...], int] = {(0,) * d: 1}
-    for v in vectors:
-        nxt: dict[tuple[int, ...], int] = {}
-        get = nxt.get
-        for s, c in table.items():
-            u = tuple(a + b for a, b in zip(s, v))
-            nxt[u] = get(u, 0) + c
-            u = tuple(a - b for a, b in zip(s, v))
-            nxt[u] = get(u, 0) + c
-        table = nxt
-    return table
-
-
 # Campaigns probe one vector multiset at many targets; caching both the
-# lcm scaling and the scaled tables turns the repeat queries into
-# dictionary lookups.  Cached values are shared and must never be mutated.
-_cached_table_1d = lru_cache(maxsize=256)(_int_table_1d)
-_cached_table_nd = lru_cache(maxsize=256)(_int_table_nd)
+# lcm scaling and the packed tables turns the repeat queries into
+# dictionary lookups.  A table depends on the packed codes alone, so one
+# cache serves every dimension.  Cached values are shared and must never
+# be mutated.
+_cached_table_nd = lru_cache(maxsize=512)(_int_table)
 
 
 @lru_cache(maxsize=512)
-def _scaled_1d(coeffs: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    den = math.lcm(*(q.denominator for q in coeffs))
-    return tuple(q.numerator * (den // q.denominator) for q in coeffs), den
+def _scaled(flat: tuple[Fraction, ...],
+            d: int) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
+    """Scale the n vectors in `flat` (d coordinates each) to integers and
+    pack each one into a single integer code.
+
+    Returns (codes, den, reach, m): den is the lcm of the denominators,
+    reach[j] = sum_i |v_ij| bounds coordinate j of every signed sum, and
+    the code of an integer vector u is sum_j u_j * m^(d-1-j) with
+    m = 2 * max(reach) + 1.
+    """
+    den = math.lcm(*(q.denominator for q in flat))
+    ints = [q.numerator * (den // q.denominator) for q in flat]
+    reach = tuple(sum(abs(c) for c in ints[j::d]) for j in range(d))
+    m = 2 * max(reach) + 1
+    codes = []
+    for i in range(0, len(ints), d):
+        code = 0
+        for c in ints[i:i + d]:
+            code = code * m + c
+        codes.append(code)
+    return tuple(codes), den, reach, m
 
 
-@lru_cache(maxsize=512)
-def _scaled_nd(vectors: tuple[RVector, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    den = math.lcm(*(c.denominator for row in vectors for c in row))
-    ints = tuple(tuple(c.numerator * (den // c.denominator) for c in row)
-                 for row in vectors)
-    return ints, den
+def _unpack(code: int, m: int, d: int, den: int) -> RVector:
+    half = m // 2
+    digits = [0] * d
+    for j in range(d - 1, -1, -1):
+        code, r = divmod(code + half, m)
+        digits[j] = r - half
+    return tuple(Fraction(s, den) for s in digits)
 
 
-def _probe_count_1d(values: tuple[int, ...], target: int) -> int:
-    h = len(values) // 2
-    left = _int_table_1d(values[:h])
-    right = _int_table_1d(values[h:])
+def _probe_count(codes: tuple[int, ...], target: int) -> int:
+    h = len(codes) // 2
+    left = _int_table(codes[:h])
+    right = _int_table(codes[h:])
     rget = right.get
     return sum(c * rget(target - s, 0) for s, c in left.items())
-
-
-def _probe_count_nd(vectors: tuple[tuple[int, ...], ...],
-                    target: tuple[int, ...]) -> int:
-    h = len(vectors) // 2
-    d = len(target)
-    left = _int_table_nd(vectors[:h], d)
-    right = _int_table_nd(vectors[h:], d)
-    rget = right.get
-    total = 0
-    for s, c in left.items():
-        total += c * rget(tuple(t - a for t, a in zip(target, s)), 0)
-    return total
 
 
 def _check_probe_size(n: int, method: str) -> str:
@@ -147,6 +148,40 @@ def _check_probe_size(n: int, method: str) -> str:
     raise InputError(f"unknown method {method!r} (expected auto, direct, or mitm)")
 
 
+def _atom(flat: tuple[Fraction, ...], d: int, target: RVector,
+          method: str) -> Fraction:
+    n = len(flat) // d
+    method = _check_probe_size(n, method)
+    codes, den, reach, m = _scaled(flat, d)
+    key = 0
+    for c, r in zip(target, reach):
+        if den % c.denominator:
+            return Fraction(0)  # off the lattice spanned by the vectors
+        t = c.numerator * (den // c.denominator)
+        if abs(t) > r:
+            # Outside the reachable box.  Rejecting it here is also what
+            # keeps the packed code injective: a target beyond the box
+            # could alias a reachable sum.
+            return Fraction(0)
+        key = key * m + t
+    if method == "direct":
+        count = _cached_table_nd(codes).get(key, 0)
+    else:
+        count = _probe_count(codes, key)
+    return Fraction(count, 2 ** n)
+
+
+def _full_table(flat: tuple[Fraction, ...], d: int,
+                what: str) -> tuple[dict[int, int], int, int]:
+    """(packed table, den, m) for the operations that read every sum."""
+    n = len(flat) // d
+    if n > EXHAUSTIVE_LIMIT:
+        raise CapacityError(
+            f"{what} at most {EXHAUSTIVE_LIMIT} vectors, got {n}")
+    codes, den, _, m = _scaled(flat, d)
+    return _cached_table_nd(codes), den, m
+
+
 def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
     """Exact P(sum_i eps_i a_i = t) over uniform independent signs eps_i.
 
@@ -154,81 +189,44 @@ def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
     and meet-in-the-middle up to PROBE_LIMIT; "direct" or "mitm" force
     one path (the equivalence tests exercise both against each other).
     """
-    coeffs = _as_fractions(a)
-    t = _canon(t)
-    n = len(coeffs)
-    method = _check_probe_size(n, method)
-    ints, den = _scaled_1d(coeffs)
-    if den % t.denominator:
-        return Fraction(0)  # off the lattice spanned by the a_i
-    key = t.numerator * (den // t.denominator)
-    if method == "direct":
-        count = _cached_table_1d(ints).get(key, 0)
-    else:
-        count = _probe_count_1d(ints, key)
-    return Fraction(count, 2 ** n)
+    return _atom(_as_fractions(a), 1, (_canon(t),), method)
 
 
 def atom_nd(v: Sequence[Sequence], x: Sequence, *, method: str = "auto") -> Fraction:
     """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i."""
-    vectors = _as_vectors(v)
+    flat, d = _as_vectors(v)
     target = tuple(_canon(c) for c in x)
-    if len(target) != len(vectors[0]):
+    if len(target) != d:
         raise InputError(
-            f"target has dimension {len(target)}, vectors have {len(vectors[0])}")
-    n = len(vectors)
-    method = _check_probe_size(n, method)
-    ints, den = _scaled_nd(vectors)
-    if any(den % c.denominator for c in target):
-        return Fraction(0)  # off the lattice spanned by the v_i
-    key = tuple(c.numerator * (den // c.denominator) for c in target)
-    if method == "direct":
-        count = _cached_table_nd(ints, len(target)).get(key, 0)
-    else:
-        count = _probe_count_nd(ints, key)
-    return Fraction(count, 2 ** n)
+            f"target has dimension {len(target)}, vectors have {d}")
+    return _atom(flat, d, target, method)
 
 
 def sum_table_1d(a: Sequence) -> dict[Fraction, int]:
     """Full distribution of sum_i eps_i a_i: sum value -> pattern count.
 
     Counts total 2^n across the table."""
-    coeffs = _as_fractions(a)
-    n = len(coeffs)
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapacityError(
-            f"full sum tables support at most {EXHAUSTIVE_LIMIT} vectors, got {n}")
-    ints, den = _scaled_1d(coeffs)
-    return {Fraction(s, den): c for s, c in _cached_table_1d(ints).items()}
+    table, den, _ = _full_table(_as_fractions(a), 1, "full sum tables support")
+    return {Fraction(s, den): c for s, c in table.items()}
 
 
 def sum_table_nd(v: Sequence[Sequence]) -> dict[RVector, int]:
     """Full distribution of sum_i eps_i v_i: sum vector -> pattern count."""
-    vectors = _as_vectors(v)
-    n = len(vectors)
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapacityError(
-            f"full sum tables support at most {EXHAUSTIVE_LIMIT} vectors, got {n}")
-    ints, den = _scaled_nd(vectors)
-    return {tuple(Fraction(s, den) for s in key): c
-            for key, c in _cached_table_nd(ints, len(ints[0])).items()}
+    flat, d = _as_vectors(v)
+    table, den, m = _full_table(flat, d, "full sum tables support")
+    return {_unpack(key, m, d, den): c for key, c in table.items()}
 
 
 def reachable_sums_nd(v: Sequence[Sequence]) -> list[RVector]:
     """All attainable values of sum_i eps_i v_i, sorted lexicographically.
 
-    Sorting happens on the scaled integer keys (same order, since the
-    scale factor is positive), which keeps target enumeration cheap for
-    campaign sweeps.
+    Sorting happens on the packed integer codes, whose order is the
+    lexicographic order of the sums, which keeps target enumeration
+    cheap for campaign sweeps.
     """
-    vectors = _as_vectors(v)
-    n = len(vectors)
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapacityError(
-            f"full sum tables support at most {EXHAUSTIVE_LIMIT} vectors, got {n}")
-    ints, den = _scaled_nd(vectors)
-    return [tuple(Fraction(s, den) for s in key)
-            for key in sorted(_cached_table_nd(ints, len(ints[0])))]
+    flat, d = _as_vectors(v)
+    table, den, m = _full_table(flat, d, "full sum tables support")
+    return [_unpack(key, m, d, den) for key in sorted(table)]
 
 
 def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:
@@ -237,34 +235,24 @@ def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:
     Ties break to the lexicographically smallest target, so results are
     reproducible across runs and platforms.
     """
-    vectors = _as_vectors(v)
-    n = len(vectors)
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapacityError(
-            f"max_atom enumerates the full table and supports at most "
-            f"{EXHAUSTIVE_LIMIT} vectors, got {n}")
-    ints, den = _scaled_nd(vectors)
-    table = _cached_table_nd(ints, len(ints[0]))
+    flat, d = _as_vectors(v)
+    table, den, m = _full_table(
+        flat, d, "max_atom enumerates the full table and supports")
     best_key = None
     best_count = -1
-    # Scaling by a single positive factor preserves lexicographic order,
-    # so comparing integer keys picks the same target as comparing the
-    # rational sums.
+    # Code order is lexicographic order of the sums, so comparing codes
+    # picks the same target as comparing the rational sums.
     for key, count in table.items():
         if count > best_count or (count == best_count and key < best_key):
             best_key = key
             best_count = count
-    return (tuple(Fraction(s, den) for s in best_key),
-            Fraction(best_count, 2 ** n))
+    return (_unpack(best_key, m, d, den),
+            Fraction(best_count, 2 ** (len(flat) // d)))
 
 
 def rho_max_1d(a: Sequence) -> Fraction:
     """Largest atom probability max_t P(sum_i eps_i a_i = t)."""
     coeffs = _as_fractions(a)
-    n = len(coeffs)
-    if n > EXHAUSTIVE_LIMIT:
-        raise CapacityError(
-            f"rho_max_1d enumerates the full table and supports at most "
-            f"{EXHAUSTIVE_LIMIT} vectors, got {n}")
-    ints, _ = _scaled_1d(coeffs)
-    return Fraction(max(_cached_table_1d(ints).values()), 2 ** n)
+    table, _, _ = _full_table(
+        coeffs, 1, "rho_max_1d enumerates the full table and supports")
+    return Fraction(max(table.values()), 2 ** len(coeffs))

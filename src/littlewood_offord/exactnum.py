@@ -21,7 +21,8 @@ from .errors import InputError
 # comparisons, hashability.
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# ASCII digits only: \d would also accept other scripts' digits.
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
 def binomial(n: int, m: int) -> int:

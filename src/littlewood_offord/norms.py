@@ -5,9 +5,7 @@ Four exact families are supported: l1, l2, linf, and facet-form
 polyhedral norms max_j |<f_j, x>| (the functionals must span the space,
 otherwise the form is a seminorm and is rejected).  l2 magnitudes are
 carried as exact squares, so every ordering and ceiling decision on
-them reduces to integer arithmetic.  The lp family (rational p > 1) is
-float-mode only: usable for sampling checks, rejected by every
-operation that feeds the exact certification pipeline.
+them reduces to integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,12 +24,10 @@ L1 = "l1"
 L2 = "l2"
 LINF = "linf"
 POLY = "poly"
-LP = "lp"
 
 # NormValue kinds.
 RATIONAL = "rational"
 SQUARED = "squared"
-FLOAT = "float"
 
 _CLOSED_DUAL_KINDS = (L1, L2, LINF)
 _DUAL_KIND = {L1: LINF, L2: L2, LINF: L1}
@@ -89,16 +85,15 @@ def _rank(rows: Sequence[RVector]) -> int:
 class NormSpec:
     """Tagged description of a norm on rational vectors.
 
-    kind is "l1", "l2", "linf", "poly" (facet form max_j |<f_j, x>|,
-    fixed dimension), or "lp" (float mode, exponent p > 1).
+    kind is "l1", "l2", "linf", or "poly" (facet form max_j |<f_j, x>|,
+    fixed dimension).
     """
 
     kind: str
     functionals: tuple[RVector, ...] = ()
-    p: Fraction | None = None
 
     def __post_init__(self):
-        if self.kind not in (L1, L2, LINF, POLY, LP):
+        if self.kind not in (L1, L2, LINF, POLY):
             raise InputError(f"unknown norm kind {self.kind!r}")
         if self.kind == POLY:
             if not self.functionals:
@@ -111,11 +106,6 @@ class NormSpec:
                     "functionals do not span the space (a seminorm, not a norm)")
         elif self.functionals:
             raise InputError(f"{self.kind} norm takes no functionals")
-        if self.kind == LP:
-            if self.p is None or self.p <= 1:
-                raise InputError("lp norm needs a rational exponent p > 1")
-        elif self.p is not None:
-            raise InputError(f"{self.kind} norm takes no exponent")
 
     @classmethod
     def l1(cls) -> "NormSpec":
@@ -133,14 +123,6 @@ class NormSpec:
     def polyhedral(cls, functionals: Iterable[Iterable]) -> "NormSpec":
         return cls(POLY, tuple(vector(f) for f in functionals))
 
-    @classmethod
-    def lp(cls, p) -> "NormSpec":
-        return cls(LP, p=Fraction(p))
-
-    @property
-    def exact(self) -> bool:
-        return self.kind != LP
-
     @property
     def dimension(self) -> int | None:
         """Fixed dimension for polyhedral specs, None otherwise."""
@@ -152,13 +134,11 @@ class NormValue:
     """Exact magnitude descriptor.
 
     kind "rational" stores the magnitude itself; kind "squared" stores
-    its exact square (l2 magnitudes are generally irrational); kind
-    "float" is the lp sampling mode and is rejected by the exact
-    operations.
+    its exact square (l2 magnitudes are generally irrational).
     """
 
     kind: str
-    value: Fraction | float
+    value: Fraction
 
     @classmethod
     def rational(cls, q) -> "NormValue":
@@ -174,43 +154,24 @@ class NormValue:
             raise InputError("a squared magnitude cannot be negative")
         return cls(SQUARED, q2)
 
-    @classmethod
-    def approx(cls, x: float) -> "NormValue":
-        return cls(FLOAT, float(x))
-
-    @property
-    def exact(self) -> bool:
-        return self.kind != FLOAT
-
     def ceil(self) -> int:
         """Exact ceiling of the magnitude."""
         if self.kind == RATIONAL:
             return math.ceil(self.value)
-        if self.kind == SQUARED:
-            return ceil_sqrt(self.value)
-        raise UnsupportedNormOperation("no exact ceiling in float mode")
-
-    def to_float(self) -> float:
-        if self.kind == SQUARED:
-            return math.sqrt(float(self.value))
-        return float(self.value)
+        return ceil_sqrt(self.value)
 
     def le_rational(self, q) -> bool:
         """Exact test: magnitude <= q."""
         q = Fraction(q)
         if self.kind == RATIONAL:
             return self.value <= q
-        if self.kind == SQUARED:
-            return q >= 0 and self.value <= q * q
-        raise UnsupportedNormOperation("no exact comparison in float mode")
+        return q >= 0 and self.value <= q * q
 
     def is_zero(self) -> bool:
-        return self.exact and self.value == 0
+        return self.value == 0
 
     def equals(self, other: "NormValue") -> bool:
-        """Exact equality of magnitudes across the exact kinds."""
-        if not (self.exact and other.exact):
-            raise UnsupportedNormOperation("no exact equality in float mode")
+        """Exact equality of magnitudes across both kinds."""
         if self.kind == other.kind:
             return self.value == other.value
         plain, squared = (self, other) if self.kind == RATIONAL else (other, self)
@@ -231,7 +192,7 @@ class Witness:
 
 
 def norm_eval(spec: NormSpec, x: RVector) -> NormValue:
-    """Evaluate ||x||: exact descriptor for exact kinds, float for lp."""
+    """Evaluate ||x|| as an exact magnitude descriptor."""
     if not x:
         raise InputError("empty vector")
     if spec.kind == POLY and len(x) != spec.dimension:
@@ -244,26 +205,19 @@ def norm_eval(spec: NormSpec, x: RVector) -> NormValue:
         return NormValue.squared(dot(x, x))
     if spec.kind == LINF:
         return NormValue.rational(max(abs(c) for c in x))
-    if spec.kind == POLY:
-        return NormValue.rational(max(abs(dot(f, x)) for f in spec.functionals))
-    p = float(spec.p)
-    return NormValue.approx(sum(abs(float(c)) ** p for c in x) ** (1.0 / p))
+    return NormValue.rational(max(abs(dot(f, x)) for f in spec.functionals))
 
 
 def ceil_norm(spec: NormSpec, x: RVector) -> int:
-    """Exact ceil(||x||); zero iff x = 0.  Rejected for lp (float mode)."""
-    if not spec.exact:
-        raise UnsupportedNormOperation("ceil_norm needs an exact-mode norm")
+    """Exact ceil(||x||); zero iff x = 0."""
     return norm_eval(spec, x).ceil()
 
 
 def dual_spec(spec: NormSpec) -> NormSpec:
     """The dual norm's spec where a closed form exists:
-    l1 <-> linf, l2 self-dual, lp <-> lq with 1/p + 1/q = 1."""
+    l1 <-> linf, l2 self-dual."""
     if spec.kind in _DUAL_KIND:
         return NormSpec(_DUAL_KIND[spec.kind])
-    if spec.kind == LP:
-        return NormSpec.lp(spec.p / (spec.p - 1))
     raise UnsupportedNormOperation(
         "the dual of a facet-form polyhedral norm has no closed form here")
 
@@ -274,7 +228,7 @@ def dual_eval(spec: NormSpec, u: RVector) -> NormValue:
 
 
 def dual_witness(spec: NormSpec, x: RVector) -> Witness:
-    """Dual-optimal witness for x != 0 under an exact-mode norm.
+    """Dual-optimal witness for x != 0.
 
     Dual-ball membership of y = w / s is structural per variant: l2
     normalizes x by its own length; the l1 witness is a sign vector
@@ -283,8 +237,6 @@ def dual_witness(spec: NormSpec, x: RVector) -> Witness:
     witness is a signed defining functional, which lies in the dual
     ball because the norm dominates |<f_j, .>| by definition.
     """
-    if not spec.exact:
-        raise UnsupportedNormOperation("dual_witness needs an exact-mode norm")
     if spec.kind == POLY and len(x) != spec.dimension:
         raise InputError(
             f"dimension mismatch: norm is on {spec.dimension} coordinates, "
@@ -339,21 +291,17 @@ def double_dual_check(spec: NormSpec, x: RVector) -> bool:
 def format_norm(spec: NormSpec) -> str:
     if spec.kind in (L1, L2, LINF):
         return spec.kind
-    if spec.kind == LP:
-        return f"lp:{format_rational(spec.p)}"
     body = ";".join(
         ",".join(format_rational(c) for c in f) for f in spec.functionals)
     return f"poly:[{body}]"
 
 
 def parse_norm(text: str) -> NormSpec:
-    """Parse "l1" | "l2" | "linf" | "lp:<p>" | "poly:[f1;f2;...]" where
+    """Parse "l1" | "l2" | "linf" | "poly:[f1;f2;...]" where
     each functional is a comma-separated list of rationals."""
     s = text.strip()
     if s in (L1, L2, LINF):
         return NormSpec(s)
-    if s.startswith("lp:"):
-        return NormSpec.lp(parse_rational(s[3:]))
     if s.startswith("poly:"):
         body = s[5:].strip()
         if not (body.startswith("[") and body.endswith("]")):

@@ -33,13 +33,9 @@ from .concentration import atom_1d, atom_nd
 from .errors import InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational, lo_bound,
                        parse_rational)
-from .norms import (FLOAT, POLY, RATIONAL, NormSpec, NormValue, RVector,
+from .norms import (POLY, RATIONAL, NormSpec, NormValue, RVector,
                     Witness, ceil_norm, dot, dual_witness, format_norm,
                     is_zero, norm_eval, parse_norm, vector)
-
-# Float-mode (lp) ball membership allows this much slack; exact kinds
-# use exact comparisons and no tolerance at all.
-LP_BALL_TOL = 1e-9
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -47,11 +43,8 @@ ETA_EXPONENTS = tuple(range(3, 31, 3))
 
 @lru_cache(maxsize=65536)
 def in_unit_ball(norm: NormSpec, v: RVector) -> bool:
-    """Membership test ||v|| <= 1: exact for exact kinds, tolerant for lp."""
-    nv = norm_eval(norm, v)
-    if nv.kind == FLOAT:
-        return nv.value <= 1.0 + LP_BALL_TOL
-    return nv.le_rational(1)
+    """Exact membership test ||v|| <= 1."""
+    return norm_eval(norm, v).le_rational(1)
 
 
 @dataclass(frozen=True)
@@ -160,6 +153,14 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
       (a) <v_i, w'> != 0 for every i;
       (b) |<v_i, w'>| <= s, so the projected coefficients stay in [-1, 1];
       (c) ceil(<x, w'> / s) equals ceil ||x||, so the bound's k survives.
+
+    Only when that schedule is exhausted does a second pass run the same
+    eta sequence over +z(t), -z(t) for t = 1, ..., n(d-1)+1, with
+    z(t) = (1, t, ..., t^(d-1)).  From d = 3 on, w can lie on two
+    independent hyperplanes that no single direction of the first pass
+    leaves at once.  For v != 0, <v, z(t)> is a nonzero
+    polynomial in t of degree below d, so some t in that range keeps
+    every <v_i, z(t)> nonzero.
     """
     d = instance.dimension
     x = instance.target
@@ -173,22 +174,28 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
         minus[j] = Fraction(-1)
         dirs.append(tuple(minus))
     dirs.extend(instance.vectors)
+    curve: list[RVector] = []
+    for t in range(1, instance.n * (d - 1) + 2):
+        z = tuple(Fraction(t ** j) for j in range(d))
+        curve.append(z)
+        curve.append(tuple(-c for c in z))
     tried = 0
-    for exp in ETA_EXPONENTS:
-        eta = Fraction(1, 2 ** exp)
-        keep = 1 - eta
-        for z in dirs:
-            tried += 1
-            cand = tuple(keep * wc + eta * zc
-                         for wc, zc in zip(w.direction, z))
-            coeffs = [dot(v, cand) for v in instance.vectors]
-            if any(c == 0 for c in coeffs):
-                continue
-            if not all(_within_scale(c, w.scale) for c in coeffs):
-                continue
-            if _ceil_over_scale(dot(x, cand), w.scale) != k:
-                continue
-            return Witness(cand, w.scale)
+    for schedule in (dirs, curve):
+        for exp in ETA_EXPONENTS:
+            eta = Fraction(1, 2 ** exp)
+            keep = 1 - eta
+            for z in schedule:
+                tried += 1
+                cand = tuple(keep * wc + eta * zc
+                             for wc, zc in zip(w.direction, z))
+                coeffs = [dot(v, cand) for v in instance.vectors]
+                if any(c == 0 for c in coeffs):
+                    continue
+                if not all(_within_scale(c, w.scale) for c in coeffs):
+                    continue
+                if _ceil_over_scale(dot(x, cand), w.scale) != k:
+                    continue
+                return Witness(cand, w.scale)
     raise PerturbationError(
         f"no acceptable witness perturbation among {tried} candidates "
         f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={instance.n}, d={d}, "
@@ -267,7 +274,10 @@ def parse_keyvals(text: str, what: str) -> dict[str, str]:
         key, sep, val = line.partition("=")
         if not sep:
             raise InputError(f"{what}: line {lineno}: expected 'key = value'")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key in out:
+            raise InputError(f"{what}: line {lineno}: duplicate key {key!r}")
+        out[key] = val.strip()
     return out
 
 

@@ -126,6 +126,13 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
     outside.write_text("dimension = 1\nnorm = l2\nvectors = 2\ntarget = 0\n")
     assert run_cli(capsys, "verify", str(outside))[0] == 2
 
+    lp = tmp_path / "lp.instance"
+    lp.write_text("dimension = 1\nnorm = lp:3\nvectors = 1\ntarget = 1\n")
+    assert run_cli(capsys, "verify", str(lp))[0] == 2
+    lp_config = tmp_path / "lp.config"
+    lp_config.write_text("mode = random\nnorms = lp:3\nbudget = 3\n")
+    assert run_cli(capsys, "campaign", str(lp_config))[0] == 2
+
     assert run_cli(capsys, "extremal", "3", "l2", "7")[0] == 2
 
 

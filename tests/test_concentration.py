@@ -35,6 +35,11 @@ def test_atom_nd_examples():
     assert atom_nd(vectors, (0, 0)) == 0
     assert atom_nd([(F(1, 2), F(1, 2))], (F(1, 2), F(1, 2))) == F(1, 2)
     assert atom_nd(vectors, (F(1, 3), 0)) == 0  # off the lattice
+    # (0, 3) lies outside the reachable box |s_j| <= sum_i |v_ij| and, with
+    # packing base 3, would share the code of the reachable sum (1, 0).
+    assert enumerate_atom_nd([(F(1), F(0))], (F(0), F(3))) == 0
+    for method in ("direct", "mitm"):
+        assert atom_nd([(1, 0)], (0, 3), method=method) == 0
 
 
 def test_atom_rejects_bad_input():
@@ -83,12 +88,18 @@ def test_forced_methods_agree_with_enumeration():
 
 def test_forced_methods_agree_nd():
     rng = random.Random(1107)
-    for _ in range(60):
+    for i in range(120):
         n = rng.randint(1, 8)
-        d = rng.randint(1, 3)
+        d = 3 if i % 2 else rng.randint(1, 3)
         vectors = [tuple(F(rng.randint(-4, 4), 4) for _ in range(d))
                    for _ in range(n)]
-        x = tuple(F(rng.randint(-4, 4), 4) for _ in range(d))
+        if rng.random() < 0.5:
+            # a reachable sum, so that the count is usually nonzero
+            x = tuple(sum(rng.choice((-1, 1)) * v[j] for v in vectors)
+                      for j in range(d))
+        else:
+            # a grid point that may lie outside the reachable box
+            x = tuple(F(rng.randint(-4 * n, 4 * n), 4) for _ in range(d))
         expected = enumerate_atom_nd(vectors, x)
         assert atom_nd(vectors, x, method="direct") == expected
         assert atom_nd(vectors, x, method="mitm") == expected
@@ -136,15 +147,17 @@ def test_max_atom_examples_and_tie_break():
 
 def test_max_atom_matches_enumeration():
     rng = random.Random(1110)
-    for _ in range(30):
+    for _ in range(45):
         n = rng.randint(1, 7)
-        d = rng.randint(1, 2)
+        d = rng.randint(1, 3)
         vectors = [tuple(F(rng.randint(-4, 4), 2) for _ in range(d))
                    for _ in range(n)]
         table = enumerate_table_nd(vectors)
         best_count = max(table.values())
         best_target = min(key for key, c in table.items() if c == best_count)
         assert max_atom(vectors) == (best_target, F(best_count, 2 ** n))
+        # packed-code order is the tuple order of the rational sums
+        assert reachable_sums_nd(vectors) == sorted(table)
 
 
 def test_rho_max_examples():

@@ -159,7 +159,7 @@ def test_rational_serialization_round_trips(q):
 
 
 @pytest.mark.parametrize("bad", ["", "1.5", "a", "1/0", "1/-2", "--3",
-                                 "3 / 4x", "1/2/3"])
+                                 "3 / 4x", "1/2/3", "\u0661/\u0662"])
 def test_rational_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_rational(bad)

@@ -36,13 +36,12 @@ def witness_attains(spec, x):
 
 
 def test_norm_spec_factories_and_validation():
-    assert L1.kind == "l1" and L1.exact
-    assert NormSpec.lp(F(3, 2)).p == F(3, 2)
+    assert L1.kind == "l1"
     assert POLY_CROSS.dimension == 2
     with pytest.raises(InputError):
         NormSpec("l7")
     with pytest.raises(InputError):
-        NormSpec.lp(1)                       # needs p > 1
+        NormSpec("lp")                       # no float-mode family
     with pytest.raises(InputError):
         NormSpec.polyhedral([])
     with pytest.raises(InputError):
@@ -59,9 +58,8 @@ def test_norm_eval_examples():
     assert norm_eval(L2, (F(3), F(-4))).kind == "squared"
     assert norm_eval(LINF, (F(3), F(-4))).value == 4
     assert norm_eval(POLY_CROSS, (F(2), F(-3))).value == 2
-    lp3 = NormSpec.lp(3)
-    approx = norm_eval(lp3, (F(3), F(-4))).value
-    assert abs(approx - (3 ** 3 + 4 ** 3) ** (1 / 3)) <= 1e-12 * approx
+    with pytest.raises(InputError):
+        norm_eval(parse_norm("lp:3"), (F(3), F(-4)))
 
 
 def test_norm_eval_rejects_bad_dimensions():
@@ -81,8 +79,8 @@ def test_ceil_norm_examples():
     assert ceil_norm(L1, (F(1, 2), F(1, 2))) == 1
     assert ceil_norm(LINF, (F(0), F(0))) == 0
     assert ceil_norm(POLY_CROSS, (F(2), F(-3))) == 2
-    with pytest.raises(UnsupportedNormOperation):
-        ceil_norm(NormSpec.lp(2), (F(1), F(1)))
+    with pytest.raises(InputError):
+        ceil_norm(parse_norm("lp:2"), (F(1), F(1)))
 
 
 def test_ceil_norm_zero_only_at_zero():
@@ -95,7 +93,8 @@ def test_dual_spec_pairs():
     assert dual_spec(L1).kind == "linf"
     assert dual_spec(LINF).kind == "l1"
     assert dual_spec(L2).kind == "l2"
-    assert dual_spec(NormSpec.lp(3)).p == F(3, 2)
+    with pytest.raises(InputError):
+        dual_spec(parse_norm("lp:3"))
     with pytest.raises(UnsupportedNormOperation):
         dual_spec(POLY_CROSS)
 
@@ -106,9 +105,8 @@ def test_dual_eval_examples():
     assert dual_eval(L2, (F(3), F(-4))).value == 25
     with pytest.raises(UnsupportedNormOperation):
         dual_eval(POLY_CROSS, (F(1), F(0)))
-    got = dual_eval(NormSpec.lp(3), (F(3), F(-4))).value
-    want = (3 ** 1.5 + 4 ** 1.5) ** (1 / 1.5)
-    assert abs(got - want) <= 1e-12 * want
+    with pytest.raises(InputError):
+        dual_eval(parse_norm("lp:3"), (F(3), F(-4)))
 
 
 def test_dual_witness_examples():
@@ -140,8 +138,8 @@ def test_dual_witness_linf_tie_breaks_to_smallest_index():
 def test_dual_witness_rejects_zero_and_float_mode():
     with pytest.raises(InputError):
         dual_witness(L2, (F(0), F(0)))
-    with pytest.raises(UnsupportedNormOperation):
-        dual_witness(NormSpec.lp(2), (F(1), F(0)))
+    with pytest.raises(InputError):           # lp is rejected as text
+        dual_witness(parse_norm("lp:2"), (F(1), F(0)))
 
 
 @pytest.mark.parametrize("spec", [L1, L2, LINF])
@@ -154,8 +152,8 @@ def test_holder_inequality_holds(spec, pair):
 def test_holder_check_rejects_unsupported():
     with pytest.raises(UnsupportedNormOperation):
         holder_check(POLY_CROSS, (F(1), F(0)), (F(0), F(1)))
-    with pytest.raises(UnsupportedNormOperation):
-        holder_check(NormSpec.lp(2), (F(1), F(0)), (F(0), F(1)))
+    with pytest.raises(InputError):
+        holder_check(parse_norm("lp:2"), (F(1), F(0)), (F(0), F(1)))
 
 
 @pytest.mark.parametrize("spec", [L1, L2, LINF])
@@ -201,18 +199,20 @@ def test_polyhedral_witness_dominated_by_norm(pair):
 
 
 def test_norm_text_round_trips():
-    for spec in (L1, L2, LINF, NormSpec.lp(F(3, 2)),
+    for spec in (L1, L2, LINF,
                  NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)]),
                  NormSpec.polyhedral([(F(1, 2), F(-1, 3)), (0, 2)])):
         assert parse_norm(format_norm(spec)) == spec
     assert format_norm(L1) == "l1"
-    assert format_norm(NormSpec.lp(F(3, 2))) == "lp:3/2"
+    with pytest.raises(InputError):
+        parse_norm("lp:3/2")
     assert format_norm(NormSpec.polyhedral([(1, 0), (1, 1)])) == "poly:[1,0;1,1]"
     assert parse_norm("  l2 ") == L2
     assert parse_norm("poly:[1,0;0,1]") == NormSpec.polyhedral([(1, 0), (0, 1)])
 
 
-@pytest.mark.parametrize("bad", ["l3", "lp:1", "lp:0", "lp:abc", "poly:",
+@pytest.mark.parametrize("bad", ["l3", "lp:1", "lp:0", "lp:abc", "lp:2",
+                                 "lp:3/2", "poly:",
                                  "poly:[]", "poly:[1,0]", "poly:(1,0;0,1)",
                                  "", "linf2"])
 def test_norm_text_rejects_garbage(bad):

@@ -8,11 +8,11 @@ from fractions import Fraction as F
 import pytest
 
 from littlewood_offord import (InputError, Instance, NormSpec,
-                               PerturbationError, UnsupportedNormOperation,
-                               atom_1d, ceil_norm, dot, dual_witness,
-                               format_instance, format_report, gen_random,
-                               lo_bound, make_instance, parse_instance,
-                               perturb_witness, project, verify_instance)
+                               PerturbationError, atom_1d, ceil_norm, dot,
+                               dual_witness, format_instance, format_report,
+                               gen_random, lo_bound, make_instance, parse_norm,
+                               parse_instance, perturb_witness, project,
+                               verify_instance)
 from oracles import enumerate_atom_1d, enumerate_atom_nd
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
@@ -42,11 +42,12 @@ def test_instance_accepts_exact_boundary():
     make_instance([(1, -1)], (0, 0), LINF)
 
 
-def test_lp_instance_uses_float_tolerance():
-    lp3 = NormSpec.lp(3)
-    make_instance([(1, 0), (F(1, 2), F(1, 2))], (1, 0), lp3)
-    with pytest.raises(InputError):
-        make_instance([(1, F(1, 2))], (0, 0), lp3)
+def test_lp_instance_is_rejected():
+    # lp norms have no exact arithmetic, so no lp instance can be built.
+    with pytest.raises(InputError, match="unknown norm spec"):
+        make_instance([(1, 0), (F(1, 2), F(1, 2))], (1, 0), parse_norm("lp:3"))
+    with pytest.raises(InputError, match="unknown norm kind"):
+        make_instance([(1, 0)], (1, 0), NormSpec("lp"))
 
 
 def test_project_axis_pair_l2():
@@ -135,6 +136,26 @@ def test_perturb_witness_checks_all_three_conditions():
     assert project(inst).k == 1
 
 
+def test_perturbation_clears_two_hyperplanes_in_d3():
+    # w = x is orthogonal to (-1/2, 1/2, 0), (0, 0, 3/4) and (0, 0, -1).
+    # No single +-e_j or v_i direction leaves both hyperplanes, so only
+    # the moment-curve pass z(t) = (1, t, t^2) finds a witness.
+    inst = parse_instance(
+        "dimension = 3\nnorm = l2\n"
+        "vectors = 3/4,1/2,0; 3/4,1/4,0; -1/2,-1/4,0; -1/2,1/2,0; 0,0,3/4; "
+        "3/4,-1/2,0; 0,0,-1; -1/2,3/4,0\n"
+        "target = -1/4,-1/4,0\n")
+    proj = project(inst)
+    assert proj.perturbed and proj.k == 1
+    assert all(c != 0 for c in proj.coefficients)
+    assert all(c * c <= proj.scale.value for c in proj.coefficients)
+    report = verify_instance(inst)
+    assert report.chain_holds and report.perturbed
+    assert report.p_exact == enumerate_atom_nd(inst.vectors, inst.target)
+    assert report.p_projected == enumerate_atom_1d(proj.coefficients,
+                                                   proj.target_value)
+
+
 def test_zero_target_projects_with_zero_value():
     inst = make_instance([(1, 0), (0, 1)], (0, 0), L2)
     proj = project(inst)
@@ -168,9 +189,10 @@ def test_verify_chain_on_seeded_instances():
 
 
 def test_verify_rejects_float_mode_norm():
-    inst = make_instance([(1, 0)], (1, 0), NormSpec.lp(3))
-    with pytest.raises(UnsupportedNormOperation):
-        verify_instance(inst)
+    # An lp instance file is refused while parsing, before verification.
+    text = format_instance(make_instance([(1, 0)], (1, 0), L2))
+    with pytest.raises(InputError, match="unknown norm spec"):
+        parse_instance(text.replace("norm = l2", "norm = lp:3"))
 
 
 def test_one_dimensional_bound_on_unit_coefficients():
@@ -211,6 +233,8 @@ def test_instance_text_rejects_malformed():
         parse_instance(good.replace("vectors = 1,0", "vectors ="))
     with pytest.raises(InputError):
         parse_instance(good + "bogus line without equals\n")
+    with pytest.raises(InputError, match="line 6: duplicate key 'vectors'"):
+        parse_instance(good + "vectors = 0,1\n")
 
 
 def test_report_text_layout():
