@@ -8,8 +8,8 @@ dimension along a dual-optimal witness, and checks the two-step chain
 with rational arithmetic only.
 """
 
-from .errors import (CapacityError, InputError, PerturbationError,
-                     UnsupportedNormOperation)
+from .errors import (CapacityError, CertificateError, InputError,
+                     PerturbationError, UnsupportedNormOperation)
 from .exactnum import (Rational, binomial, ceil_sqrt, delta, floor_sqrt,
                        format_rational, lo_bound, parse_rational,
                        rademacher_atom)
@@ -32,12 +32,12 @@ from .campaign import (CampaignConfig, CampaignReport, Violation,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CampaignConfig", "CampaignReport", "CapacityError", "DIRECT_LIMIT",
-    "EXHAUSTIVE_LIMIT", "InputError", "Instance", "NormSpec", "NormValue",
-    "PROBE_LIMIT", "PerturbationError", "ProjectedInstance", "RVector",
-    "Rational", "UnsupportedNormOperation", "VerificationReport", "Violation",
-    "Witness", "atom_1d", "atom_nd", "binomial", "ceil_norm", "ceil_sqrt",
-    "delta", "dot", "double_dual_check", "dual_eval", "dual_spec",
+    "CampaignConfig", "CampaignReport", "CapacityError", "CertificateError",
+    "DIRECT_LIMIT", "EXHAUSTIVE_LIMIT", "InputError", "Instance", "NormSpec",
+    "NormValue", "PROBE_LIMIT", "PerturbationError", "ProjectedInstance",
+    "RVector", "Rational", "UnsupportedNormOperation", "VerificationReport",
+    "Violation", "Witness", "atom_1d", "atom_nd", "binomial", "ceil_norm",
+    "ceil_sqrt", "delta", "dot", "double_dual_check", "dual_eval", "dual_spec",
     "dual_witness", "floor_sqrt", "format_campaign_config",
     "format_campaign_report", "format_instance", "format_norm",
     "format_rational", "format_report", "gen_extremal", "gen_random",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -32,14 +33,18 @@ from multiprocessing import Pool
 from typing import Sequence
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
-                            reachable_sums_nd)
-from .errors import CapacityError, InputError, PerturbationError
-from .exactnum import delta, format_rational, lo_bound, parse_rational
-from .norms import (L1, L2, LINF, NormSpec, RVector, format_norm, is_zero,
-                    parse_norm)
-from .reduction import (Instance, VerificationReport, in_unit_ball,
+                            reachable_sums_nd, scaled_sums)
+from .errors import (CapacityError, CertificateError, InputError,
+                     PerturbationError)
+from .exactnum import (delta, format_rational, lo_bound, lo_count,
+                       parse_rational)
+from .norms import (L1, L2, LINF, NormSpec, NormValue, RVector, dot,
+                    format_norm, is_zero, norm_eval, parse_norm,
+                    witness_direction, witness_target)
+from .reduction import (CHANGED_CEILING, LEFT_UNIT_INTERVAL, Instance,
+                        VerificationReport, ceil_over_scale, in_unit_ball,
                         instance_lines, parse_keyvals, report_lines,
-                        verify_instance)
+                        verify_instance, within_scale)
 
 MODES = ("exhaustive-grid", "random", "extremal", "uniform-kleitman")
 
@@ -129,6 +134,14 @@ class CampaignReport:
     @property
     def verified(self) -> bool:
         return not self.violations
+
+    @property
+    def status(self) -> str:
+        """violations-found if the chain failed anywhere, else incomplete
+        if some instance could not be verified, else verified."""
+        if self.violations:
+            return "violations-found"
+        return "incomplete" if self.errors else "verified"
 
 
 def gen_extremal(n: int, norm: NormSpec, norm_value) -> Instance:
@@ -233,13 +246,14 @@ def _tally(res: _TaskResult, local: int, instance: Instance,
         res.violations.append((local, instance, report))
     if report.tight:
         res.tight += 1
-    elif report.bound > 0:
+    if report.bound > 0:
         ratio = report.p_exact / report.bound
         if ratio > res.max_ratio:
             res.max_ratio = ratio
 
 
-_RECORDED_FAILURES = (InputError, CapacityError, PerturbationError)
+_RECORDED_FAILURES = (InputError, CapacityError, PerturbationError,
+                      CertificateError)
 
 _ACTIVE_CONFIG: CampaignConfig | None = None
 
@@ -249,17 +263,122 @@ def _set_active_config(config: CampaignConfig) -> None:
     _ACTIVE_CONFIG = config
 
 
+def _primitive(direction: tuple) -> tuple[tuple[int, ...], Fraction]:
+    """The primitive integer vector w along a nonzero rational direction,
+    and the factor r > 0 with w = r * direction."""
+    lcm = math.lcm(*(c.denominator for c in direction))
+    ints = [c.numerator * (lcm // c.denominator) for c in direction]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints), Fraction(lcm, g)
+
+
+class _Group:
+    """The targets of one sweep whose witnesses share a direction w (a
+    primitive integer vector, w = r * witness direction).
+
+    scale is the witness scale in the units of the scaled vectors, so
+    that the checks of project() read the same on integers.  hist is the
+    projected histogram, the sum table pushed forward along w; it is
+    None when a projected coefficient vanishes (those targets need
+    perturb_witness) or leaves the unit interval (a certificate failure).
+    """
+
+    def __init__(self, norm: NormSpec, w: tuple[int, ...], r: Fraction,
+                 den: int, vectors: tuple[tuple[int, ...], ...],
+                 sums: list[tuple[tuple[int, ...], int]]):
+        self.w = w
+        if norm.kind == L2:
+            # The l2 witness is the target itself with scale its length.
+            self.scale = NormValue.squared(den * den * dot(w, w))
+        else:
+            self.scale = NormValue.rational(den * r)
+        coefficients = [dot(v, w) for v in vectors]
+        self.needs_perturbation = not all(coefficients)
+        self.in_range = all(within_scale(c, self.scale) for c in coefficients)
+        self.hist: dict[int, int] | None = None
+        if not self.needs_perturbation and self.in_range:
+            hist: dict[int, int] = {}
+            for u, count in sums:
+                t = dot(u, w)
+                hist[t] = hist.get(t, 0) + count
+            self.hist = hist
+
+
 def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResult:
+    """Verify every reachable target of one vector multiset as a batch.
+
+    The multiset is validated and scaled to integers once, p_exact is a
+    count in its one sum table, and p_projected is a count in the
+    projected histogram of the target's witness direction.  Every check
+    of project() runs on the scaled integers.  A target whose witness
+    has a zero coefficient, or whose chain fails, goes through
+    verify_instance instead, so perturbation and violation reports come
+    from the per-instance path.
+    """
     res = _TaskResult()
-    for target in reachable_sums_nd(vectors):
-        local = res.count
+    den, scaled, sums = scaled_sums(vectors)
+    n = len(vectors)
+    try:
+        Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
+    except InputError as exc:
+        res.count = len(sums)
+        res.errors = [(local, str(exc)) for local in range(len(sums))]
+        return res
+    groups: dict[tuple, _Group] = {}
+    targets: list[RVector] = []  # listed at the first fallback
+    for local, (u, count) in enumerate(sums):
         res.count += 1
+        direction = witness_direction(norm, witness_target(u))
+        group = groups.get(direction)
+        if group is None:
+            # Keyed by both the direction and its primitive vector: a
+            # direction equal to some w as a tuple reduces to that w.
+            w, r = _primitive(direction)
+            group = groups.get(w)
+            if group is None:
+                group = groups[w] = _Group(norm, w, r, den, scaled, sums)
+            groups[direction] = group
         try:
-            instance = Instance(vectors, target, norm)
-            _tally(res, local, instance, verify_instance(instance))
+            if group.needs_perturbation:
+                _tally(res, local, *_verify_one(vectors, targets, local, norm))
+                continue
+            if not group.in_range:
+                raise CertificateError(LEFT_UNIT_INTERVAL)
+            t = dot(u, group.w)
+            k = norm_eval(norm, u).ceil(den)
+            if ceil_over_scale(t, group.scale) != k:
+                raise CertificateError(CHANGED_CEILING)
+            allowed = lo_count(n, k)
+            if not count <= group.hist[t] <= allowed:
+                instance, report = _verify_one(vectors, targets, local, norm)
+                if report.chain_holds:
+                    raise CertificateError(
+                        "batched and per-instance verification disagree")
+                _tally(res, local, instance, report)
+                continue
+            if count == allowed:
+                res.tight += 1
+            best = res.max_ratio
+            # count / allowed > best, cross-multiplied (allowed >= count >= 1)
+            if count * best.denominator > best.numerator * allowed:
+                res.max_ratio = Fraction(count, allowed)
         except _RECORDED_FAILURES as exc:
             res.errors.append((local, str(exc)))
     return res
+
+
+def _verify_one(vectors: tuple[RVector, ...], targets: list[RVector],
+                local: int,
+                norm: NormSpec) -> tuple[Instance, VerificationReport]:
+    """The per-instance path for target number `local` of the sweep.
+
+    `targets` starts empty and is filled with the rational reachable
+    sums, in the sweep's order, the first time a target falls back.
+    """
+    if not targets:
+        targets.extend(reachable_sums_nd(vectors))
+    instance = Instance(vectors, targets[local], norm)
+    return instance, verify_instance(instance)
 
 
 def _task_random(start: int, count: int) -> _TaskResult:
@@ -357,13 +476,15 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured campaign and aggregate its report.
 
     Partial results merge in task order with cumulative instance
-    indexing, so the output is identical for any worker count.
+    indexing, so the output is identical for any worker count.  The
+    pool never has more processes than tasks or cores.
     """
     started = time.perf_counter()
     tasks = _build_tasks(config)
     _set_active_config(config)
-    if config.workers > 1 and len(tasks) > 1:
-        with Pool(config.workers, initializer=_set_active_config,
+    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers, initializer=_set_active_config,
                   initargs=(config,)) as pool:
             partials = list(pool.imap(_run_task, tasks, chunksize=8))
     else:
@@ -470,7 +591,6 @@ def format_campaign_report(report: CampaignReport) -> str:
     Wall time and worker count are deliberately omitted: equal
     configurations must produce byte-identical report files.
     """
-    status = "verified" if report.verified else "violations-found"
     lines = [
         CAMPAIGN_REPORT_HEADER,
         f"mode = {report.mode}",
@@ -479,7 +599,7 @@ def format_campaign_report(report: CampaignReport) -> str:
         f"max_ratio = {format_rational(report.max_ratio)}",
         f"violations = {len(report.violations)}",
         f"errors = {len(report.errors)}",
-        f"status = {status}",
+        f"status = {report.status}",
     ]
     for i, violation in enumerate(report.violations, 1):
         lines += ["", f"[violation {i}]", f"index = {violation.index}"]

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 verified (or tight, as expected), 1 violation found,
-2 invalid input, 3 capacity exceeded or perturbation search exhausted.
+2 invalid input, 3 capacity exceeded, perturbation search exhausted, or
+a campaign left instances unverified, 4 an internal certificate failed.
 File arguments accept "-" for stdin.
 """
 
@@ -15,7 +16,8 @@ from pathlib import Path
 from .campaign import (format_campaign_report, gen_extremal,
                        parse_campaign_config, run_campaign)
 from .concentration import atom_nd
-from .errors import CapacityError, InputError, PerturbationError
+from .errors import (CapacityError, CertificateError, InputError,
+                     PerturbationError)
 from .exactnum import format_rational, lo_bound, parse_rational
 from .norms import parse_norm
 from .reduction import (format_instance, format_report, parse_instance,
@@ -61,6 +63,9 @@ def _cmd_extremal(args) -> int:
     return 0
 
 
+_CAMPAIGN_EXIT = {"verified": 0, "violations-found": 1, "incomplete": 3}
+
+
 def _cmd_campaign(args) -> int:
     config = parse_campaign_config(_read_text(args.config))
     if args.workers is not None:
@@ -76,7 +81,7 @@ def _cmd_campaign(args) -> int:
     print(f"instances={report.instances} violations={len(report.violations)} "
           f"errors={len(report.errors)} tight={report.tight} "
           f"wall={report.wall_time:.2f}s", file=sys.stderr)
-    return 0 if report.verified else 1
+    return _CAMPAIGN_EXIT[report.status]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,6 +130,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, PerturbationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except CertificateError as exc:
+        print(f"error: certificate failed: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -112,13 +112,18 @@ def _scaled(flat: tuple[Fraction, ...],
     return tuple(codes), den, reach, m
 
 
-def _unpack(code: int, m: int, d: int, den: int) -> RVector:
+def _digits(code: int, m: int, d: int) -> tuple[int, ...]:
+    """The integer vector packed into `code`."""
     half = m // 2
     digits = [0] * d
     for j in range(d - 1, -1, -1):
         code, r = divmod(code + half, m)
         digits[j] = r - half
-    return tuple(Fraction(s, den) for s in digits)
+    return tuple(digits)
+
+
+def _unpack(code: int, m: int, d: int, den: int) -> RVector:
+    return tuple(Fraction(s, den) for s in _digits(code, m, d))
 
 
 def _probe_count(codes: tuple[int, ...], target: int) -> int:
@@ -217,16 +222,28 @@ def sum_table_nd(v: Sequence[Sequence]) -> dict[RVector, int]:
     return {_unpack(key, m, d, den): c for key, c in table.items()}
 
 
-def reachable_sums_nd(v: Sequence[Sequence]) -> list[RVector]:
-    """All attainable values of sum_i eps_i v_i, sorted lexicographically.
+def scaled_sums(v: Sequence[Sequence]) -> tuple[
+        int, tuple[tuple[int, ...], ...], list[tuple[tuple[int, ...], int]]]:
+    """The distribution of sum_i eps_i v_i on the integer lattice.
 
-    Sorting happens on the packed integer codes, whose order is the
-    lexicographic order of the sums, which keeps target enumeration
-    cheap for campaign sweeps.
+    Returns (den, vectors, sums): den is the lcm of the coordinate
+    denominators, vectors are the v_i times den, and sums lists every
+    attainable sum times den with its pattern count, sorted
+    lexicographically.  One scaling and one cached table serve a sweep
+    over all targets of one vector multiset.
     """
     flat, d = _as_vectors(v)
     table, den, m = _full_table(flat, d, "full sum tables support")
-    return [_unpack(key, m, d, den) for key in sorted(table)]
+    codes = _scaled(flat, d)[0]
+    # Code order is the lexicographic order of the sums.
+    return (den, tuple(_digits(c, m, d) for c in codes),
+            [(_digits(key, m, d), table[key]) for key in sorted(table)])
+
+
+def reachable_sums_nd(v: Sequence[Sequence]) -> list[RVector]:
+    """All attainable values of sum_i eps_i v_i, sorted lexicographically."""
+    den, _, sums = scaled_sums(v)
+    return [tuple(Fraction(s, den) for s in u) for u, _ in sums]
 
 
 def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:

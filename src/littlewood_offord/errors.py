@@ -15,3 +15,8 @@ class CapacityError(RuntimeError):
 
 class PerturbationError(RuntimeError):
     """The witness perturbation schedule was exhausted without an acceptable candidate."""
+
+
+class CertificateError(RuntimeError):
+    """An internal certificate of the projection chain failed: a defect in
+    the program, not in the input."""

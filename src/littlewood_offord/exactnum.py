@@ -58,6 +58,14 @@ def rademacher_atom(n: int, m: int) -> Fraction:
     return Fraction(math.comb(n, (n + m) // 2), 2 ** n)
 
 
+def lo_count(n: int, k: int) -> int:
+    """Sign patterns the bound allows: C(n, ceil((n+k)/2)), the numerator
+    of lo_bound(n, k) over the common denominator 2^n."""
+    if n < 1 or k < 0:
+        raise InputError(f"lo_bound: need n >= 1 and k >= 0, got n={n}, k={k}")
+    return binomial(n, (n + k + 1) // 2)
+
+
 def lo_bound(n: int, k: int) -> Fraction:
     """Largest atom of R_n at distance at least k from zero:
     C(n, ceil((n+k)/2)) / 2^n.
@@ -65,9 +73,7 @@ def lo_bound(n: int, k: int) -> Fraction:
     Equals rademacher_atom(n, k + delta(n, k)).  Zero for k > n, since a
     sum of n unit-length steps cannot reach farther than n.
     """
-    if n < 1 or k < 0:
-        raise InputError(f"lo_bound: need n >= 1 and k >= 0, got n={n}, k={k}")
-    return Fraction(binomial(n, (n + k + 1) // 2), 2 ** n)
+    return Fraction(lo_count(n, k), 2 ** n)
 
 
 def ceil_sqrt(q: Fraction | int) -> int:

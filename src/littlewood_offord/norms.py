@@ -11,7 +11,7 @@ them reduces to integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -91,6 +91,11 @@ class NormSpec:
 
     kind: str
     functionals: tuple[RVector, ...] = ()
+    # The functionals as integer rows over one common denominator,
+    # (den, rows), so that evaluating them on integer vectors stays in
+    # integer arithmetic.
+    integer_functionals: tuple = field(default=(), init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         if self.kind not in (L1, L2, LINF, POLY):
@@ -104,6 +109,11 @@ class NormSpec:
             if _rank(self.functionals) < d:
                 raise InputError(
                     "functionals do not span the space (a seminorm, not a norm)")
+            den = math.lcm(*(c.denominator
+                             for f in self.functionals for c in f))
+            rows = tuple(tuple(c.numerator * (den // c.denominator) for c in f)
+                         for f in self.functionals)
+            object.__setattr__(self, "integer_functionals", (den, rows))
         elif self.functionals:
             raise InputError(f"{self.kind} norm takes no functionals")
 
@@ -154,11 +164,11 @@ class NormValue:
             raise InputError("a squared magnitude cannot be negative")
         return cls(SQUARED, q2)
 
-    def ceil(self) -> int:
-        """Exact ceiling of the magnitude."""
+    def ceil(self, den: int = 1) -> int:
+        """Exact ceiling of the magnitude divided by den > 0."""
         if self.kind == RATIONAL:
-            return math.ceil(self.value)
-        return ceil_sqrt(self.value)
+            return -(-self.value // den)
+        return ceil_sqrt(self.value / (den * den))
 
     def le_rational(self, q) -> bool:
         """Exact test: magnitude <= q."""
@@ -205,7 +215,8 @@ def norm_eval(spec: NormSpec, x: RVector) -> NormValue:
         return NormValue.squared(dot(x, x))
     if spec.kind == LINF:
         return NormValue.rational(max(abs(c) for c in x))
-    return NormValue.rational(max(abs(dot(f, x)) for f in spec.functionals))
+    den, rows = spec.integer_functionals
+    return NormValue.rational(Fraction(max(abs(dot(f, x)) for f in rows), den))
 
 
 def ceil_norm(spec: NormSpec, x: RVector) -> int:
@@ -227,15 +238,55 @@ def dual_eval(spec: NormSpec, u: RVector) -> NormValue:
     return norm_eval(dual_spec(spec), u)
 
 
+def witness_target(x: Sequence) -> tuple:
+    """The vector whose witness projects an instance with target x: x
+    itself, or e_1 when x = 0 (then k = 0 and any direction serves)."""
+    if is_zero(x):
+        return (1,) + (0,) * (len(x) - 1)
+    return tuple(x)
+
+
+def witness_direction(spec: NormSpec, x: Sequence) -> tuple:
+    """Unnormalized dual-optimal direction for x != 0: the one rule that
+    picks every witness.
+
+    l2 takes x itself; l1 the sign vector of x; linf the signed
+    coordinate vector at the smallest index of maximal |x_j|; poly the
+    signed functional at the smallest index of maximal |<f_j, x>|;
+    sign(0) = +1 throughout.  Only signs and comparisons of x enter, so
+    for l1, linf and poly the direction is unchanged when x is scaled by
+    a positive factor, and x may hold integers as well as rationals.
+    """
+    if spec.kind == L2:
+        return tuple(x)
+    if spec.kind == L1:
+        return tuple(_sign(c) for c in x)
+    if spec.kind == LINF:
+        best = 0
+        for i in range(1, len(x)):
+            if abs(x[i]) > abs(x[best]):
+                best = i
+        w = [0] * len(x)
+        w[best] = _sign(x[best])
+        return tuple(w)
+    vals = [dot(f, x) for f in spec.integer_functionals[1]]
+    best = 0
+    for j in range(1, len(vals)):
+        if abs(vals[j]) > abs(vals[best]):
+            best = j
+    sigma = _sign(vals[best])
+    return tuple(sigma * c for c in spec.functionals[best])
+
+
 def dual_witness(spec: NormSpec, x: RVector) -> Witness:
     """Dual-optimal witness for x != 0.
 
     Dual-ball membership of y = w / s is structural per variant: l2
     normalizes x by its own length; the l1 witness is a sign vector
-    (sup-norm 1); the linf witness is a signed coordinate vector at the
-    smallest index of maximal magnitude (1-norm 1); the polyhedral
-    witness is a signed defining functional, which lies in the dual
-    ball because the norm dominates |<f_j, .>| by definition.
+    (sup-norm 1); the linf witness is a signed coordinate vector (1-norm
+    1); the polyhedral witness is a signed defining functional, which
+    lies in the dual ball because the norm dominates |<f_j, .>| by
+    definition.  The direction comes from witness_direction.
     """
     if spec.kind == POLY and len(x) != spec.dimension:
         raise InputError(
@@ -243,26 +294,10 @@ def dual_witness(spec: NormSpec, x: RVector) -> Witness:
             f"vector has {len(x)}")
     if is_zero(x):
         raise InputError("dual witness undefined for x = 0")
+    direction = vector(witness_direction(spec, x))
     if spec.kind == L2:
-        return Witness(x, NormValue.squared(dot(x, x)))
-    one = NormValue.rational(1)
-    if spec.kind == L1:
-        return Witness(tuple(Fraction(_sign(c)) for c in x), one)
-    if spec.kind == LINF:
-        best = 0
-        for i in range(1, len(x)):
-            if abs(x[i]) > abs(x[best]):
-                best = i
-        w = [Fraction(0)] * len(x)
-        w[best] = Fraction(_sign(x[best]))
-        return Witness(tuple(w), one)
-    vals = [dot(f, x) for f in spec.functionals]
-    best = 0
-    for j in range(1, len(vals)):
-        if abs(vals[j]) > abs(vals[best]):
-            best = j
-    sigma = _sign(vals[best])
-    return Witness(tuple(sigma * c for c in spec.functionals[best]), one)
+        return Witness(direction, NormValue.squared(dot(direction, direction)))
+    return Witness(direction, NormValue.rational(1))
 
 
 def holder_check(spec: NormSpec, x: RVector, u: RVector) -> bool:

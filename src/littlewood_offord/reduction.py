@@ -24,18 +24,17 @@ the search continues.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .concentration import atom_1d, atom_nd
-from .errors import InputError, PerturbationError
+from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational, lo_bound,
                        parse_rational)
 from .norms import (POLY, RATIONAL, NormSpec, NormValue, RVector,
                     Witness, ceil_norm, dot, dual_witness, format_norm,
-                    is_zero, norm_eval, parse_norm, vector)
+                    is_zero, norm_eval, parse_norm, vector, witness_target)
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -121,19 +120,25 @@ class VerificationReport:
     perturbed: bool
 
 
-def _within_scale(c: Fraction, scale: NormValue) -> bool:
+# Certificate failures shared by project() and the batched sweep in
+# campaign, so that both record the same message.
+LEFT_UNIT_INTERVAL = "projected coefficient left the unit interval"
+CHANGED_CEILING = "projection changed the target's norm ceiling"
+
+
+def within_scale(c: Fraction | int, scale: NormValue) -> bool:
     """Exact |c| <= s for a rational or square-root scale s."""
     if scale.kind == RATIONAL:
         return abs(c) <= scale.value
     return c * c <= scale.value
 
 
-def _ceil_over_scale(t: Fraction, scale: NormValue) -> int:
+def ceil_over_scale(t: Fraction | int, scale: NormValue) -> int:
     """Exact ceil(t / s) for s > 0 rational or the square root of a
     rational; square-root scales are resolved by squaring the correct
     side of each comparison."""
     if scale.kind == RATIONAL:
-        return math.ceil(t / scale.value)
+        return -(-t // scale.value)
     if t > 0:
         return ceil_sqrt(t * t / scale.value)
     if t == 0:
@@ -191,9 +196,9 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
                 coeffs = [dot(v, cand) for v in instance.vectors]
                 if any(c == 0 for c in coeffs):
                     continue
-                if not all(_within_scale(c, w.scale) for c in coeffs):
+                if not all(within_scale(c, w.scale) for c in coeffs):
                     continue
-                if _ceil_over_scale(dot(x, cand), w.scale) != k:
+                if ceil_over_scale(dot(x, cand), w.scale) != k:
                     continue
                 return Witness(cand, w.scale)
     raise PerturbationError(
@@ -206,15 +211,11 @@ def project(instance: Instance) -> ProjectedInstance:
     """Project the instance to one dimension along its dual witness.
 
     For x = 0 any direction works (k = 0 and the ceiling condition is
-    vacuous); the witness of the first coordinate vector is used so the
+    vacuous); witness_target picks the first coordinate vector so the
     output stays deterministic.
     """
     x = instance.target
-    if is_zero(x):
-        e1 = tuple([Fraction(1)] + [Fraction(0)] * (instance.dimension - 1))
-        w = dual_witness(instance.norm, e1)
-    else:
-        w = dual_witness(instance.norm, x)
+    w = dual_witness(instance.norm, vector(witness_target(x)))
     coeffs = tuple(dot(v, w.direction) for v in instance.vectors)
     perturbed = False
     if any(c == 0 for c in coeffs):
@@ -226,11 +227,11 @@ def project(instance: Instance) -> ProjectedInstance:
     # Certificate of the projection's hypotheses.  These cannot fail for
     # a correct witness; they guard the chain, not the input.
     if any(c == 0 for c in coeffs):
-        raise RuntimeError("projection produced a zero coefficient")
-    if not all(_within_scale(c, w.scale) for c in coeffs):
-        raise RuntimeError("projected coefficient left the unit interval")
-    if _ceil_over_scale(target_value, w.scale) != k:
-        raise RuntimeError("projection changed the target's norm ceiling")
+        raise CertificateError("projection produced a zero coefficient")
+    if not all(within_scale(c, w.scale) for c in coeffs):
+        raise CertificateError(LEFT_UNIT_INTERVAL)
+    if ceil_over_scale(target_value, w.scale) != k:
+        raise CertificateError(CHANGED_CEILING)
     return ProjectedInstance(coeffs, target_value, w.scale, k, perturbed)
 
 

@@ -13,7 +13,10 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                gen_extremal, gen_random, lo_bound, make_instance,
                                parse_campaign_config, reachable_sums_nd,
                                run_campaign, verify_instance)
-from littlewood_offord.campaign import _grid_universe
+from littlewood_offord import campaign, exactnum, reduction
+from littlewood_offord.campaign import (_RECORDED_FAILURES, _TaskResult,
+                                        _build_tasks, _tally,
+                                        _task_exhaustive)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 GRID = (F(-1), F(-1, 2), F(1, 2), F(1))
@@ -87,25 +90,150 @@ def test_gen_random_infeasible_grid_errors():
         gen_random(7, 2, 2, tiny_ball, 1)
 
 
-def test_exhaustive_campaign_matches_direct_verification():
-    cfg = CampaignConfig(mode="exhaustive-grid", norms=(L1, L2),
-                         n_min=1, n_max=2, grid=GRID)
-    report = run_campaign(cfg)
-    assert report.verified and not report.errors
+def _per_instance_task(norm, vectors):
+    """The per-instance path over every reachable target: the reference
+    that the batched sweep must reproduce."""
+    res = _TaskResult()
+    for target in reachable_sums_nd(vectors):
+        local = res.count
+        res.count += 1
+        try:
+            instance = Instance(vectors, target, norm)
+            _tally(res, local, instance, verify_instance(instance))
+        except _RECORDED_FAILURES as exc:
+            res.errors.append((local, str(exc)))
+    return res
 
-    from itertools import combinations_with_replacement
-    count = tight = 0
-    for norm in (L1, L2):
-        universe = _grid_universe(GRID, 2, norm)
-        for n in (1, 2):
-            for combo in combinations_with_replacement(universe, n):
-                for target in reachable_sums_nd(combo):
-                    count += 1
-                    rep = verify_instance(Instance(combo, target, norm))
-                    assert rep.chain_holds
-                    tight += rep.tight
-    assert report.instances == count
-    assert report.tight == tight
+
+# Zero coordinates put targets on witness hyperplanes of other vectors,
+# so every sweep below from d = 2 on also runs perturbation fallbacks.
+GRID0 = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
+GRID0_3D = (F(-1), F(0), F(1, 2))
+SWEEPS = (
+    [(nm, 1, GRID0, 4) for nm in (L1, L2, LINF, NormSpec.polyhedral([(2,)]))]
+    + [(L1, 2, GRID0, 3), (L2, 2, GRID0, 3), (LINF, 2, GRID0, 2),
+       (NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)]), 2, GRID0, 2)]
+    + [(nm, 3, GRID0_3D, 2) for nm in
+       (L1, L2, LINF,
+        NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))])
+
+
+def _sweep_tasks(norm, d, grid, n_max):
+    cfg = CampaignConfig(mode="exhaustive-grid", norms=(norm,), n_min=1,
+                         n_max=n_max, d_min=d, d_max=d, grid=grid)
+    return cfg, [task[2] for task in _build_tasks(cfg)]
+
+
+def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
+    perturbations = []
+    perturb_witness = reduction.perturb_witness
+
+    def counted(*args):
+        perturbations.append(args)
+        return perturb_witness(*args)
+    monkeypatch.setattr(reduction, "perturb_witness", counted)
+    for norm, d, grid, n_max in SWEEPS:
+        perturbations.clear()
+        cfg, combos = _sweep_tasks(norm, d, grid, n_max)
+        for combo in combos:
+            before = len(perturbations)
+            batch = _task_exhaustive(norm, combo)
+            middle = len(perturbations)
+            direct = _per_instance_task(norm, combo)
+            # count, tight, max_ratio, errors and violations, per multiset
+            assert batch == direct, (norm, combo)
+            # the batch falls back on exactly the targets that perturb
+            assert middle - before == len(perturbations) - middle
+        # In one dimension no nonzero vector projects to zero.
+        assert bool(perturbations) == (d > 1), (norm, d)
+        report = run_campaign(cfg)
+        assert report.verified and not report.errors
+        assert report.max_ratio <= 1
+
+
+def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
+    # Lower the bound both paths read, so that tight instances fail.
+    real = exactnum.lo_count
+
+    def lowered(n, k):
+        return real(n, k) - 1
+    monkeypatch.setattr(exactnum, "lo_count", lowered)
+    monkeypatch.setattr(campaign, "lo_count", lowered)
+    for norm in (L2, LINF):
+        cfg, combos = _sweep_tasks(norm, 2, GRID0, 2)
+        for combo in combos:
+            batch = _task_exhaustive(norm, combo)
+            assert batch == _per_instance_task(norm, combo)
+        text = format_campaign_report(run_campaign(cfg))
+        with monkeypatch.context() as m:
+            m.setattr(campaign, "_task_exhaustive", _per_instance_task)
+            assert format_campaign_report(run_campaign(cfg)) == text
+        assert "status = violations-found" in text
+        assert "[violation 1]" in text and "chain_holds = false" in text
+
+
+def test_failed_certificate_is_recorded_per_instance(monkeypatch):
+    # 1-d vectors never need perturbation, so every instance reaches the
+    # ceiling certificate, which is made to fail in both paths.
+    def broken(t, scale):
+        return -1
+    monkeypatch.setattr(reduction, "ceil_over_scale", broken)
+    monkeypatch.setattr(campaign, "ceil_over_scale", broken)
+    cfg, combos = _sweep_tasks(L2, 1, (F(1, 2), F(1)), 3)
+    for combo in combos:
+        assert _task_exhaustive(L2, combo) == _per_instance_task(L2, combo)
+    report = run_campaign(cfg)
+    assert report.instances > 0
+    assert len(report.errors) == report.instances
+    assert {message for _, message in report.errors} == {
+        "projection changed the target's norm ceiling"}
+    assert report.status == "incomplete"
+    assert "status = incomplete" in format_campaign_report(report)
+    extremal = run_campaign(CampaignConfig(mode="extremal", norms=(L2,),
+                                           n_min=1, n_max=2))
+    assert len(extremal.errors) == extremal.instances == 6
+
+
+def test_extremal_campaign_max_ratio_counts_tight_instances():
+    cfg = CampaignConfig(mode="extremal", norms=(L2,), n_min=1, n_max=3)
+    report = run_campaign(cfg)
+    assert report.tight == report.instances == 12
+    assert report.max_ratio == 1
+    assert "max_ratio = 1\n" in format_campaign_report(report)
+
+
+def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        """Runs the tasks in this process and records the pool size."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(campaign, "Pool", FakePool)
+    cfg = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
+                         budget=5 * 64, workers=50)
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
+    expected = format_campaign_report(run_campaign(replace(cfg, workers=1)))
+    assert sizes == []
+    assert format_campaign_report(run_campaign(cfg)) == expected
+    assert sizes == [3]                      # cores
+    run_campaign(replace(cfg, budget=2 * 64))
+    assert sizes == [3, 2]                   # tasks
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
+    assert format_campaign_report(run_campaign(cfg)) == expected
+    assert sizes == [3, 2]                   # unknown core count: no pool
 
 
 def test_campaign_reports_are_deterministic_across_workers():

@@ -144,3 +144,27 @@ def test_exit_code_3_on_capacity(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", str(big))
     assert code == 3
     assert "44" in err
+
+
+def test_campaign_with_only_errors_is_incomplete(tmp_path, capsys):
+    # No configured norm fits d = 3, so every instance is an error.
+    config = tmp_path / "mismatch.campaign"
+    config.write_text("mode = random\nnorms = poly:[1,0;0,1]\n"
+                      "d = 3..3\nbudget = 2\n")
+    code, out, _ = run_cli(capsys, "campaign", str(config))
+    assert code == 3
+    assert "errors = 2" in out
+    assert "status = incomplete" in out
+
+
+def test_exit_code_4_on_failed_certificate(tmp_path, capsys, monkeypatch):
+    from littlewood_offord import reduction
+    monkeypatch.setattr(reduction, "within_scale", lambda c, scale: False)
+    path = tmp_path / "axis.instance"
+    path.write_text("dimension = 2\nnorm = l2\nvectors = 1,0; 0,1\n"
+                    "target = 1,1\n")
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 4
+    assert out == ""
+    assert ("certificate failed: projected coefficient left the unit "
+            "interval") in err

@@ -11,6 +11,7 @@ from littlewood_offord import (InputError, NormSpec, UnsupportedNormOperation,
                                ceil_norm, dot, double_dual_check, dual_eval,
                                dual_spec, dual_witness, format_norm,
                                holder_check, norm_eval, parse_norm)
+from littlewood_offord.norms import witness_direction, witness_target
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY_CROSS = NormSpec.polyhedral([(1, 0), (1, 1)])
@@ -218,3 +219,30 @@ def test_norm_text_round_trips():
 def test_norm_text_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_norm(bad)
+
+
+POLY_FRAC = NormSpec.polyhedral([(F(1, 2), 0), (F(1, 3), F(2, 3))])
+
+
+@pytest.mark.parametrize("spec", [L1, L2, LINF, POLY_CROSS, POLY_FRAC])
+@given(ints=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+       den=st.integers(min_value=1, max_value=12))
+def test_witness_and_ceiling_on_scaled_integers(spec, ints, den):
+    # Batched sweeps read the witness and k off the target scaled to
+    # integers; both must agree with the rational computation.
+    x = tuple(F(c, den) for c in ints)
+    assert norm_eval(spec, ints).ceil(den) == ceil_norm(spec, x)
+    if ints == (0, 0):
+        return
+    direction = witness_direction(spec, ints)
+    if spec.kind == "l2":
+        assert direction == ints
+    else:
+        assert direction == dual_witness(spec, x).direction
+
+
+def test_witness_target_takes_e1_at_zero():
+    assert witness_target((0, 0, 0)) == (1, 0, 0)
+    assert witness_target((F(0), F(-1))) == (F(0), F(-1))
+    # sign(0) = +1: the l1 witness of e_1 is the all-ones vector.
+    assert witness_direction(L1, witness_target((0, 0))) == (1, 1)
