@@ -4,8 +4,10 @@ A campaign streams instances from one of four sources, verifies each
 one, and aggregates a deterministic report:
 
 * exhaustive-grid   - every multiset of unit-ball grid vectors, every
-                      reachable sum as the target;
-* random            - seeded random instances on a rational grid;
+                      reachable sum as the target, verified on one
+                      reduction.Chain per multiset;
+* random            - seeded random instances on a rational grid, each
+                      verified as a batch of one (verify_instance);
 * extremal          - the tightness construction (n aligned copies of
                       x / (k + delta)), swept over k;
 * uniform-kleitman  - seeded random l2 instances checked against the
@@ -15,8 +17,8 @@ Reports depend only on the configuration: work is split into tasks
 whose partial results merge in task order, so the worker count changes
 scheduling but never the report bytes.  Wall time is kept in memory
 only and never serialized, for the same reason.  Per-instance failures
-(capacity, perturbation search, infeasible sampling) are recorded in
-the report rather than aborting the stream.
+(capacity, perturbation search, infeasible sampling, a failed
+certificate) are recorded in the report rather than aborting the stream.
 """
 
 from __future__ import annotations
@@ -32,19 +34,18 @@ from itertools import combinations_with_replacement, product
 from multiprocessing import Pool
 from typing import Sequence
 
+# perfbench/tracer.py wraps campaign.reachable_sums_nd, so the name stays.
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
-                            reachable_sums_nd, scaled_sums)
+                            reachable_sums_nd, scaled_sums)  # noqa: F401
 from .errors import (CapacityError, CertificateError, InputError,
                      PerturbationError)
-from .exactnum import (delta, format_rational, lo_bound, lo_count,
+from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
-from .norms import (L1, L2, LINF, NormSpec, NormValue, RVector, dot,
-                    format_norm, is_zero, norm_eval, parse_norm,
-                    witness_direction, witness_target)
-from .reduction import (CHANGED_CEILING, LEFT_UNIT_INTERVAL, Instance,
-                        VerificationReport, ceil_over_scale, in_unit_ball,
+from .norms import (L1, L2, LINF, NormSpec, RVector, format_norm, is_zero,
+                    parse_norm)
+from .reduction import (Chain, Instance, VerificationReport, in_unit_ball,
                         instance_lines, parse_keyvals, report_lines,
-                        verify_instance, within_scale)
+                        verify_instance)
 
 MODES = ("exhaustive-grid", "random", "extremal", "uniform-kleitman")
 
@@ -96,6 +97,12 @@ class CampaignConfig:
                 raise InputError("exhaustive-grid mode needs grid values")
             if not self.norms:
                 raise InputError("exhaustive-grid mode needs norms")
+            for nm in self.norms:
+                if (nm.dimension is not None
+                        and not self.d_min <= nm.dimension <= self.d_max):
+                    raise InputError(
+                        f"norm {format_norm(nm)} fits no dimension in "
+                        f"{self.d_min}..{self.d_max}")
         elif self.mode == "random":
             if not self.norms:
                 raise InputError("random mode needs norms")
@@ -263,98 +270,26 @@ def _set_active_config(config: CampaignConfig) -> None:
     _ACTIVE_CONFIG = config
 
 
-def _primitive(direction: tuple) -> tuple[tuple[int, ...], Fraction]:
-    """The primitive integer vector w along a nonzero rational direction,
-    and the factor r > 0 with w = r * direction."""
-    lcm = math.lcm(*(c.denominator for c in direction))
-    ints = [c.numerator * (lcm // c.denominator) for c in direction]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints), Fraction(lcm, g)
-
-
-class _Group:
-    """The targets of one sweep whose witnesses share a direction w (a
-    primitive integer vector, w = r * witness direction).
-
-    scale is the witness scale in the units of the scaled vectors, so
-    that the checks of project() read the same on integers.  hist is the
-    projected histogram, the sum table pushed forward along w; it is
-    None when a projected coefficient vanishes (those targets need
-    perturb_witness) or leaves the unit interval (a certificate failure).
-    """
-
-    def __init__(self, norm: NormSpec, w: tuple[int, ...], r: Fraction,
-                 den: int, vectors: tuple[tuple[int, ...], ...],
-                 sums: list[tuple[tuple[int, ...], int]]):
-        self.w = w
-        if norm.kind == L2:
-            # The l2 witness is the target itself with scale its length.
-            self.scale = NormValue.squared(den * den * dot(w, w))
-        else:
-            self.scale = NormValue.rational(den * r)
-        coefficients = [dot(v, w) for v in vectors]
-        self.needs_perturbation = not all(coefficients)
-        self.in_range = all(within_scale(c, self.scale) for c in coefficients)
-        self.hist: dict[int, int] | None = None
-        if not self.needs_perturbation and self.in_range:
-            hist: dict[int, int] = {}
-            for u, count in sums:
-                t = dot(u, w)
-                hist[t] = hist.get(t, 0) + count
-            self.hist = hist
-
-
 def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResult:
-    """Verify every reachable target of one vector multiset as a batch.
-
-    The multiset is validated and scaled to integers once, p_exact is a
-    count in its one sum table, and p_projected is a count in the
-    projected histogram of the target's witness direction.  Every check
-    of project() runs on the scaled integers.  A target whose witness
-    has a zero coefficient, or whose chain fails, goes through
-    verify_instance instead, so perturbation and violation reports come
-    from the per-instance path.
-    """
+    """Verify every reachable target of one vector multiset on one chain,
+    in pattern counts over 2^n; p_exact is a count in the sum table.  A
+    failed chain is rerun by verify_instance for its violation record."""
     res = _TaskResult()
-    den, scaled, sums = scaled_sums(vectors)
-    n = len(vectors)
+    sums = scaled_sums(vectors)
     try:
-        Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
+        chain = Chain(vectors, norm)
     except InputError as exc:
         res.count = len(sums)
         res.errors = [(local, str(exc)) for local in range(len(sums))]
         return res
-    groups: dict[tuple, _Group] = {}
-    targets: list[RVector] = []  # listed at the first fallback
     for local, (u, count) in enumerate(sums):
         res.count += 1
-        direction = witness_direction(norm, witness_target(u))
-        group = groups.get(direction)
-        if group is None:
-            # Keyed by both the direction and its primitive vector: a
-            # direction equal to some w as a tuple reduces to that w.
-            w, r = _primitive(direction)
-            group = groups.get(w)
-            if group is None:
-                group = groups[w] = _Group(norm, w, r, den, scaled, sums)
-            groups[direction] = group
         try:
-            if group.needs_perturbation:
-                _tally(res, local, *_verify_one(vectors, targets, local, norm))
-                continue
-            if not group.in_range:
-                raise CertificateError(LEFT_UNIT_INTERVAL)
-            t = dot(u, group.w)
-            k = norm_eval(norm, u).ceil(den)
-            if ceil_over_scale(t, group.scale) != k:
-                raise CertificateError(CHANGED_CEILING)
-            allowed = lo_count(n, k)
-            if not count <= group.hist[t] <= allowed:
-                instance, report = _verify_one(vectors, targets, local, norm)
-                if report.chain_holds:
-                    raise CertificateError(
-                        "batched and per-instance verification disagree")
-                _tally(res, local, instance, report)
+            projected, allowed = chain.counts(u)
+            if not count <= projected <= allowed:
+                x = tuple(Fraction(c, chain.den) for c in u)
+                instance = Instance(vectors, x, norm)
+                _tally(res, local, instance, verify_instance(instance))
                 continue
             if count == allowed:
                 res.tight += 1
@@ -365,20 +300,6 @@ def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResul
         except _RECORDED_FAILURES as exc:
             res.errors.append((local, str(exc)))
     return res
-
-
-def _verify_one(vectors: tuple[RVector, ...], targets: list[RVector],
-                local: int,
-                norm: NormSpec) -> tuple[Instance, VerificationReport]:
-    """The per-instance path for target number `local` of the sweep.
-
-    `targets` starts empty and is filled with the rational reachable
-    sums, in the sweep's order, the first time a target falls back.
-    """
-    if not targets:
-        targets.extend(reachable_sums_nd(vectors))
-    instance = Instance(vectors, targets[local], norm)
-    return instance, verify_instance(instance)
 
 
 def _task_random(start: int, count: int) -> _TaskResult:
@@ -457,6 +378,9 @@ def _build_tasks(config: CampaignConfig) -> list[tuple]:
     if config.mode == "exhaustive-grid":
         for norm in config.norms:
             for d in range(config.d_min, config.d_max + 1):
+                # Fixed-dimension norms (facet form) only apply to matching d.
+                if norm.dimension not in (None, d):
+                    continue
                 universe = _grid_universe(config.grid, d, norm)
                 for n in range(config.n_min, config.n_max + 1):
                     for combo in combinations_with_replacement(universe, n):
@@ -530,9 +454,9 @@ def _split_outside_brackets(s: str) -> list[str]:
 def _parse_span(text: str, what: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     try:
-        a = int(lo)
-        b = int(hi) if sep else a
-    except ValueError:
+        a = parse_int(lo)
+        b = parse_int(hi) if sep else a
+    except InputError:
         raise InputError(f"bad {what} range {text!r}") from None
     return a, b
 
@@ -555,8 +479,8 @@ def parse_campaign_config(text: str) -> CampaignConfig:
     for key in ("seed", "budget", "grid_denominator", "workers"):
         if key in fields:
             try:
-                kwargs[key] = int(fields[key])
-            except ValueError:
+                kwargs[key] = parse_int(fields[key])
+            except InputError:
                 raise InputError(
                     f"campaign config: bad {key} {fields[key]!r}") from None
     known = {"mode", "norms", "n", "d", "grid", "seed", "budget",

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
+from functools import lru_cache, partial
+from typing import Callable, Sequence
 
 from .errors import CapacityError, InputError
 from .norms import RVector
@@ -153,6 +153,16 @@ def _check_probe_size(n: int, method: str) -> str:
     raise InputError(f"unknown method {method!r} (expected auto, direct, or mitm)")
 
 
+def sign_counter(values: tuple[int, ...],
+                 method: str = "auto") -> Callable[[int], int]:
+    """key -> #{eps : sum_i eps_i values_i = key}, from one cached table
+    up to DIRECT_LIMIT values, by meet-in-the-middle up to PROBE_LIMIT."""
+    if _check_probe_size(len(values), method) == "direct":
+        table = _cached_table_nd(values)
+        return lambda key: table.get(key, 0)
+    return partial(_probe_count, values)
+
+
 def _atom(flat: tuple[Fraction, ...], d: int, target: RVector,
           method: str) -> Fraction:
     n = len(flat) // d
@@ -169,11 +179,7 @@ def _atom(flat: tuple[Fraction, ...], d: int, target: RVector,
             # could alias a reachable sum.
             return Fraction(0)
         key = key * m + t
-    if method == "direct":
-        count = _cached_table_nd(codes).get(key, 0)
-    else:
-        count = _probe_count(codes, key)
-    return Fraction(count, 2 ** n)
+    return Fraction(sign_counter(codes, method)(key), 2 ** n)
 
 
 def _full_table(flat: tuple[Fraction, ...], d: int,
@@ -222,28 +228,29 @@ def sum_table_nd(v: Sequence[Sequence]) -> dict[RVector, int]:
     return {_unpack(key, m, d, den): c for key, c in table.items()}
 
 
-def scaled_sums(v: Sequence[Sequence]) -> tuple[
-        int, tuple[tuple[int, ...], ...], list[tuple[tuple[int, ...], int]]]:
-    """The distribution of sum_i eps_i v_i on the integer lattice.
-
-    Returns (den, vectors, sums): den is the lcm of the coordinate
-    denominators, vectors are the v_i times den, and sums lists every
-    attainable sum times den with its pattern count, sorted
-    lexicographically.  One scaling and one cached table serve a sweep
-    over all targets of one vector multiset.
-    """
+def scaled_vectors(v: Sequence[Sequence]) -> tuple[
+        int, tuple[tuple[int, ...], ...]]:
+    """(den, vectors): den is the lcm of the coordinate denominators and
+    vectors are the v_i times den, the units of scaled_sums."""
     flat, d = _as_vectors(v)
-    table, den, m = _full_table(flat, d, "full sum tables support")
-    codes = _scaled(flat, d)[0]
+    codes, den, _, m = _scaled(flat, d)
+    return den, tuple(_digits(c, m, d) for c in codes)
+
+
+def scaled_sums(v: Sequence[Sequence]) -> list[tuple[tuple[int, ...], int]]:
+    """The distribution of sum_i eps_i v_i on the integer lattice of
+    scaled_vectors: every attainable sum times den with its pattern
+    count, sorted lexicographically."""
+    flat, d = _as_vectors(v)
+    table, _, m = _full_table(flat, d, "full sum tables support")
     # Code order is the lexicographic order of the sums.
-    return (den, tuple(_digits(c, m, d) for c in codes),
-            [(_digits(key, m, d), table[key]) for key in sorted(table)])
+    return [(_digits(key, m, d), table[key]) for key in sorted(table)]
 
 
 def reachable_sums_nd(v: Sequence[Sequence]) -> list[RVector]:
     """All attainable values of sum_i eps_i v_i, sorted lexicographically."""
-    den, _, sums = scaled_sums(v)
-    return [tuple(Fraction(s, den) for s in u) for u, _ in sums]
+    den, _ = scaled_vectors(v)
+    return [tuple(Fraction(s, den) for s in u) for u, _ in scaled_sums(v)]
 
 
 def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:

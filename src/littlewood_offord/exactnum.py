@@ -21,7 +21,9 @@ from .errors import InputError
 # comparisons, hashability.
 Rational = Fraction
 
-# ASCII digits only: \d would also accept other scripts' digits.
+# ASCII digits only: \d would also accept other scripts' digits, and
+# int() also accepts those, a leading '+' and '_' separators.
+_INTEGER_RE = re.compile(r"^-?[0-9]+$")
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 
 
@@ -117,3 +119,11 @@ def parse_rational(text: str) -> Fraction:
     if int(den) == 0:
         raise InputError(f"zero denominator: {text!r}")
     return Fraction(int(num), int(den))
+
+
+def parse_int(text: str) -> int:
+    """Parse a base-10 integer (optional leading minus)."""
+    s = text.strip()
+    if not _INTEGER_RE.match(s):
+        raise InputError(f"not an integer: {text!r}")
+    return int(s)

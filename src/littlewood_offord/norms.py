@@ -278,6 +278,16 @@ def witness_direction(spec: NormSpec, x: Sequence) -> tuple:
     return tuple(sigma * c for c in spec.functionals[best])
 
 
+def witness_scale(spec: NormSpec, direction: Sequence,
+                  factor=1) -> NormValue:
+    """The scale s that makes y = factor * direction / s dual-optimal, for
+    a positive multiple of witness_direction(spec, x) and factor > 0: the
+    length of factor * direction for l2, else factor (dual unit vectors)."""
+    if spec.kind == L2:
+        return NormValue.squared(dot(direction, direction) * factor * factor)
+    return NormValue.rational(factor)
+
+
 def dual_witness(spec: NormSpec, x: RVector) -> Witness:
     """Dual-optimal witness for x != 0.
 
@@ -295,9 +305,7 @@ def dual_witness(spec: NormSpec, x: RVector) -> Witness:
     if is_zero(x):
         raise InputError("dual witness undefined for x = 0")
     direction = vector(witness_direction(spec, x))
-    if spec.kind == L2:
-        return Witness(direction, NormValue.squared(dot(direction, direction)))
-    return Witness(direction, NormValue.rational(1))
+    return Witness(direction, witness_scale(spec, direction))
 
 
 def holder_check(spec: NormSpec, x: RVector, u: RVector) -> bool:

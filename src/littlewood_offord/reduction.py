@@ -1,4 +1,4 @@
-"""The dual-witness projection pipeline.
+"""The dual-witness projection chain.
 
 A verified instance walks the chain
 
@@ -10,31 +10,34 @@ maps the equality event into one dimension without losing probability,
 and the projected coefficients <v_i, y> stay in [-1, 1], which is what
 the one-dimensional bound needs.
 
-Projection arithmetic never normalizes the witness.  Coefficients
-<v_i, w> and target <x, w> are plain rationals and the scale s rides
-along symbolically (for l2 it is a square root carried as an exact
-square), so every equality, sign, and ceiling below is decided exactly:
-the atom event is invariant under scaling both sides by s > 0.
+A Chain runs it on a vector multiset scaled to integers once, with one
+Projection per witness direction.  The atom event is invariant under
+scaling both sides by s > 0, so nothing is normalized and every
+equality, sign, and ceiling is decided exactly (the l2 scale is kept as
+an exact square).  verify_instance is a chain with one target.
 
 When some <v_i, w> is zero the witness is nudged off the offending
 hyperplanes by a deterministic perturbation schedule; the perturbed
-witness must still satisfy the chain's hypotheses exactly, otherwise
-the search continues.
+witness must pass the same certificate, otherwise the search continues.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .concentration import atom_1d, atom_nd
+# perfbench/tracer.py wraps reduction.atom_1d, so the name stays here.
+from .concentration import (atom_1d, atom_nd, scaled_vectors,  # noqa: F401
+                            sign_counter)
 from .errors import CertificateError, InputError, PerturbationError
-from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational, lo_bound,
-                       parse_rational)
+from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
+                       lo_bound, lo_count, parse_int, parse_rational)
 from .norms import (POLY, RATIONAL, NormSpec, NormValue, RVector,
                     Witness, ceil_norm, dot, dual_witness, format_norm,
-                    is_zero, norm_eval, parse_norm, vector, witness_target)
+                    is_zero, norm_eval, parse_norm, vector, witness_direction,
+                    witness_scale, witness_target)
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -120,10 +123,7 @@ class VerificationReport:
     perturbed: bool
 
 
-# Certificate failures shared by project() and the batched sweep in
-# campaign, so that both record the same message.
-LEFT_UNIT_INTERVAL = "projected coefficient left the unit interval"
-CHANGED_CEILING = "projection changed the target's norm ceiling"
+ZERO_COEFFICIENT = "projection produced a zero coefficient"
 
 
 def within_scale(c: Fraction | int, scale: NormValue) -> bool:
@@ -146,18 +146,28 @@ def ceil_over_scale(t: Fraction | int, scale: NormValue) -> int:
     return -floor_sqrt(t * t / scale.value)
 
 
+def certificate_failure(scale: NormValue, coefficients=(),
+                        target_value=None, k: int = 0) -> str | None:
+    """The first hypothesis of the chain that a projection at scale s
+    breaks, or None: every coefficient c is nonzero, |c| <= s, and, when
+    the projected target t is given, ceil(t / s) = k."""
+    if not all(coefficients):
+        return ZERO_COEFFICIENT
+    if not all(within_scale(c, scale) for c in coefficients):
+        return "projected coefficient left the unit interval"
+    if target_value is not None and ceil_over_scale(target_value, scale) != k:
+        return "projection changed the target's norm ceiling"
+    return None
+
+
 def perturb_witness(instance: Instance, w: Witness) -> Witness:
     """Nudge w off the hyperplanes <v_i, .> = 0 while preserving the
     chain's hypotheses.
 
     Deterministic schedule: for eta in 2^-3, 2^-6, ..., 2^-30 and
     candidate direction z in +e_1, -e_1, ..., +e_d, -e_d, v_1, ..., v_n
-    (in that order), the first w' = (1 - eta) w + eta z passing all
-    three exact checks wins:
-
-      (a) <v_i, w'> != 0 for every i;
-      (b) |<v_i, w'>| <= s, so the projected coefficients stay in [-1, 1];
-      (c) ceil(<x, w'> / s) equals ceil ||x||, so the bound's k survives.
+    (in that order), the first w' = (1 - eta) w + eta z that passes
+    certificate_failure at the scale s of w wins.
 
     Only when that schedule is exhausted does a second pass run the same
     eta sequence over +z(t), -z(t) for t = 1, ..., n(d-1)+1, with
@@ -194,62 +204,122 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
                 cand = tuple(keep * wc + eta * zc
                              for wc, zc in zip(w.direction, z))
                 coeffs = [dot(v, cand) for v in instance.vectors]
-                if any(c == 0 for c in coeffs):
-                    continue
-                if not all(within_scale(c, w.scale) for c in coeffs):
-                    continue
-                if ceil_over_scale(dot(x, cand), w.scale) != k:
-                    continue
-                return Witness(cand, w.scale)
+                if certificate_failure(w.scale, coeffs, dot(x, cand),
+                                       k) is None:
+                    return Witness(cand, w.scale)
     raise PerturbationError(
         f"no acceptable witness perturbation among {tried} candidates "
         f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={instance.n}, d={d}, "
         f"norm={format_norm(instance.norm)})")
 
 
-def project(instance: Instance) -> ProjectedInstance:
-    """Project the instance to one dimension along its dual witness.
+def _primitive(direction: tuple) -> tuple[tuple[int, ...], Fraction]:
+    """The primitive integer vector w along a nonzero rational direction,
+    and the factor r > 0 with w = r * direction."""
+    lcm = math.lcm(*(c.denominator for c in direction))
+    ints = [c.numerator * (lcm // c.denominator) for c in direction]
+    g = math.gcd(*ints)
+    return tuple(c // g for c in ints), Fraction(lcm, g)
 
-    For x = 0 any direction works (k = 0 and the ceiling condition is
-    vacuous); witness_target picks the first coordinate vector so the
-    output stays deterministic.
-    """
-    x = instance.target
-    w = dual_witness(instance.norm, vector(witness_target(x)))
-    coeffs = tuple(dot(v, w.direction) for v in instance.vectors)
-    perturbed = False
-    if any(c == 0 for c in coeffs):
-        w = perturb_witness(instance, w)
-        coeffs = tuple(dot(v, w.direction) for v in instance.vectors)
-        perturbed = True
-    target_value = dot(x, w.direction)
-    k = ceil_norm(instance.norm, x)
-    # Certificate of the projection's hypotheses.  These cannot fail for
-    # a correct witness; they guard the chain, not the input.
-    if any(c == 0 for c in coeffs):
-        raise CertificateError("projection produced a zero coefficient")
-    if not all(within_scale(c, w.scale) for c in coeffs):
-        raise CertificateError(LEFT_UNIT_INTERVAL)
-    if ceil_over_scale(target_value, w.scale) != k:
-        raise CertificateError(CHANGED_CEILING)
-    return ProjectedInstance(coeffs, target_value, w.scale, k, perturbed)
+
+class Projection:
+    """The image along the witness w / scale (w primitive, both in chain
+    units): the coefficients <v_i, w>, their certificate failure, and
+    count(t), the sign patterns whose projected sum is t."""
+
+    def __init__(self, vectors: tuple[tuple[int, ...], ...],
+                 w: tuple[int, ...], scale: NormValue):
+        self.w = w
+        self.scale = scale
+        self.coefficients = tuple(dot(v, w) for v in vectors)
+        self.failure = certificate_failure(scale, self.coefficients)
+        self.count = None if self.failure else sign_counter(self.coefficients)
+
+
+class Chain:
+    """The chain for one vector multiset under one norm, validated once:
+    scaled holds the vectors times den, the lcm of their denominators,
+    and scaled targets u are in the same units (those of scaled_sums)."""
+
+    def __init__(self, vectors: tuple[RVector, ...], norm: NormSpec):
+        Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
+        self.vectors = vectors
+        self.norm = norm
+        self.den, self.scaled = scaled_vectors(vectors)
+        self._projections: dict = {}
+
+    def _along(self, direction, base=None) -> Projection:
+        """The cached projection along direction, at base's witness scale."""
+        w, r = _primitive(direction)
+        key = (w, witness_scale(self.norm, base or direction, self.den * r))
+        proj = self._projections.get(key)
+        if proj is None:
+            proj = self._projections[key] = Projection(self.scaled, *key)
+        return proj
+
+    def _locate(self, u, x: RVector | None = None):
+        """(projection, <u, w>, k, perturbed witness or None) for the
+        scaled target u; x = u / den."""
+        direction = witness_direction(self.norm, witness_target(u))
+        # Also cached by direction, so that a hit costs no primitive.
+        proj = self._projections.get(direction)
+        if proj is None:
+            proj = self._projections[direction] = self._along(direction)
+        perturbed = None
+        if proj.failure == ZERO_COEFFICIENT:
+            x = tuple(Fraction(c, self.den) for c in u) if x is None else x
+            base = dual_witness(self.norm, vector(witness_target(x)))
+            perturbed = perturb_witness(Instance(self.vectors, x, self.norm),
+                                        base)
+            proj = self._along(perturbed.direction, base.direction)
+        t = dot(u, proj.w)
+        k = norm_eval(self.norm, u).ceil(self.den)
+        failure = proj.failure or certificate_failure(proj.scale, (), t, k)
+        if failure is not None:
+            raise CertificateError(failure)
+        return proj, t, k, perturbed
+
+    def locate(self, x: RVector):
+        """_locate for the target x in the vectors' own units."""
+        u = (c * self.den for c in x)  # integers where x is on the lattice
+        return self._locate(tuple(int(c) if c % 1 == 0 else c for c in u), x)
+
+    def counts(self, u) -> tuple[int, int]:
+        """(projected, allowed) sign-pattern counts for the target u."""
+        proj, t, k, _ = self._locate(u)
+        return proj.count(t), lo_count(len(self.vectors), k)
+
+
+def project(instance: Instance) -> ProjectedInstance:
+    """The chain's projection as exact rationals along the instance's
+    witness: the dual witness of the target (of e_1 when x = 0, where
+    k = 0 and any direction works), or its perturbation."""
+    chain = Chain(instance.vectors, instance.norm)
+    proj, t, k, perturbed = chain.locate(instance.target)
+    w = perturbed or dual_witness(instance.norm,
+                                  vector(witness_target(instance.target)))
+    # The chain's w is the primitive multiple of w.direction.
+    unit = chain.den * _primitive(w.direction)[1]
+    return ProjectedInstance(tuple(c / unit for c in proj.coefficients),
+                             t / unit, w.scale, k, perturbed is not None)
 
 
 def verify_instance(instance: Instance) -> VerificationReport:
     """Run the full chain p_exact <= p_projected <= bound, all exact."""
-    proj = project(instance)
+    chain = Chain(instance.vectors, instance.norm)
+    proj, t, k, perturbed = chain.locate(instance.target)
     p_exact = atom_nd(instance.vectors, instance.target)
-    p_projected = atom_1d(proj.coefficients, proj.target_value)
-    bound = lo_bound(instance.n, proj.k)
+    p_projected = Fraction(proj.count(t), 2 ** instance.n)
+    bound = lo_bound(instance.n, k)
     return VerificationReport(
         p_exact=p_exact,
         p_projected=p_projected,
         bound=bound,
-        k=proj.k,
-        delta=delta(instance.n, proj.k),
+        k=k,
+        delta=delta(instance.n, k),
         chain_holds=p_exact <= p_projected <= bound,
         tight=p_exact == bound,
-        perturbed=proj.perturbed,
+        perturbed=perturbed is not None,
     )
 
 
@@ -309,8 +379,8 @@ def parse_instance(text: str) -> Instance:
     if missing:
         raise InputError(f"instance file: missing {', '.join(sorted(missing))}")
     try:
-        d = int(fields["dimension"])
-    except ValueError:
+        d = parse_int(fields["dimension"])
+    except InputError:
         raise InputError(
             f"instance file: bad dimension {fields['dimension']!r}") from None
     norm = parse_norm(fields["norm"])

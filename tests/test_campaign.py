@@ -8,15 +8,17 @@ import pytest
 
 from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                InputError, Instance, NormSpec,
-                               VerificationReport, Violation, delta,
+                               VerificationReport, Violation, ceil_norm, delta,
                                format_campaign_config, format_campaign_report,
                                gen_extremal, gen_random, lo_bound, make_instance,
-                               parse_campaign_config, reachable_sums_nd,
-                               run_campaign, verify_instance)
+                               parse_campaign_config, project,
+                               reachable_sums_nd, run_campaign,
+                               verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _TaskResult,
                                         _build_tasks, _tally,
                                         _task_exhaustive)
+from oracles import enumerate_atom_1d, enumerate_atom_nd
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 GRID = (F(-1), F(-1, 2), F(1, 2), F(1))
@@ -91,8 +93,8 @@ def test_gen_random_infeasible_grid_errors():
 
 
 def _per_instance_task(norm, vectors):
-    """The per-instance path over every reachable target: the reference
-    that the batched sweep must reproduce."""
+    """verify_instance, a batch of one, over every reachable target: the
+    reference that one chain per multiset must reproduce."""
     res = _TaskResult()
     for target in reachable_sums_nd(vectors):
         local = res.count
@@ -124,6 +126,20 @@ def _sweep_tasks(norm, d, grid, n_max):
     return cfg, [task[2] for task in _build_tasks(cfg)]
 
 
+def _check_against_oracles(norm, vectors):
+    """Every target of one multiset against brute-force enumeration,
+    which shares no code with the chain."""
+    for target in reachable_sums_nd(vectors):
+        instance = Instance(vectors, target, norm)
+        report = verify_instance(instance)
+        proj = project(instance)
+        assert report.p_exact == enumerate_atom_nd(vectors, target)
+        assert report.p_projected == enumerate_atom_1d(proj.coefficients,
+                                                       proj.target_value)
+        assert report.perturbed == proj.perturbed
+        assert report.k == proj.k == ceil_norm(norm, target)
+
+
 def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
     perturbations = []
     perturb_witness = reduction.perturb_witness
@@ -142,8 +158,10 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
             direct = _per_instance_task(norm, combo)
             # count, tight, max_ratio, errors and violations, per multiset
             assert batch == direct, (norm, combo)
-            # the batch falls back on exactly the targets that perturb
+            # the batch perturbs on exactly the targets that perturb alone
             assert middle - before == len(perturbations) - middle
+            if len(combo) <= 3:
+                _check_against_oracles(norm, combo)
         # In one dimension no nonzero vector projects to zero.
         assert bool(perturbations) == (d > 1), (norm, d)
         report = run_campaign(cfg)
@@ -152,13 +170,14 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
 
 
 def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
-    # Lower the bound both paths read, so that tight instances fail.
+    # Lower the bound the sweep's counts and lo_bound both read, so that
+    # tight instances fail.
     real = exactnum.lo_count
 
     def lowered(n, k):
         return real(n, k) - 1
     monkeypatch.setattr(exactnum, "lo_count", lowered)
-    monkeypatch.setattr(campaign, "lo_count", lowered)
+    monkeypatch.setattr(reduction, "lo_count", lowered)
     for norm in (L2, LINF):
         cfg, combos = _sweep_tasks(norm, 2, GRID0, 2)
         for combo in combos:
@@ -174,11 +193,10 @@ def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
 
 def test_failed_certificate_is_recorded_per_instance(monkeypatch):
     # 1-d vectors never need perturbation, so every instance reaches the
-    # ceiling certificate, which is made to fail in both paths.
+    # ceiling certificate, which is made to fail.
     def broken(t, scale):
         return -1
     monkeypatch.setattr(reduction, "ceil_over_scale", broken)
-    monkeypatch.setattr(campaign, "ceil_over_scale", broken)
     cfg, combos = _sweep_tasks(L2, 1, (F(1, 2), F(1)), 3)
     for combo in combos:
         assert _task_exhaustive(L2, combo) == _per_instance_task(L2, combo)
@@ -261,6 +279,19 @@ def test_random_campaign_draws_only_dimension_compatible_norms():
     assert "fits dimension" in report.errors[0][1]
 
 
+def test_exhaustive_campaign_skips_dimensions_a_norm_does_not_fit():
+    # The facet norm is planar; at d = 1 only l2 runs.  l2 has no grid
+    # point of the planar grid {-1, 1}^2 in its ball, the facet norm all
+    # four, so the sweep is 2 * 2 targets at d = 1 and 4 * 2 at d = 2.
+    text = ("mode = exhaustive-grid\nnorms = l2, poly:[1,0;0,1]\n"
+            "n = 1..1\nd = 1..2\ngrid = -1, 1\n")
+    report = run_campaign(parse_campaign_config(text))
+    assert report.instances == 12
+    assert report.verified and not report.errors
+    with pytest.raises(InputError, match="fits no dimension in 1..1"):
+        parse_campaign_config(text.replace("d = 1..2", "d = 1..1"))
+
+
 def test_campaign_zero_budget_is_verified_and_empty():
     cfg = CampaignConfig(mode="random", norms=(L2,), budget=0)
     report = run_campaign(cfg)
@@ -320,6 +351,12 @@ def test_campaign_config_parse_errors():
         parse_campaign_config("mode = random\nnorms = lp:3\nbudget = 3\n")
     with pytest.raises(InputError, match="line 3: duplicate key 'budget'"):
         parse_campaign_config("mode = random\nbudget = 3\nbudget = 4\n")
+    # Integers are ASCII digits with an optional leading minus only.
+    for bad in ("budget = 1_0", "n = \u0663..\u0664", "seed = \u0661",
+                "budget = +3", "workers = \u0662", "d = 1..\u0662",
+                "grid_denominator = 0x4"):
+        with pytest.raises(InputError):
+            parse_campaign_config(f"mode = random\nnorms = l1\n{bad}\n")
 
 
 def test_campaign_config_capacity_limits():

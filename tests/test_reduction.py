@@ -13,7 +13,7 @@ from littlewood_offord import (InputError, Instance, NormSpec,
                                gen_random, lo_bound, make_instance, parse_norm,
                                parse_instance, perturb_witness, project,
                                verify_instance)
-from oracles import enumerate_atom_1d, enumerate_atom_nd
+from oracles import enumerate_atom_1d, enumerate_atom_nd, pascal_binomial
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY3 = NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)])
@@ -156,6 +156,30 @@ def test_perturbation_clears_two_hyperplanes_in_d3():
                                                    proj.target_value)
 
 
+def test_batch_of_one_in_the_meet_in_the_middle_range():
+    # n = 26 is past the direct tables, so both counts run meet in the
+    # middle.  The linf witness e_1 of x = (1, 0) is orthogonal to
+    # (0, 1/2); the schedule's first acceptable candidate is
+    # w' = (7/8, 1/8), which projects (1/2, 0) to 7/16, (0, 1/2) to 1/16
+    # and x to 7/8.  With a plus signs among 12 copies of (1/2, 0) and
+    # b among 14 copies of (0, 1/2), S = x needs (a, b) = (7, 7), and the
+    # projected sum 7/8 also takes (a, b) = (6, 14) and (8, 0).
+    vectors = [(F(1, 2), 0)] * 12 + [(0, F(1, 2))] * 14
+    inst = make_instance(vectors, (1, 0), LINF)
+    proj = project(inst)
+    assert proj.perturbed and proj.k == 1
+    assert proj.coefficients == (F(7, 16),) * 12 + (F(1, 16),) * 14
+    assert proj.target_value == F(7, 8)
+    report = verify_instance(inst)
+    c = pascal_binomial
+    assert report.perturbed and report.k == 1
+    assert report.p_exact == F(c(12, 7) * c(14, 7), 2 ** 26)
+    assert report.p_projected == F(c(12, 7) * c(14, 7) + c(12, 6)
+                                   + c(12, 8), 2 ** 26)
+    assert report.bound == F(c(26, 14), 2 ** 26)
+    assert report.chain_holds and not report.tight
+
+
 def test_zero_target_projects_with_zero_value():
     inst = make_instance([(1, 0), (0, 1)], (0, 0), L2)
     proj = project(inst)
@@ -235,6 +259,9 @@ def test_instance_text_rejects_malformed():
         parse_instance(good + "bogus line without equals\n")
     with pytest.raises(InputError, match="line 6: duplicate key 'vectors'"):
         parse_instance(good + "vectors = 0,1\n")
+    for bad in ("\u0662", "+2", "0_2", " 2 2", "\uff12"):
+        with pytest.raises(InputError, match="bad dimension"):
+            parse_instance(good.replace("dimension = 2", f"dimension = {bad}"))
 
 
 def test_report_text_layout():
