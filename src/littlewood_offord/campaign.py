@@ -34,9 +34,8 @@ from itertools import combinations_with_replacement, product
 from multiprocessing import Pool
 from typing import Sequence
 
-# perfbench/tracer.py wraps campaign.reachable_sums_nd, so the name stays.
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
-                            reachable_sums_nd, scaled_sums)  # noqa: F401
+                            reachable_sums_nd, scaled_sums)
 from .errors import (CapacityError, CertificateError, InputError,
                      PerturbationError)
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
@@ -83,6 +82,11 @@ class CampaignConfig:
                 f"grid_denominator must be positive, got {self.grid_denominator}")
         if self.workers < 1:
             raise InputError(f"workers must be positive, got {self.workers}")
+        # Compared by value: 2/2 repeats 1.
+        if len(set(self.grid)) < len(self.grid):
+            raise InputError("grid values must be distinct")
+        if len(set(self.norms)) < len(self.norms):
+            raise InputError("norms must be distinct")
         if self.mode in ("exhaustive-grid", "uniform-kleitman"):
             if self.n_max > EXHAUSTIVE_LIMIT:
                 raise CapacityError(
@@ -272,17 +276,17 @@ def _set_active_config(config: CampaignConfig) -> None:
 
 def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResult:
     """Verify every reachable target of one vector multiset on one chain,
-    in pattern counts over 2^n; p_exact is a count in the sum table.  A
-    failed chain is rerun by verify_instance for its violation record."""
+    in pattern counts over 2^n; p_exact is a count in the sum table of
+    the chain's scaled vectors, which lives only as long as this task.
+    A failed chain is rerun by verify_instance for its violation record."""
     res = _TaskResult()
-    sums = scaled_sums(vectors)
     try:
         chain = Chain(vectors, norm)
     except InputError as exc:
-        res.count = len(sums)
-        res.errors = [(local, str(exc)) for local in range(len(sums))]
+        res.count = len(reachable_sums_nd(vectors))
+        res.errors = [(local, str(exc)) for local in range(res.count)]
         return res
-    for local, (u, count) in enumerate(sums):
+    for local, (u, count) in enumerate(scaled_sums(chain.scaled)):
         res.count += 1
         try:
             projected, allowed = chain.counts(u)

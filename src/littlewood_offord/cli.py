@@ -18,7 +18,7 @@ from .campaign import (format_campaign_report, gen_extremal,
 from .concentration import atom_nd
 from .errors import (CapacityError, CertificateError, InputError,
                      PerturbationError)
-from .exactnum import format_rational, lo_bound, parse_rational
+from .exactnum import format_rational, lo_bound, parse_int, parse_rational
 from .norms import parse_norm
 from .reduction import (format_instance, format_report, parse_instance,
                         verify_instance)
@@ -38,7 +38,7 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_bound(args) -> int:
-    q = lo_bound(args.n, args.k)
+    q = lo_bound(parse_int(args.n), parse_int(args.k))
     print(f"{format_rational(q)} = {float(q):.12g}")
     return 0
 
@@ -57,7 +57,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    instance = gen_extremal(args.n, parse_norm(args.norm),
+    instance = gen_extremal(parse_int(args.n), parse_norm(args.norm),
                             parse_rational(args.value))
     _write_output(format_instance(instance), args.out)
     return 0
@@ -69,7 +69,7 @@ _CAMPAIGN_EXIT = {"verified": 0, "violations-found": 1, "incomplete": 3}
 def _cmd_campaign(args) -> int:
     config = parse_campaign_config(_read_text(args.config))
     if args.workers is not None:
-        config = replace(config, workers=args.workers)
+        config = replace(config, workers=parse_int(args.workers))
     report = run_campaign(config)
     _write_output(format_campaign_report(report), args.out)
     if args.out:
@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="print the bound for n vectors at norm ceiling k")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n")
+    p.add_argument("k")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("atom", help="exact atom probability of an instance file")
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("extremal", help="emit a tightness instance")
-    p.add_argument("n", type=int)
+    p.add_argument("n")
     p.add_argument("norm", help="l1 | l2 | linf")
     p.add_argument("value", help="target norm value, e.g. 3/2")
     p.add_argument("--out", help="write the instance here instead of stdout")
@@ -113,8 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="run a campaign from a config file")
     p.add_argument("config", help="campaign config file, or - for stdin")
-    p.add_argument("--workers", type=int, default=None,
-                   help="override the configured worker count")
+    p.add_argument("--workers", help="override the configured worker count")
     p.add_argument("--out", help="write the report (and violation replays) here")
     p.set_defaults(func=_cmd_campaign)
     return parser

@@ -26,13 +26,18 @@ Two enumeration strategies:
 
 Full-distribution operations (sum tables, max_atom, rho_max_1d) have no
 half-table shortcut and stop at EXHAUSTIVE_LIMIT.
+
+Nothing here is cached.  At most one full sum table is alive per chain
+or call, and none is kept between multisets: a caller that reads one
+multiset many times scales it once (scaled_vectors) and holds its
+table (scaled_sums) for as long as it needs it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import CapacityError, InputError
@@ -48,22 +53,23 @@ def _canon(q) -> Fraction:
     return q if type(q) is Fraction else Fraction(q)
 
 
-def _as_fractions(a: Sequence) -> tuple[Fraction, ...]:
-    out = tuple(_canon(q) for q in a)
-    if not out:
+def _as_column(a: Sequence) -> list[RVector]:
+    """Coefficients as 1-d vectors, for scaled_vectors."""
+    rows = [(q,) for q in a]
+    if not rows:
         raise InputError("empty coefficient list")
-    return out
+    return rows
 
 
-def _as_vectors(v: Sequence[Sequence]) -> tuple[tuple[Fraction, ...], int]:
-    """Validated vectors as one flat coordinate tuple and their dimension."""
+def _as_vectors(v: Sequence[Sequence]) -> list[RVector]:
+    """Validated vectors: at least one, all of one nonzero dimension."""
     rows = [tuple(_canon(c) for c in row) for row in v]
     if not rows:
         raise InputError("empty vector list")
     d = len(rows[0])
     if d == 0 or any(len(row) != d for row in rows):
         raise InputError("vectors must share a fixed nonzero dimension")
-    return tuple(c for row in rows for c in row), d
+    return rows
 
 
 def _int_table(values: tuple[int, ...]) -> dict[int, int]:
@@ -80,36 +86,20 @@ def _int_table(values: tuple[int, ...]) -> dict[int, int]:
     return table
 
 
-# Campaigns probe one vector multiset at many targets; caching both the
-# lcm scaling and the packed tables turns the repeat queries into
-# dictionary lookups.  A table depends on the packed codes alone, so one
-# cache serves every dimension.  Cached values are shared and must never
-# be mutated.
-_cached_table_nd = lru_cache(maxsize=512)(_int_table)
-
-
-@lru_cache(maxsize=512)
-def _scaled(flat: tuple[Fraction, ...],
-            d: int) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
-    """Scale the n vectors in `flat` (d coordinates each) to integers and
-    pack each one into a single integer code.
-
-    Returns (codes, den, reach, m): den is the lcm of the denominators,
-    reach[j] = sum_i |v_ij| bounds coordinate j of every signed sum, and
-    the code of an integer vector u is sum_j u_j * m^(d-1-j) with
-    m = 2 * max(reach) + 1.
-    """
-    den = math.lcm(*(q.denominator for q in flat))
-    ints = [q.numerator * (den // q.denominator) for q in flat]
-    reach = tuple(sum(abs(c) for c in ints[j::d]) for j in range(d))
+def _packed(vectors: Sequence[Sequence[int]]) -> tuple[
+        tuple[int, ...], tuple[int, ...], int]:
+    """(codes, reach, m) for integer vectors u_i: reach[j] = sum_i |u_ij|
+    bounds coordinate j of every signed sum, and the code of an integer
+    vector u is sum_j u_j * m^(d-1-j) with m = 2 * max(reach) + 1."""
+    reach = tuple(sum(abs(c) for c in col) for col in zip(*vectors))
     m = 2 * max(reach) + 1
     codes = []
-    for i in range(0, len(ints), d):
+    for u in vectors:
         code = 0
-        for c in ints[i:i + d]:
+        for c in u:
             code = code * m + c
         codes.append(code)
-    return tuple(codes), den, reach, m
+    return tuple(codes), reach, m
 
 
 def _digits(code: int, m: int, d: int) -> tuple[int, ...]:
@@ -155,19 +145,20 @@ def _check_probe_size(n: int, method: str) -> str:
 
 def sign_counter(values: tuple[int, ...],
                  method: str = "auto") -> Callable[[int], int]:
-    """key -> #{eps : sum_i eps_i values_i = key}, from one cached table
-    up to DIRECT_LIMIT values, by meet-in-the-middle up to PROBE_LIMIT."""
+    """key -> #{eps : sum_i eps_i values_i = key}, from a table built
+    here up to DIRECT_LIMIT values, by meet-in-the-middle up to
+    PROBE_LIMIT."""
     if _check_probe_size(len(values), method) == "direct":
-        table = _cached_table_nd(values)
+        table = _int_table(values)
         return lambda key: table.get(key, 0)
     return partial(_probe_count, values)
 
 
-def _atom(flat: tuple[Fraction, ...], d: int, target: RVector,
+def _atom(den: int, vectors: tuple[tuple[int, ...], ...], target: RVector,
           method: str) -> Fraction:
-    n = len(flat) // d
+    n = len(vectors)
     method = _check_probe_size(n, method)
-    codes, den, reach, m = _scaled(flat, d)
+    codes, reach, m = _packed(vectors)
     key = 0
     for c, r in zip(target, reach):
         if den % c.denominator:
@@ -182,15 +173,15 @@ def _atom(flat: tuple[Fraction, ...], d: int, target: RVector,
     return Fraction(sign_counter(codes, method)(key), 2 ** n)
 
 
-def _full_table(flat: tuple[Fraction, ...], d: int,
-                what: str) -> tuple[dict[int, int], int, int]:
-    """(packed table, den, m) for the operations that read every sum."""
-    n = len(flat) // d
-    if n > EXHAUSTIVE_LIMIT:
+def _full_table(vectors: Sequence[Sequence[int]],
+                what: str) -> tuple[dict[int, int], int]:
+    """(packed table, m) of integer vectors, for the operations that
+    read every sum."""
+    if len(vectors) > EXHAUSTIVE_LIMIT:
         raise CapacityError(
-            f"{what} at most {EXHAUSTIVE_LIMIT} vectors, got {n}")
-    codes, den, _, m = _scaled(flat, d)
-    return _cached_table_nd(codes), den, m
+            f"{what} at most {EXHAUSTIVE_LIMIT} vectors, got {len(vectors)}")
+    codes, _, m = _packed(vectors)
+    return _int_table(codes), m
 
 
 def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
@@ -200,57 +191,62 @@ def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
     and meet-in-the-middle up to PROBE_LIMIT; "direct" or "mitm" force
     one path (the equivalence tests exercise both against each other).
     """
-    return _atom(_as_fractions(a), 1, (_canon(t),), method)
+    return _atom(*scaled_vectors(_as_column(a)), (_canon(t),), method)
 
 
 def atom_nd(v: Sequence[Sequence], x: Sequence, *, method: str = "auto") -> Fraction:
     """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i."""
-    flat, d = _as_vectors(v)
+    den, vectors = scaled_vectors(v)
     target = tuple(_canon(c) for c in x)
-    if len(target) != d:
-        raise InputError(
-            f"target has dimension {len(target)}, vectors have {d}")
-    return _atom(flat, d, target, method)
+    if len(target) != len(vectors[0]):
+        raise InputError(f"target has dimension {len(target)}, "
+                         f"vectors have {len(vectors[0])}")
+    return _atom(den, vectors, target, method)
 
 
 def sum_table_1d(a: Sequence) -> dict[Fraction, int]:
     """Full distribution of sum_i eps_i a_i: sum value -> pattern count.
 
     Counts total 2^n across the table."""
-    table, den, _ = _full_table(_as_fractions(a), 1, "full sum tables support")
+    den, vectors = scaled_vectors(_as_column(a))
+    table, _ = _full_table(vectors, "full sum tables support")
     return {Fraction(s, den): c for s, c in table.items()}
 
 
 def sum_table_nd(v: Sequence[Sequence]) -> dict[RVector, int]:
     """Full distribution of sum_i eps_i v_i: sum vector -> pattern count."""
-    flat, d = _as_vectors(v)
-    table, den, m = _full_table(flat, d, "full sum tables support")
+    den, vectors = scaled_vectors(v)
+    table, m = _full_table(vectors, "full sum tables support")
+    d = len(vectors[0])
     return {_unpack(key, m, d, den): c for key, c in table.items()}
 
 
 def scaled_vectors(v: Sequence[Sequence]) -> tuple[
         int, tuple[tuple[int, ...], ...]]:
     """(den, vectors): den is the lcm of the coordinate denominators and
-    vectors are the v_i times den, the units of scaled_sums."""
-    flat, d = _as_vectors(v)
-    codes, den, _, m = _scaled(flat, d)
-    return den, tuple(_digits(c, m, d) for c in codes)
+    vectors are the v_i times den, the integer vectors of scaled_sums."""
+    rows = _as_vectors(v)
+    den = math.lcm(*(q.denominator for row in rows for q in row))
+    return den, tuple(tuple(q.numerator * (den // q.denominator) for q in row)
+                      for row in rows)
 
 
-def scaled_sums(v: Sequence[Sequence]) -> list[tuple[tuple[int, ...], int]]:
-    """The distribution of sum_i eps_i v_i on the integer lattice of
-    scaled_vectors: every attainable sum times den with its pattern
-    count, sorted lexicographically."""
-    flat, d = _as_vectors(v)
-    table, _, m = _full_table(flat, d, "full sum tables support")
+def scaled_sums(vectors: Sequence[Sequence[int]]) -> list[
+        tuple[tuple[int, ...], int]]:
+    """The distribution of sum_i eps_i u_i for integer vectors u_i, such
+    as those of scaled_vectors (taken as they are, not rescaled): every
+    attainable sum with its pattern count, sorted lexicographically."""
+    table, m = _full_table(vectors, "full sum tables support")
+    d = len(vectors[0])
     # Code order is the lexicographic order of the sums.
     return [(_digits(key, m, d), table[key]) for key in sorted(table)]
 
 
 def reachable_sums_nd(v: Sequence[Sequence]) -> list[RVector]:
     """All attainable values of sum_i eps_i v_i, sorted lexicographically."""
-    den, _ = scaled_vectors(v)
-    return [tuple(Fraction(s, den) for s in u) for u, _ in scaled_sums(v)]
+    den, vectors = scaled_vectors(v)
+    return [tuple(Fraction(s, den) for s in u)
+            for u, _ in scaled_sums(vectors)]
 
 
 def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:
@@ -259,9 +255,9 @@ def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:
     Ties break to the lexicographically smallest target, so results are
     reproducible across runs and platforms.
     """
-    flat, d = _as_vectors(v)
-    table, den, m = _full_table(
-        flat, d, "max_atom enumerates the full table and supports")
+    den, vectors = scaled_vectors(v)
+    table, m = _full_table(
+        vectors, "max_atom enumerates the full table and supports")
     best_key = None
     best_count = -1
     # Code order is lexicographic order of the sums, so comparing codes
@@ -270,13 +266,13 @@ def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:
         if count > best_count or (count == best_count and key < best_key):
             best_key = key
             best_count = count
-    return (_unpack(best_key, m, d, den),
-            Fraction(best_count, 2 ** (len(flat) // d)))
+    return (_unpack(best_key, m, len(vectors[0]), den),
+            Fraction(best_count, 2 ** len(vectors)))
 
 
 def rho_max_1d(a: Sequence) -> Fraction:
     """Largest atom probability max_t P(sum_i eps_i a_i = t)."""
-    coeffs = _as_fractions(a)
-    table, _, _ = _full_table(
-        coeffs, 1, "rho_max_1d enumerates the full table and supports")
-    return Fraction(max(table.values()), 2 ** len(coeffs))
+    _, vectors = scaled_vectors(_as_column(a))
+    table, _ = _full_table(
+        vectors, "rho_max_1d enumerates the full table and supports")
+    return Fraction(max(table.values()), 2 ** len(vectors))

@@ -212,6 +212,16 @@ def test_failed_certificate_is_recorded_per_instance(monkeypatch):
     assert len(extremal.errors) == extremal.instances == 6
 
 
+def test_invalid_multiset_records_one_error_per_target():
+    # The grid filter keeps such multisets out of a sweep; a task given
+    # one still counts each reachable sum, (+-3, 0) and (+-1, 0), as an
+    # instance with an error.
+    res = _task_exhaustive(L2, ((F(2), F(0)), (F(1), F(0))))
+    assert res.count == 4 and res.tight == 0 and not res.violations
+    assert res.errors == [(local, "vector 0 lies outside the unit ball")
+                          for local in range(4)]
+
+
 def test_extremal_campaign_max_ratio_counts_tight_instances():
     cfg = CampaignConfig(mode="extremal", norms=(L2,), n_min=1, n_max=3)
     report = run_campaign(cfg)
@@ -357,6 +367,19 @@ def test_campaign_config_parse_errors():
                 "grid_denominator = 0x4"):
         with pytest.raises(InputError):
             parse_campaign_config(f"mode = random\nnorms = l1\n{bad}\n")
+    # Grid values and norms are compared by value; a repeat is rejected,
+    # not counted twice.
+    grid_config = "mode = exhaustive-grid\nd = 1..1\nn = 1..2\n"
+    assert run_campaign(parse_campaign_config(
+        grid_config + "norms = linf\ngrid = -1, 1\n")).instances == 13
+    for bad in ("norms = linf\ngrid = -1, 1, 1",
+                "norms = linf\ngrid = -1, 1, 2/2",
+                "norms = linf, linf\ngrid = -1, 1",
+                "norms = poly:[1;2], poly:[2/2;2]\ngrid = -1, 1"):
+        with pytest.raises(InputError, match="must be distinct"):
+            parse_campaign_config(grid_config + bad + "\n")
+    with pytest.raises(InputError, match="norms must be distinct"):
+        parse_campaign_config("mode = random\nnorms = l2, l1, l2\n")
 
 
 def test_campaign_config_capacity_limits():

@@ -27,6 +27,12 @@ def test_bound_rejects_bad_arguments(capsys):
     code, _, err = run_cli(capsys, "bound", "0", "0")
     assert code == 2
     assert "error:" in err
+    # Integer arguments are ASCII digits with an optional leading minus.
+    for argv in (("1_0", "\u0662"), ("10", "\u0662"), ("+4", "0"),
+                 ("0x4", "0")):
+        code, out, err = run_cli(capsys, "bound", *argv)
+        assert (code, out) == (2, "")
+        assert "not an integer" in err
 
 
 def test_atom_reads_instance_file(tmp_path, capsys):
@@ -134,6 +140,15 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
     assert run_cli(capsys, "campaign", str(lp_config))[0] == 2
 
     assert run_cli(capsys, "extremal", "3", "l2", "7")[0] == 2
+    out = tmp_path / "four.instance"
+    assert run_cli(capsys, "extremal", "+\u0664", "l2", "3/2",
+                   "--out", str(out))[0] == 2
+    assert not out.exists()
+    config = tmp_path / "line.config"
+    config.write_text("mode = extremal\nnorms = l2\nn = 1..2\n")
+    assert run_cli(capsys, "campaign", str(config), "--workers", "1")[0] == 0
+    assert run_cli(capsys, "campaign", str(config),
+                   "--workers", "\u0662")[0] == 2
 
 
 def test_exit_code_3_on_capacity(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """The projection pipeline: instance validation, dual-witness projection,
 perturbation, the verified chain, and instance/report text forms."""
 
+import gc
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -178,6 +180,25 @@ def test_batch_of_one_in_the_meet_in_the_middle_range():
                                    + c(12, 8), 2 ** 26)
     assert report.bound == F(c(26, 14), 2 ** 26)
     assert report.chain_holds and not report.tight
+
+
+def test_verification_keeps_no_tables_between_instances():
+    # Each instance of n = 12 vectors in 3-d has a sum table of a few
+    # thousand entries; verifying one must not leave its tables behind.
+    instances = [gen_random(seed, 12, 3, LINF, 8) for seed in range(21)]
+    verify_instance(instances.pop())          # warm up outside the trace
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for inst in instances:
+            verify_instance(inst)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(set(instances)) == 20
+    assert retained < 2 ** 20
 
 
 def test_zero_target_projects_with_zero_value():
