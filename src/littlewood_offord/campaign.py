@@ -28,11 +28,12 @@ import math
 import os
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, islice, product
 from multiprocessing import Pool
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
                             reachable_sums_nd, scaled_sums)
@@ -233,13 +234,8 @@ def _derive_seed(seed: int, index: int) -> int:
 
 def _grid_universe(grid: Sequence[Fraction], d: int,
                    norm: NormSpec) -> list[RVector]:
-    pts: list[RVector] = []
-    for coords in product(sorted(grid), repeat=d):
-        if is_zero(coords):
-            continue
-        if in_unit_ball(norm, coords):
-            pts.append(coords)
-    return pts
+    return [coords for coords in product(sorted(grid), repeat=d)
+            if not is_zero(coords) and in_unit_ball(norm, coords)]
 
 
 @dataclass
@@ -265,13 +261,6 @@ def _tally(res: _TaskResult, local: int, instance: Instance,
 
 _RECORDED_FAILURES = (InputError, CapacityError, PerturbationError,
                       CertificateError)
-
-_ACTIVE_CONFIG: CampaignConfig | None = None
-
-
-def _set_active_config(config: CampaignConfig) -> None:
-    global _ACTIVE_CONFIG
-    _ACTIVE_CONFIG = config
 
 
 def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResult:
@@ -306,8 +295,7 @@ def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResul
     return res
 
 
-def _task_random(start: int, count: int) -> _TaskResult:
-    cfg = _ACTIVE_CONFIG
+def _task_random(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
     res = _TaskResult()
     for local in range(count):
         rng = random.Random(_derive_seed(cfg.seed, start + local))
@@ -342,8 +330,7 @@ def _task_extremal(norm: NormSpec, n: int) -> _TaskResult:
     return res
 
 
-def _task_uniform(start: int, count: int) -> _TaskResult:
-    cfg = _ACTIVE_CONFIG
+def _task_uniform(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
     l2 = NormSpec.l2()
     res = _TaskResult()
     for local in range(count):
@@ -367,18 +354,11 @@ def _task_uniform(start: int, count: int) -> _TaskResult:
 
 
 def _run_task(task: tuple) -> _TaskResult:
-    kind = task[0]
-    if kind == "exhaustive":
-        return _task_exhaustive(task[1], task[2])
-    if kind == "random":
-        return _task_random(task[1], task[2])
-    if kind == "extremal":
-        return _task_extremal(task[1], task[2])
-    return _task_uniform(task[1], task[2])
+    return task[0](*task[1:])
 
 
-def _build_tasks(config: CampaignConfig) -> list[tuple]:
-    tasks: list[tuple] = []
+def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
+    """The campaign's tasks in report order, one at a time."""
     if config.mode == "exhaustive-grid":
         for norm in config.norms:
             for d in range(config.d_min, config.d_max + 1):
@@ -388,47 +368,44 @@ def _build_tasks(config: CampaignConfig) -> list[tuple]:
                 universe = _grid_universe(config.grid, d, norm)
                 for n in range(config.n_min, config.n_max + 1):
                     for combo in combinations_with_replacement(universe, n):
-                        tasks.append(("exhaustive", norm, combo))
+                        yield _task_exhaustive, norm, combo
     elif config.mode == "extremal":
         for norm in config.norms:
             for n in range(config.n_min, config.n_max + 1):
-                tasks.append(("extremal", norm, n))
+                yield _task_extremal, norm, n
     else:
-        kind = "random" if config.mode == "random" else "uniform"
+        task = _task_random if config.mode == "random" else _task_uniform
         for start in range(0, config.budget, _BATCH):
-            tasks.append((kind, start, min(_BATCH, config.budget - start)))
-    return tasks
+            yield task, config, start, min(_BATCH, config.budget - start)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured campaign and aggregate its report.
 
-    Partial results merge in task order with cumulative instance
-    indexing, so the output is identical for any worker count.  The
-    pool never has more processes than tasks or cores.
+    Tasks are generated as they run and merge in task order with
+    cumulative instance indexing, so the output is identical for any
+    worker count.  The pool never has more processes than tasks or cores.
     """
     started = time.perf_counter()
     tasks = _build_tasks(config)
-    _set_active_config(config)
-    workers = min(config.workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with Pool(workers, initializer=_set_active_config,
-                  initargs=(config,)) as pool:
-            partials = list(pool.imap(_run_task, tasks, chunksize=8))
-    else:
-        partials = [_run_task(t) for t in tasks]
+    # The first tasks, at most one per process, size the pool.
+    head = list(islice(tasks, min(config.workers, os.cpu_count() or 1)))
     report = CampaignReport(mode=config.mode)
-    offset = 0
-    for part in partials:
-        report.instances += part.count
-        report.tight += part.tight
-        if part.max_ratio > report.max_ratio:
-            report.max_ratio = part.max_ratio
-        for local, instance, vrep in part.violations:
-            report.violations.append(Violation(offset + local, instance, vrep))
-        for local, message in part.errors:
-            report.errors.append((offset + local, message))
-        offset += part.count
+    with Pool(len(head)) if len(head) > 1 else nullcontext() as pool:
+        tasks = chain(head, tasks)
+        partials = (pool.imap(_run_task, tasks, chunksize=8) if pool
+                    else map(_run_task, tasks))
+        for part in partials:
+            offset = report.instances
+            report.instances += part.count
+            report.tight += part.tight
+            if part.max_ratio > report.max_ratio:
+                report.max_ratio = part.max_ratio
+            for local, instance, vrep in part.violations:
+                report.violations.append(
+                    Violation(offset + local, instance, vrep))
+            for local, message in part.errors:
+                report.errors.append((offset + local, message))
     report.wall_time = time.perf_counter() - started
     return report
 

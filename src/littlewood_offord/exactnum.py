@@ -83,7 +83,6 @@ def ceil_sqrt(q: Fraction | int) -> int:
 
     Decided purely by integer comparison: math.isqrt of floor(q) seeds
     the answer and is then corrected upward (at most two steps)."""
-    q = Fraction(q)
     if q < 0:
         raise InputError(f"ceil_sqrt: negative input {q}")
     t = math.isqrt(q.numerator // q.denominator)
@@ -94,7 +93,6 @@ def ceil_sqrt(q: Fraction | int) -> int:
 
 def floor_sqrt(q: Fraction | int) -> int:
     """Largest integer t >= 0 with t*t <= q, for rational q >= 0."""
-    q = Fraction(q)
     if q < 0:
         raise InputError(f"floor_sqrt: negative input {q}")
     t = math.isqrt(q.numerator // q.denominator)

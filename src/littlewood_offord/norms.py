@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InputError, UnsupportedNormOperation
@@ -41,13 +42,11 @@ def vector(coords: Iterable) -> RVector:
     return v
 
 
-def dot(x: RVector, y: RVector) -> Fraction:
+def dot(x: Sequence, y: Sequence):
+    """<x, y>: a Fraction for rational vectors, an int for integer ones."""
     if len(x) != len(y):
         raise InputError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    total = None
-    for a, b in zip(x, y):
-        total = a * b if total is None else total + a * b
-    return total if total is not None else Fraction(0)
+    return sum(map(mul, x, y))
 
 
 def is_zero(x: RVector) -> bool:
@@ -224,6 +223,18 @@ def ceil_norm(spec: NormSpec, x: RVector) -> int:
     return norm_eval(spec, x).ceil()
 
 
+def ceil_norm_over(spec: NormSpec, u: Sequence[int], den: int) -> int:
+    """ceil(||u|| / den) for an integer vector u and den > 0, in integers
+    (poly reads integer_functionals, l2 takes ceil_sqrt(<u, u>))."""
+    if spec.kind == L2:
+        return -(-ceil_sqrt(dot(u, u)) // den)
+    if spec.kind == POLY:
+        fden, rows = spec.integer_functionals
+        return -(-max(abs(dot(f, u)) for f in rows) // (den * fden))
+    m = sum(map(abs, u)) if spec.kind == L1 else max(map(abs, u))
+    return -(-m // den)
+
+
 def dual_spec(spec: NormSpec) -> NormSpec:
     """The dual norm's spec where a closed form exists:
     l1 <-> linf, l2 self-dual."""
@@ -262,30 +273,22 @@ def witness_direction(spec: NormSpec, x: Sequence) -> tuple:
     if spec.kind == L1:
         return tuple(_sign(c) for c in x)
     if spec.kind == LINF:
-        best = 0
-        for i in range(1, len(x)):
-            if abs(x[i]) > abs(x[best]):
-                best = i
-        w = [0] * len(x)
-        w[best] = _sign(x[best])
-        return tuple(w)
-    vals = [dot(f, x) for f in spec.integer_functionals[1]]
-    best = 0
-    for j in range(1, len(vals)):
-        if abs(vals[j]) > abs(vals[best]):
-            best = j
-    sigma = _sign(vals[best])
-    return tuple(sigma * c for c in spec.functionals[best])
+        best = max(range(len(x)), key=lambda i: abs(x[i]))  # first maximum
+        return tuple(_sign(x[best]) * (i == best) for i in range(len(x)))
+    w, den = integer_witness(spec, x)
+    return tuple(Fraction(c, den) for c in w)
 
 
-def witness_scale(spec: NormSpec, direction: Sequence,
-                  factor=1) -> NormValue:
-    """The scale s that makes y = factor * direction / s dual-optimal, for
-    a positive multiple of witness_direction(spec, x) and factor > 0: the
-    length of factor * direction for l2, else factor (dual unit vectors)."""
-    if spec.kind == L2:
-        return NormValue.squared(dot(direction, direction) * factor * factor)
-    return NormValue.rational(factor)
+def integer_witness(spec: NormSpec, u: Sequence[int]) -> tuple:
+    """(w, lam): the integer vector w = lam * witness_direction(spec, u)
+    for u != 0, with lam = 1, or for poly the functionals' common
+    denominator (w is then a signed row of integer_functionals)."""
+    if spec.kind != POLY:
+        return witness_direction(spec, u), 1
+    den, rows = spec.integer_functionals
+    vals = [dot(f, u) for f in rows]
+    best = max(range(len(vals)), key=lambda j: abs(vals[j]))  # first maximum
+    return tuple(_sign(vals[best]) * c for c in rows[best]), den
 
 
 def dual_witness(spec: NormSpec, x: RVector) -> Witness:
@@ -305,7 +308,9 @@ def dual_witness(spec: NormSpec, x: RVector) -> Witness:
     if is_zero(x):
         raise InputError("dual witness undefined for x = 0")
     direction = vector(witness_direction(spec, x))
-    return Witness(direction, witness_scale(spec, direction))
+    if spec.kind == L2:
+        return Witness(direction, NormValue.squared(dot(direction, direction)))
+    return Witness(direction, NormValue.rational(1))
 
 
 def holder_check(spec: NormSpec, x: RVector, u: RVector) -> bool:

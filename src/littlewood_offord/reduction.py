@@ -10,15 +10,16 @@ maps the equality event into one dimension without losing probability,
 and the projected coefficients <v_i, y> stay in [-1, 1], which is what
 the one-dimensional bound needs.
 
-A Chain runs it on a vector multiset scaled to integers once, with one
-Projection per witness direction.  The atom event is invariant under
-scaling both sides by s > 0, so nothing is normalized and every
-equality, sign, and ceiling is decided exactly (the l2 scale is kept as
-an exact square).  verify_instance is a chain with one target.
-
-When some <v_i, w> is zero the witness is nudged off the offending
-hyperplanes by a deterministic perturbation schedule; the perturbed
-witness must pass the same certificate, otherwise the search continues.
+A Chain runs it in integers: the vectors times den, a target as an
+integer vector over one extra denominator q, and a witness as an
+integer vector w with an integer scale s, y = den * w / s (for l2 the
+chain holds s^2, an exact square).  The atom event is invariant under
+scaling both sides by a positive factor, so k, every sign and every
+certificate is an integer comparison, and one Projection per (w, s),
+divided by their common gcd, serves every target along it.  When some
+<v_i, w> is zero, a deterministic schedule on the same integers nudges
+w off the offending hyperplanes.  verify_instance is a chain with one
+target; project() and perturb_witness are its exact rational views.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .concentration import (atom_1d, atom_nd, scaled_vectors,  # noqa: F401
 from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
                        lo_bound, lo_count, parse_int, parse_rational)
-from .norms import (POLY, RATIONAL, NormSpec, NormValue, RVector,
-                    Witness, ceil_norm, dot, dual_witness, format_norm,
-                    is_zero, norm_eval, parse_norm, vector, witness_direction,
-                    witness_scale, witness_target)
+from .norms import (L2, POLY, NormSpec, NormValue, RVector, Witness,
+                    ceil_norm, ceil_norm_over, dot, dual_witness, format_norm,
+                    integer_witness, is_zero, norm_eval, parse_norm, vector,
+                    witness_target)
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -126,36 +127,36 @@ class VerificationReport:
 ZERO_COEFFICIENT = "projection produced a zero coefficient"
 
 
-def within_scale(c: Fraction | int, scale: NormValue) -> bool:
-    """Exact |c| <= s for a rational or square-root scale s."""
-    if scale.kind == RATIONAL:
-        return abs(c) <= scale.value
-    return c * c <= scale.value
+def _times(s: int, f: int, squared: bool) -> int:
+    """The scale s times f > 0 (s holds a square when squared)."""
+    return s * f * f if squared else s * f
 
 
-def ceil_over_scale(t: Fraction | int, scale: NormValue) -> int:
-    """Exact ceil(t / s) for s > 0 rational or the square root of a
-    rational; square-root scales are resolved by squaring the correct
-    side of each comparison."""
-    if scale.kind == RATIONAL:
-        return -(-t // scale.value)
-    if t > 0:
-        return ceil_sqrt(t * t / scale.value)
-    if t == 0:
-        return 0
-    return -floor_sqrt(t * t / scale.value)
+def within(c: int, s: int, squared: bool) -> bool:
+    """|c| <= s, where a squared scale s stands for sqrt(s)."""
+    return c * c <= s if squared else abs(c) <= s
 
 
-def certificate_failure(scale: NormValue, coefficients=(),
-                        target_value=None, k: int = 0) -> str | None:
+def ceil_ratio(t: int, s: int, squared: bool) -> int:
+    """ceil(t / s) for a scale s > 0 as in within, in integers: for a
+    squared scale, ceil(t / sqrt(s)) = ceil(sqrt(t^2 s) / s)."""
+    if not squared:
+        return -(-t // s)
+    if t < 0:
+        return -(floor_sqrt(t * t * s) // s)
+    return -(-ceil_sqrt(t * t * s) // s)
+
+
+def certificate_failure(s: int, squared: bool, coefficients=(), t=None,
+                        q: int = 1, k: int = 0) -> str | None:
     """The first hypothesis of the chain that a projection at scale s
     breaks, or None: every coefficient c is nonzero, |c| <= s, and, when
-    the projected target t is given, ceil(t / s) = k."""
+    the projected target t / q is given, ceil(t / (q s)) = k."""
     if not all(coefficients):
         return ZERO_COEFFICIENT
-    if not all(within_scale(c, scale) for c in coefficients):
+    if not all(within(c, s, squared) for c in coefficients):
         return "projected coefficient left the unit interval"
-    if target_value is not None and ceil_over_scale(target_value, scale) != k:
+    if t is not None and ceil_ratio(t, _times(s, q, squared), squared) != k:
         return "projection changed the target's norm ceiling"
     return None
 
@@ -175,119 +176,130 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     independent hyperplanes that no single direction of the first pass
     leaves at once.  For v != 0, <v, z(t)> is a nonzero
     polynomial in t of degree below d, so some t in that range keeps
-    every <v_i, z(t)> nonzero.
+    every <v_i, z(t)> nonzero.  The search runs on integers, in
+    Chain.perturb.
     """
-    d = instance.dimension
-    x = instance.target
-    k = ceil_norm(instance.norm, x)
-    dirs: list[RVector] = []
-    for j in range(d):
-        plus = [Fraction(0)] * d
-        plus[j] = Fraction(1)
-        dirs.append(tuple(plus))
-        minus = [Fraction(0)] * d
-        minus[j] = Fraction(-1)
-        dirs.append(tuple(minus))
-    dirs.extend(instance.vectors)
-    curve: list[RVector] = []
-    for t in range(1, instance.n * (d - 1) + 2):
-        z = tuple(Fraction(t ** j) for j in range(d))
-        curve.append(z)
-        curve.append(tuple(-c for c in z))
-    tried = 0
-    for schedule in (dirs, curve):
-        for exp in ETA_EXPONENTS:
-            eta = Fraction(1, 2 ** exp)
-            keep = 1 - eta
-            for z in schedule:
-                tried += 1
-                cand = tuple(keep * wc + eta * zc
-                             for wc, zc in zip(w.direction, z))
-                coeffs = [dot(v, cand) for v in instance.vectors]
-                if certificate_failure(w.scale, coeffs, dot(x, cand),
-                                       k) is None:
-                    return Witness(cand, w.scale)
-    raise PerturbationError(
-        f"no acceptable witness perturbation among {tried} candidates "
-        f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={instance.n}, d={d}, "
-        f"norm={format_norm(instance.norm)})")
-
-
-def _primitive(direction: tuple) -> tuple[tuple[int, ...], Fraction]:
-    """The primitive integer vector w along a nonzero rational direction,
-    and the factor r > 0 with w = r * direction."""
-    lcm = math.lcm(*(c.denominator for c in direction))
-    ints = [c.numerator * (lcm // c.denominator) for c in direction]
-    g = math.gcd(*ints)
-    return tuple(c // g for c in ints), Fraction(lcm, g)
+    chain = Chain(instance.vectors, instance.norm)
+    u, q = chain.units(instance.target)
+    scale = w.scale.value
+    lam = math.lcm(scale.denominator, *(c.denominator for c in w.direction))
+    ints = tuple(c.numerator * (lam // c.denominator) for c in w.direction)
+    s = int(_times(scale, chain.den * lam, chain.squared))
+    c, _, m = chain.perturb(ints, s, lam, u, q,
+                            ceil_norm(instance.norm, instance.target))
+    return Witness(tuple(Fraction(a, m) for a in c), w.scale)
 
 
 class Projection:
-    """The image along the witness w / scale (w primitive, both in chain
-    units): the coefficients <v_i, w>, their certificate failure, and
-    count(t), the sign patterns whose projected sum is t."""
+    """The image along the integer witness w at scale s (chain units):
+    the coefficients <v_i, w>, their certificate failure, and count(t),
+    the sign patterns whose projected sum is t."""
 
     def __init__(self, vectors: tuple[tuple[int, ...], ...],
-                 w: tuple[int, ...], scale: NormValue):
+                 w: tuple[int, ...], s: int, squared: bool):
         self.w = w
-        self.scale = scale
+        self.s = s
         self.coefficients = tuple(dot(v, w) for v in vectors)
-        self.failure = certificate_failure(scale, self.coefficients)
+        self.failure = certificate_failure(s, squared, self.coefficients)
         self.count = None if self.failure else sign_counter(self.coefficients)
 
 
 class Chain:
     """The chain for one vector multiset under one norm, validated once:
     scaled holds the vectors times den, the lcm of their denominators,
-    and scaled targets u are in the same units (those of scaled_sums)."""
+    and a target is an integer vector u over q >= 1 in the same units
+    (q = 1 for the sums of scaled_sums)."""
 
     def __init__(self, vectors: tuple[RVector, ...], norm: NormSpec):
         Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
-        self.vectors = vectors
         self.norm = norm
+        self.squared = norm.kind == L2
         self.den, self.scaled = scaled_vectors(vectors)
         self._projections: dict = {}
 
-    def _along(self, direction, base=None) -> Projection:
-        """The cached projection along direction, at base's witness scale."""
-        w, r = _primitive(direction)
-        key = (w, witness_scale(self.norm, base or direction, self.den * r))
+    def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
+        """(u, q): the target x in chain units, u / q = den * x."""
+        q, (u,) = scaled_vectors((x,))
+        return tuple(self.den * c for c in u), q
+
+    def _along(self, w: tuple[int, ...], s: int) -> Projection:
+        """The cached projection along w at scale s, both divided by their
+        common gcd (for l2, by the gcd of w if its square divides s)."""
+        g = math.gcd(*w)
+        if not self.squared:
+            g = math.gcd(g, s)
+        elif s % (g * g):
+            g = 1
+        key = (tuple(c // g for c in w), s // _times(1, g, self.squared))
         proj = self._projections.get(key)
         if proj is None:
-            proj = self._projections[key] = Projection(self.scaled, *key)
+            proj = self._projections[key] = Projection(
+                self.scaled, *key, self.squared)
         return proj
 
-    def _locate(self, u, x: RVector | None = None):
-        """(projection, <u, w>, k, perturbed witness or None) for the
-        scaled target u; x = u / den."""
-        direction = witness_direction(self.norm, witness_target(u))
-        # Also cached by direction, so that a hit costs no primitive.
-        proj = self._projections.get(direction)
+    def locate(self, u: tuple[int, ...], q: int = 1):
+        """(projection, t, k, perturbed) for the target u / q: the
+        projected target is t / q, and perturbed is None or (c, m), the
+        perturbed witness direction c / m in the vectors' own units."""
+        # w = lam * D for the direction D of dual_witness; its scale is
+        # den lam (dual unit vectors), or the square den^2 <w, w> for l2.
+        w, lam = integer_witness(self.norm, witness_target(u))
+        s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
+        # Also cached by the witness itself, so that a hit costs no gcd.
+        proj = self._projections.get(w)
         if proj is None:
-            proj = self._projections[direction] = self._along(direction)
+            proj = self._projections[w] = self._along(w, s)
+        k = ceil_norm_over(self.norm, u, q * self.den)
         perturbed = None
         if proj.failure == ZERO_COEFFICIENT:
-            x = tuple(Fraction(c, self.den) for c in u) if x is None else x
-            base = dual_witness(self.norm, vector(witness_target(x)))
-            perturbed = perturb_witness(Instance(self.vectors, x, self.norm),
-                                        base)
-            proj = self._along(perturbed.direction, base.direction)
+            if self.squared and not is_zero(u):
+                lam = q * self.den  # D = x = u / (q den)
+            c, s, m = self.perturb(w, s, lam, u, q, k)
+            proj, perturbed = self._along(c, s), (c, m)
         t = dot(u, proj.w)
-        k = norm_eval(self.norm, u).ceil(self.den)
-        failure = proj.failure or certificate_failure(proj.scale, (), t, k)
+        failure = proj.failure or certificate_failure(
+            proj.s, self.squared, (), t, q, k)
         if failure is not None:
             raise CertificateError(failure)
         return proj, t, k, perturbed
 
-    def locate(self, x: RVector):
-        """_locate for the target x in the vectors' own units."""
-        u = (c * self.den for c in x)  # integers where x is on the lattice
-        return self._locate(tuple(int(c) if c % 1 == 0 else c for c in u), x)
+    def perturb(self, w: tuple[int, ...], s: int, lam: int,
+                u: tuple[int, ...], q: int, k: int):
+        """perturb_witness's search for w = lam * D at scale s and the
+        target u / q: (c, s', m) for the first candidate c that passes at
+        its scale s', with c / m the w' that perturb_witness returns."""
+        den, squared, vectors = self.den, self.squared, self.scaled
+        # With lam a multiple of den, lam * z is integral for every z.
+        f = den // math.gcd(den, lam)
+        lam *= f
+        base = tuple(f * a for a in w)
+        s = _times(s, f, squared)
+        d, n = len(w), len(vectors)
+        dirs = [tuple(sign * (i == j) for i in range(d))
+                for j in range(d) for sign in (lam, -lam)]
+        dirs += [tuple(lam // den * a for a in v) for v in vectors]
+        curve = [tuple(sign * t ** j for j in range(d))
+                 for t in range(1, n * (d - 1) + 2) for sign in (lam, -lam)]
+        for schedule in (dirs, curve):
+            for e in ETA_EXPONENTS:
+                # c = 2^e lam ((1 - eta) D + eta z), at scale 2^e s
+                keep, se = (1 << e) - 1, _times(s, 1 << e, squared)
+                for z in schedule:
+                    c = tuple(keep * a + b for a, b in zip(base, z))
+                    if certificate_failure(
+                            se, squared, [dot(v, c) for v in vectors],
+                            dot(u, c), q, k) is None:
+                        return c, se, lam << e
+        tried = len(ETA_EXPONENTS) * (len(dirs) + len(curve))
+        raise PerturbationError(
+            f"no acceptable witness perturbation among {tried} candidates "
+            f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={n}, d={d}, "
+            f"norm={format_norm(self.norm)})")
 
-    def counts(self, u) -> tuple[int, int]:
+    def counts(self, u: tuple[int, ...]) -> tuple[int, int]:
         """(projected, allowed) sign-pattern counts for the target u."""
-        proj, t, k, _ = self._locate(u)
-        return proj.count(t), lo_count(len(self.vectors), k)
+        proj, t, k, _ = self.locate(u)
+        return proj.count(t), lo_count(len(self.scaled), k)
 
 
 def project(instance: Instance) -> ProjectedInstance:
@@ -295,21 +307,27 @@ def project(instance: Instance) -> ProjectedInstance:
     witness: the dual witness of the target (of e_1 when x = 0, where
     k = 0 and any direction works), or its perturbation."""
     chain = Chain(instance.vectors, instance.norm)
-    proj, t, k, perturbed = chain.locate(instance.target)
-    w = perturbed or dual_witness(instance.norm,
-                                  vector(witness_target(instance.target)))
-    # The chain's w is the primitive multiple of w.direction.
-    unit = chain.den * _primitive(w.direction)[1]
+    u, q = chain.units(instance.target)
+    proj, t, k, perturbed = chain.locate(u, q)
+    w = dual_witness(instance.norm, vector(witness_target(instance.target)))
+    if perturbed is not None:
+        c, m = perturbed
+        w = Witness(tuple(Fraction(a, m) for a in c), w.scale)
+    # The chain's w is a positive multiple of w.direction.
+    j = next(j for j, a in enumerate(w.direction) if a)
+    unit = chain.den * proj.w[j] / w.direction[j]
     return ProjectedInstance(tuple(c / unit for c in proj.coefficients),
-                             t / unit, w.scale, k, perturbed is not None)
+                             t / (q * unit), w.scale, k,
+                             perturbed is not None)
 
 
 def verify_instance(instance: Instance) -> VerificationReport:
     """Run the full chain p_exact <= p_projected <= bound, all exact."""
     chain = Chain(instance.vectors, instance.norm)
-    proj, t, k, perturbed = chain.locate(instance.target)
+    u, q = chain.units(instance.target)
+    proj, t, k, perturbed = chain.locate(u, q)
     p_exact = atom_nd(instance.vectors, instance.target)
-    p_projected = Fraction(proj.count(t), 2 ** instance.n)
+    p_projected = Fraction(0 if t % q else proj.count(t // q), 2 ** instance.n)
     bound = lo_bound(instance.n, k)
     return VerificationReport(
         p_exact=p_exact,

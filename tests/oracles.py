@@ -2,12 +2,16 @@
 
 Everything here enumerates literally (sign patterns via itertools, the
 Pascal triangle via its additive recurrence) and shares no code with
-the library's counting paths.
+the library's counting paths.  The perturbation search is kept in its
+rational form, as the reference for the library's integer search.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+
+from littlewood_offord import PerturbationError, Witness, ceil_norm
 
 
 def enumerate_atom_1d(a, t) -> Fraction:
@@ -65,3 +69,61 @@ def pascal_atom(n: int, m: int) -> Fraction:
                 nxt[u] = nxt.get(u, Fraction(0)) + p / 2
         dist = nxt
     return dist.get(m, Fraction(0))
+
+
+def _ceil_over_scale(t, scale) -> int:
+    """ceil(t / s) for the exact scale s of a witness."""
+    if scale.kind == "rational":
+        return math.ceil(t / scale.value)
+    r = t * t / scale.value                        # (t / s)^2
+    m = math.isqrt(r.numerator // r.denominator)   # floor(|t| / s)
+    if t <= 0:
+        return -m
+    return m if m * m == r else m + 1
+
+
+def _within_scale(c, scale) -> bool:
+    if scale.kind == "rational":
+        return abs(c) <= scale.value
+    return c * c <= scale.value
+
+
+def reference_perturb_witness(instance, w):
+    """The perturbation schedule in rational arithmetic: for eta in
+    2^-3, 2^-6, ..., 2^-30 and z in +e_1, -e_1, ..., +e_d, -e_d, v_1,
+    ..., v_n, the first w' = (1 - eta) w + eta z whose coefficients
+    <v_i, w'> are nonzero and at most the scale s of w in absolute
+    value, and with ceil(<x, w'> / s) = ceil ||x||; when none passes,
+    the same over +z(t), -z(t), z(t) = (1, t, ..., t^(d-1)),
+    t = 1, ..., n(d-1)+1."""
+    d, n = len(instance.target), len(instance.vectors)
+    x = instance.target
+    k = ceil_norm(instance.norm, x)
+    dirs = []
+    for j in range(d):
+        for sign in (1, -1):
+            z = [Fraction(0)] * d
+            z[j] = Fraction(sign)
+            dirs.append(tuple(z))
+    dirs.extend(instance.vectors)
+    curve = []
+    for t in range(1, n * (d - 1) + 2):
+        z = tuple(Fraction(t ** j) for j in range(d))
+        curve += [z, tuple(-c for c in z)]
+    tried = 0
+    for schedule in (dirs, curve):
+        for exp in range(3, 31, 3):
+            eta = Fraction(1, 2 ** exp)
+            for z in schedule:
+                tried += 1
+                cand = tuple((1 - eta) * a + eta * b
+                             for a, b in zip(w.direction, z))
+                coeffs = [sum(a * b for a, b in zip(v, cand))
+                          for v in instance.vectors]
+                t = sum(a * b for a, b in zip(x, cand))
+                if (all(coeffs)
+                        and all(_within_scale(c, w.scale) for c in coeffs)
+                        and _ceil_over_scale(t, w.scale) == k):
+                    return Witness(cand, w.scale)
+    raise PerturbationError(
+        f"no acceptable witness perturbation among {tried} candidates")

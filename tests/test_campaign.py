@@ -1,6 +1,7 @@
 """Instance generators and campaign runs: determinism, aggregation,
 config parsing, and report serialization."""
 
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -142,12 +143,12 @@ def _check_against_oracles(norm, vectors):
 
 def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
     perturbations = []
-    perturb_witness = reduction.perturb_witness
+    perturb = reduction.Chain.perturb
 
     def counted(*args):
         perturbations.append(args)
-        return perturb_witness(*args)
-    monkeypatch.setattr(reduction, "perturb_witness", counted)
+        return perturb(*args)
+    monkeypatch.setattr(reduction.Chain, "perturb", counted)
     for norm, d, grid, n_max in SWEEPS:
         perturbations.clear()
         cfg, combos = _sweep_tasks(norm, d, grid, n_max)
@@ -194,9 +195,9 @@ def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
 def test_failed_certificate_is_recorded_per_instance(monkeypatch):
     # 1-d vectors never need perturbation, so every instance reaches the
     # ceiling certificate, which is made to fail.
-    def broken(t, scale):
+    def broken(t, s, squared):
         return -1
-    monkeypatch.setattr(reduction, "ceil_over_scale", broken)
+    monkeypatch.setattr(reduction, "ceil_ratio", broken)
     cfg, combos = _sweep_tasks(L2, 1, (F(1, 2), F(1)), 3)
     for combo in combos:
         assert _task_exhaustive(L2, combo) == _per_instance_task(L2, combo)
@@ -236,9 +237,8 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
     class FakePool:
         """Runs the tasks in this process and records the pool size."""
 
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -262,6 +262,21 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert format_campaign_report(run_campaign(cfg)) == expected
     assert sizes == [3, 2]                   # unknown core count: no pool
+
+
+def test_campaign_tasks_are_generated_as_they_run():
+    # linf on the planar grid at n <= 7 has 245,156 vector multisets, so
+    # listing every task before the first one runs costs tens of MiB.
+    cfg = CampaignConfig(mode="exhaustive-grid", norms=(LINF,), n_min=1,
+                         n_max=7, d_min=2, d_max=2, grid=GRID)
+    tracemalloc.start()
+    try:
+        first = next(iter(_build_tasks(cfg)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == (_task_exhaustive, LINF, ((F(-1), F(-1)),))
+    assert peak < 2 ** 20
 
 
 def test_campaign_reports_are_deterministic_across_workers():

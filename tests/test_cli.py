@@ -174,7 +174,7 @@ def test_campaign_with_only_errors_is_incomplete(tmp_path, capsys):
 
 def test_exit_code_4_on_failed_certificate(tmp_path, capsys, monkeypatch):
     from littlewood_offord import reduction
-    monkeypatch.setattr(reduction, "within_scale", lambda c, scale: False)
+    monkeypatch.setattr(reduction, "within", lambda c, s, squared: False)
     path = tmp_path / "axis.instance"
     path.write_text("dimension = 2\nnorm = l2\nvectors = 1,0; 0,1\n"
                     "target = 1,1\n")

@@ -4,6 +4,7 @@ perturbation, the verified chain, and instance/report text forms."""
 import gc
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction as F
 
@@ -14,8 +15,10 @@ from littlewood_offord import (InputError, Instance, NormSpec,
                                dual_witness, format_instance, format_report,
                                gen_random, lo_bound, make_instance, parse_norm,
                                parse_instance, perturb_witness, project,
-                               verify_instance)
-from oracles import enumerate_atom_1d, enumerate_atom_nd, pascal_binomial
+                               vector, verify_instance)
+from littlewood_offord.norms import witness_target
+from oracles import (enumerate_atom_1d, enumerate_atom_nd, pascal_binomial,
+                     reference_perturb_witness)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY3 = NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)])
@@ -138,15 +141,18 @@ def test_perturb_witness_checks_all_three_conditions():
     assert project(inst).k == 1
 
 
+# w = x is orthogonal to (-1/2, 1/2, 0), (0, 0, 3/4) and (0, 0, -1).
+# No single +-e_j or v_i direction leaves both hyperplanes, so only the
+# moment-curve pass z(t) = (1, t, t^2) finds a witness.
+TWO_HYPERPLANES_D3 = (
+    "dimension = 3\nnorm = l2\n"
+    "vectors = 3/4,1/2,0; 3/4,1/4,0; -1/2,-1/4,0; -1/2,1/2,0; 0,0,3/4; "
+    "3/4,-1/2,0; 0,0,-1; -1/2,3/4,0\n"
+    "target = -1/4,-1/4,0\n")
+
+
 def test_perturbation_clears_two_hyperplanes_in_d3():
-    # w = x is orthogonal to (-1/2, 1/2, 0), (0, 0, 3/4) and (0, 0, -1).
-    # No single +-e_j or v_i direction leaves both hyperplanes, so only
-    # the moment-curve pass z(t) = (1, t, t^2) finds a witness.
-    inst = parse_instance(
-        "dimension = 3\nnorm = l2\n"
-        "vectors = 3/4,1/2,0; 3/4,1/4,0; -1/2,-1/4,0; -1/2,1/2,0; 0,0,3/4; "
-        "3/4,-1/2,0; 0,0,-1; -1/2,3/4,0\n"
-        "target = -1/4,-1/4,0\n")
+    inst = parse_instance(TWO_HYPERPLANES_D3)
     proj = project(inst)
     assert proj.perturbed and proj.k == 1
     assert all(c != 0 for c in proj.coefficients)
@@ -156,6 +162,60 @@ def test_perturbation_clears_two_hyperplanes_in_d3():
     assert report.p_exact == enumerate_atom_nd(inst.vectors, inst.target)
     assert report.p_projected == enumerate_atom_1d(proj.coefficients,
                                                    proj.target_value)
+
+
+POLY_BY_D = {1: NormSpec.polyhedral([(F(3, 4),)]), 2: POLY3,
+             3: NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                     (1, 1, 1)])}
+
+
+def _perturbation_cases():
+    """Seeded instances at d = 1..3 under all four norm kinds, on grids
+    with zero coordinates (so that witnesses often meet a hyperplane),
+    with reachable or grid targets, off-lattice targets and x = 0."""
+    rng = random.Random(2207)
+    for i in range(480):
+        d = i % 3 + 1
+        kind = ("l1", "l2", "linf", "poly")[i // 3 % 4]
+        norm = POLY_BY_D[d] if kind == "poly" else NormSpec(kind)
+        inst = gen_random(rng.getrandbits(32), rng.randint(1, 8), d, norm,
+                          rng.choice((1, 2, 4)))
+        target = inst.target
+        if i // 12 % 4 == 1:
+            target = tuple(F(rng.randint(-7, 7), rng.choice((3, 5, 7)))
+                           for _ in range(d))
+        elif i // 12 % 4 == 2:
+            target = (F(0),) * d
+        yield Instance(inst.vectors, target, norm)
+    yield parse_instance(TWO_HYPERPLANES_D3)
+
+
+def test_perturbation_matches_the_rational_reference():
+    # The integer search must pick the witness the rational schedule
+    # picks, in the same order; project() and verify_instance must agree
+    # with brute-force enumeration along it.
+    perturbed = 0
+    for inst in _perturbation_cases():
+        w = dual_witness(inst.norm, vector(witness_target(inst.target)))
+        try:
+            expected = reference_perturb_witness(inst, w)
+        except PerturbationError as exc:
+            with pytest.raises(PerturbationError, match=re.escape(str(exc))):
+                perturb_witness(inst, w)
+            continue
+        assert perturb_witness(inst, w) == expected, inst
+        proj = project(inst)
+        report = verify_instance(inst)
+        assert report.perturbed == proj.perturbed
+        if proj.perturbed:
+            perturbed += 1
+            assert proj.coefficients == tuple(dot(v, expected.direction)
+                                              for v in inst.vectors)
+            assert proj.target_value == dot(inst.target, expected.direction)
+        assert report.p_exact == enumerate_atom_nd(inst.vectors, inst.target)
+        assert report.p_projected == enumerate_atom_1d(proj.coefficients,
+                                                       proj.target_value)
+    assert perturbed >= 100
 
 
 def test_batch_of_one_in_the_meet_in_the_middle_range():
