@@ -163,11 +163,11 @@ class NormValue:
             raise InputError("a squared magnitude cannot be negative")
         return cls(SQUARED, q2)
 
-    def ceil(self, den: int = 1) -> int:
-        """Exact ceiling of the magnitude divided by den > 0."""
+    def ceil(self) -> int:
+        """Exact ceiling of the magnitude."""
         if self.kind == RATIONAL:
-            return -(-self.value // den)
-        return ceil_sqrt(self.value / (den * den))
+            return math.ceil(self.value)
+        return ceil_sqrt(self.value)
 
     def le_rational(self, q) -> bool:
         """Exact test: magnitude <= q."""

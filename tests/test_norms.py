@@ -11,7 +11,8 @@ from littlewood_offord import (InputError, NormSpec, UnsupportedNormOperation,
                                ceil_norm, dot, double_dual_check, dual_eval,
                                dual_spec, dual_witness, format_norm,
                                holder_check, norm_eval, parse_norm)
-from littlewood_offord.norms import witness_direction, witness_target
+from littlewood_offord.norms import (ceil_norm_over, integer_witness,
+                                     witness_direction, witness_target)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY_CROSS = NormSpec.polyhedral([(1, 0), (1, 1)])
@@ -228,13 +229,16 @@ POLY_FRAC = NormSpec.polyhedral([(F(1, 2), 0), (F(1, 3), F(2, 3))])
 @given(ints=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
        den=st.integers(min_value=1, max_value=12))
 def test_witness_and_ceiling_on_scaled_integers(spec, ints, den):
-    # Batched sweeps read the witness and k off the target scaled to
+    # The chain reads the witness and k off the target scaled to
     # integers; both must agree with the rational computation.
     x = tuple(F(c, den) for c in ints)
-    assert norm_eval(spec, ints).ceil(den) == ceil_norm(spec, x)
+    assert ceil_norm_over(spec, ints, den) == ceil_norm(spec, x)
     if ints == (0, 0):
         return
     direction = witness_direction(spec, ints)
+    w, lam = integer_witness(spec, ints)
+    assert all(type(c) is int for c in w)
+    assert tuple(F(c, lam) for c in w) == direction
     if spec.kind == "l2":
         assert direction == ints
     else:
