@@ -119,6 +119,10 @@ class CampaignConfig:
                     raise InputError(
                         "extremal mode needs axis-symmetric norms "
                         f"(l1, l2, linf), got {format_norm(nm)}")
+        elif self.norms:  # uniform-kleitman
+            raise InputError(
+                "uniform-kleitman mode always draws l2 instances and "
+                "takes no norms")
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,16 @@ One kernel serves every dimension: each scaled d-vector is packed into
 one integer as balanced base-m digits (first coordinate most
 significant, m = 2 * max_j sum_i |v_ij| + 1), a linear map that is
 injective on the box every signed sum lies in and that orders codes
-lexicographically.  A target outside that box is answered 0 before it
-is packed, since its code could alias a reachable sum.  At d = 1 the
-code is the scaled value itself.
+lexicographically.  At d = 1 the code is the scaled value itself.
+
+A target enters the same units by one rule, target_units, which the
+verification chain (reduction.Chain.units) shares: den * x as an
+integer vector u over one denominator q.  atom_nd answers 0 before
+packing when some u_j is not a multiple of q (off the lattice the
+vectors span) or |u_j| > q * reach_j (outside the reachable box, where
+its code could alias a reachable sum).  The 1-d queries are
+one-column views: atom_1d is atom_nd and rho_max_1d is max_atom on
+the column of coefficients.
 
 Two enumeration strategies:
 
@@ -41,29 +48,21 @@ from functools import partial
 from typing import Callable, Sequence
 
 from .errors import CapacityError, InputError
-from .norms import RVector
+from .norms import RVector, vector
 
 DIRECT_LIMIT = 24
 PROBE_LIMIT = 44
 EXHAUSTIVE_LIMIT = DIRECT_LIMIT
 
 
-def _canon(q) -> Fraction:
-    # Fraction(Fraction(...)) copies; skip it on the hot paths.
-    return q if type(q) is Fraction else Fraction(q)
-
-
-def _as_column(a: Sequence) -> list[RVector]:
-    """Coefficients as 1-d vectors, for scaled_vectors."""
-    rows = [(q,) for q in a]
-    if not rows:
-        raise InputError("empty coefficient list")
-    return rows
+def _as_column(a: Sequence) -> list[tuple]:
+    """Coefficients as 1-d vectors: the one column the 1-d queries view."""
+    return [(q,) for q in a]
 
 
 def _as_vectors(v: Sequence[Sequence]) -> list[RVector]:
     """Validated vectors: at least one, all of one nonzero dimension."""
-    rows = [tuple(_canon(c) for c in row) for row in v]
+    rows = [vector(row) for row in v]
     if not rows:
         raise InputError("empty vector list")
     d = len(rows[0])
@@ -154,25 +153,6 @@ def sign_counter(values: tuple[int, ...],
     return partial(_probe_count, values)
 
 
-def _atom(den: int, vectors: tuple[tuple[int, ...], ...], target: RVector,
-          method: str) -> Fraction:
-    n = len(vectors)
-    method = _check_probe_size(n, method)
-    codes, reach, m = _packed(vectors)
-    key = 0
-    for c, r in zip(target, reach):
-        if den % c.denominator:
-            return Fraction(0)  # off the lattice spanned by the vectors
-        t = c.numerator * (den // c.denominator)
-        if abs(t) > r:
-            # Outside the reachable box.  Rejecting it here is also what
-            # keeps the packed code injective: a target beyond the box
-            # could alias a reachable sum.
-            return Fraction(0)
-        key = key * m + t
-    return Fraction(sign_counter(codes, method)(key), 2 ** n)
-
-
 def _full_table(vectors: Sequence[Sequence[int]],
                 what: str) -> tuple[dict[int, int], int]:
     """(packed table, m) of integer vectors, for the operations that
@@ -184,24 +164,44 @@ def _full_table(vectors: Sequence[Sequence[int]],
     return _int_table(codes), m
 
 
-def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
-    """Exact P(sum_i eps_i a_i = t) over uniform independent signs eps_i.
+def target_units(den: int, x: Sequence) -> tuple[tuple[int, ...], int]:
+    """(u, q): the target x in the units of vectors scaled by den, an
+    integer vector u over q >= 1 (the lcm of x's denominators) with
+    u / q = den * x."""
+    x = vector(x)
+    q = math.lcm(*(c.denominator for c in x))
+    return tuple(den * c.numerator * (q // c.denominator) for c in x), q
+
+
+def atom_nd(v: Sequence[Sequence], x: Sequence, *, method: str = "auto") -> Fraction:
+    """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i.
 
     method "auto" picks direct convolution up to DIRECT_LIMIT variables
     and meet-in-the-middle up to PROBE_LIMIT; "direct" or "mitm" force
     one path (the equivalence tests exercise both against each other).
     """
-    return _atom(*scaled_vectors(_as_column(a)), (_canon(t),), method)
-
-
-def atom_nd(v: Sequence[Sequence], x: Sequence, *, method: str = "auto") -> Fraction:
-    """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i."""
     den, vectors = scaled_vectors(v)
-    target = tuple(_canon(c) for c in x)
-    if len(target) != len(vectors[0]):
-        raise InputError(f"target has dimension {len(target)}, "
+    u, q = target_units(den, x)
+    if len(u) != len(vectors[0]):
+        raise InputError(f"target has dimension {len(u)}, "
                          f"vectors have {len(vectors[0])}")
-    return _atom(den, vectors, target, method)
+    n = len(vectors)
+    method = _check_probe_size(n, method)
+    codes, reach, m = _packed(vectors)
+    key = 0
+    for c, r in zip(u, reach):
+        # Off the lattice, or outside the box on which packing is
+        # injective: either way no sum hits x, and a packed x could
+        # alias one.
+        if c % q or abs(c) > q * r:
+            return Fraction(0)
+        key = key * m + c // q
+    return Fraction(sign_counter(codes, method)(key), 2 ** n)
+
+
+def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
+    """Exact P(sum_i eps_i a_i = t): atom_nd on one column."""
+    return atom_nd(_as_column(a), (t,), method=method)
 
 
 def sum_table_1d(a: Sequence) -> dict[Fraction, int]:
@@ -271,8 +271,6 @@ def max_atom(v: Sequence[Sequence]) -> tuple[RVector, Fraction]:
 
 
 def rho_max_1d(a: Sequence) -> Fraction:
-    """Largest atom probability max_t P(sum_i eps_i a_i = t)."""
-    _, vectors = scaled_vectors(_as_column(a))
-    table, _ = _full_table(
-        vectors, "rho_max_1d enumerates the full table and supports")
-    return Fraction(max(table.values()), 2 ** len(vectors))
+    """Largest atom probability max_t P(sum_i eps_i a_i = t): max_atom
+    on one column."""
+    return max_atom(_as_column(a))[1]

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 # perfbench/tracer.py wraps reduction.atom_1d, so the name stays here.
 from .concentration import (atom_1d, atom_nd, scaled_vectors,  # noqa: F401
-                            sign_counter)
+                            sign_counter, target_units)
 from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
                        lo_bound, lo_count, parse_int, parse_rational)
@@ -176,7 +176,13 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     independent hyperplanes that no single direction of the first pass
     leaves at once.  For v != 0, <v, z(t)> is a nonzero
     polynomial in t of degree below d, so some t in that range keeps
-    every <v_i, z(t)> nonzero.  The search runs on integers, in
+    every <v_i, z(t)> nonzero.
+
+    When both passes are exhausted and x = 0, k = 0 at every scale and
+    only the coefficients bind: w' is the first of +z(t), -z(t) for
+    t = 1, 2, ... whose coefficients are all nonzero, times the largest
+    2^-e (e >= 0) that puts every coefficient within the scale of w
+    (compared in squares for l2).  The search runs on integers, in
     Chain.perturb.
     """
     chain = Chain(instance.vectors, instance.norm)
@@ -219,8 +225,7 @@ class Chain:
 
     def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
         """(u, q): the target x in chain units, u / q = den * x."""
-        q, (u,) = scaled_vectors((x,))
-        return tuple(self.den * c for c in u), q
+        return target_units(self.den, x)
 
     def _along(self, w: tuple[int, ...], s: int) -> Projection:
         """The cached projection along w at scale s, both divided by their
@@ -290,6 +295,16 @@ class Chain:
                             se, squared, [dot(v, c) for v in vectors],
                             dot(u, c), q, k) is None:
                         return c, se, lam << e
+        if not any(u):
+            # x = 0 keeps k = 0 at every scale, so only the coefficients
+            # bind: the first +-z(t) that clears every hyperplane serves,
+            # halved until its coefficients lie within the scale.
+            for z in curve:
+                coefficients = [dot(v, z) for v in vectors]
+                if all(coefficients):
+                    while certificate_failure(s, squared, coefficients):
+                        s, lam = _times(s, 2, squared), 2 * lam
+                    return z, s, lam
         tried = len(ETA_EXPONENTS) * (len(dirs) + len(curve))
         raise PerturbationError(
             f"no acceptable witness perturbation among {tried} candidates "
@@ -412,11 +427,9 @@ def parse_instance(text: str) -> Instance:
     return Instance(vectors, target, norm)
 
 
-def report_lines(report: VerificationReport, n: int | None = None) -> list[str]:
-    lines = []
-    if n is not None:
-        lines.append(f"n = {n}")
-    lines += [
+def report_lines(report: VerificationReport, n: int) -> list[str]:
+    return [
+        f"n = {n}",
         f"k = {report.k}",
         f"delta = {report.delta}",
         f"p_exact = {format_rational(report.p_exact)}",
@@ -426,14 +439,9 @@ def report_lines(report: VerificationReport, n: int | None = None) -> list[str]:
         f"tight = {format_bool(report.tight)}",
         f"perturbed = {format_bool(report.perturbed)}",
     ]
-    return lines
 
 
-def format_report(report: VerificationReport, instance: Instance | None = None) -> str:
-    lines = [REPORT_HEADER]
-    if instance is not None:
-        lines += instance_lines(instance)
-        lines += report_lines(report, n=instance.n)
-    else:
-        lines += report_lines(report)
+def format_report(report: VerificationReport, instance: Instance) -> str:
+    lines = [REPORT_HEADER] + instance_lines(instance)
+    lines += report_lines(report, instance.n)
     return "\n".join(lines) + "\n"

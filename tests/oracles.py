@@ -95,7 +95,9 @@ def reference_perturb_witness(instance, w):
     <v_i, w'> are nonzero and at most the scale s of w in absolute
     value, and with ceil(<x, w'> / s) = ceil ||x||; when none passes,
     the same over +z(t), -z(t), z(t) = (1, t, ..., t^(d-1)),
-    t = 1, ..., n(d-1)+1."""
+    t = 1, ..., n(d-1)+1; when none passes either and x = 0, the first
+    of those z(t) whose coefficients are all nonzero, halved until they
+    lie within the scale."""
     d, n = len(instance.target), len(instance.vectors)
     x = instance.target
     k = ceil_norm(instance.norm, x)
@@ -125,5 +127,14 @@ def reference_perturb_witness(instance, w):
                         and all(_within_scale(c, w.scale) for c in coeffs)
                         and _ceil_over_scale(t, w.scale) == k):
                     return Witness(cand, w.scale)
+    if all(c == 0 for c in x):
+        for z in curve:
+            coeffs = [sum(a * b for a, b in zip(v, z))
+                      for v in instance.vectors]
+            if all(coeffs):
+                f = Fraction(1)
+                while not all(_within_scale(f * c, w.scale) for c in coeffs):
+                    f /= 2
+                return Witness(tuple(f * c for c in z), w.scale)
     raise PerturbationError(
         f"no acceptable witness perturbation among {tried} candidates")

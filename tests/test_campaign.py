@@ -372,6 +372,8 @@ def test_campaign_config_parse_errors():
         parse_campaign_config("mode = exhaustive-grid\nnorms = l1\n")  # no grid
     with pytest.raises(InputError):
         parse_campaign_config("mode = extremal\nnorms = poly:[1,0;0,1]\n")
+    with pytest.raises(InputError, match="takes no norms"):
+        parse_campaign_config("mode = uniform-kleitman\nnorms = l1\n")
     with pytest.raises(InputError, match="unknown norm spec"):
         parse_campaign_config("mode = random\nnorms = lp:3\nbudget = 3\n")
     with pytest.raises(InputError, match="line 3: duplicate key 'budget'"):

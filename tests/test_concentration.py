@@ -1,6 +1,7 @@
 """Exact sign-sum enumeration: point atoms, full tables, maxima, and the
 direct versus meet-in-the-middle equivalence."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -86,23 +87,44 @@ def test_forced_methods_agree_with_enumeration():
         assert atom_1d(a, t, method="auto") == expected
 
 
+def _moved(x, j, c):
+    return x[:j] + (c,) + x[j + 1:]
+
+
 def test_forced_methods_agree_nd():
     rng = random.Random(1107)
+    aux = random.Random(1112)
     for i in range(120):
         n = rng.randint(1, 8)
         d = 3 if i % 2 else rng.randint(1, 3)
         vectors = [tuple(F(rng.randint(-4, 4), 4) for _ in range(d))
                    for _ in range(n)]
         if rng.random() < 0.5:
-            # a reachable sum, so that the count is usually nonzero
+            # signs drawn per coordinate, so reachable for certain at d = 1 only
             x = tuple(sum(rng.choice((-1, 1)) * v[j] for v in vectors)
                       for j in range(d))
         else:
             # a grid point that may lie outside the reachable box
             x = tuple(F(rng.randint(-4 * n, 4 * n), 4) for _ in range(d))
-        expected = enumerate_atom_nd(vectors, x)
-        assert atom_nd(vectors, x, method="direct") == expected
-        assert atom_nd(vectors, x, method="mitm") == expected
+        # A reachable sum s: on the lattice, and in lowest terms over a
+        # denominator above 1 whenever a coordinate is fractional.
+        signs = [aux.choice((-1, 1)) for _ in vectors]
+        s = tuple(sum(e * v[j] for e, v in zip(signs, vectors))
+                  for j in range(d))
+        j = aux.randrange(d)
+        den = math.lcm(*(c.denominator for v in vectors for c in v))
+        reach = sum(abs(v[j]) for v in vectors)
+        targets = [
+            x, s,
+            # off the 1/4 lattice (denominators 3 and 8), just above s
+            _moved(s, j, s[j] + F(1, 3)), _moved(s, j, s[j] + F(1, 8)),
+            # one lattice step past the reach, either side
+            _moved(s, j, reach + F(1, den)), _moved(s, j, -reach - F(1, den)),
+        ]
+        for y in targets:
+            expected = enumerate_atom_nd(vectors, y)
+            assert atom_nd(vectors, y, method="direct") == expected, (vectors, y)
+            assert atom_nd(vectors, y, method="mitm") == expected, (vectors, y)
 
 
 def test_sum_table_1d_matches_enumeration():

@@ -164,6 +164,30 @@ def test_perturbation_clears_two_hyperplanes_in_d3():
                                                    proj.target_value)
 
 
+# At x = 0 the linf witness is e_1, and no candidate of either pass
+# keeps every coefficient within the scale 1.  k = 0 at every scale, so
+# z(2) = (1, 2, 4), with coefficients 2, -5, -4, 2, -6, 3, -1, -2, is
+# halved three times instead.
+ZERO_TARGET_LINF_D3 = (
+    "dimension = 3\nnorm = linf\n"
+    "vectors = 0,-1,1; -1,0,-1; 0,0,-1; 0,-1,1; 0,-1,-1; -1,0,1; 1,1,-1; "
+    "0,-1,0\n"
+    "target = 0,0,0\n")
+
+
+def test_zero_target_falls_back_to_the_moment_curve():
+    inst = parse_instance(ZERO_TARGET_LINF_D3)
+    proj = project(inst)
+    assert proj.perturbed and proj.k == 0 and proj.target_value == 0
+    assert proj.coefficients == tuple(F(c, 8)
+                                      for c in (2, -5, -4, 2, -6, 3, -1, -2))
+    report = verify_instance(inst)
+    assert report.chain_holds and report.perturbed
+    assert report.p_exact == enumerate_atom_nd(inst.vectors, inst.target)
+    assert report.p_projected == enumerate_atom_1d(proj.coefficients,
+                                                   proj.target_value)
+
+
 POLY_BY_D = {1: NormSpec.polyhedral([(F(3, 4),)]), 2: POLY3,
              3: NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1),
                                      (1, 1, 1)])}
@@ -188,6 +212,7 @@ def _perturbation_cases():
             target = (F(0),) * d
         yield Instance(inst.vectors, target, norm)
     yield parse_instance(TWO_HYPERPLANES_D3)
+    yield parse_instance(ZERO_TARGET_LINF_D3)
 
 
 def test_perturbation_matches_the_rational_reference():
