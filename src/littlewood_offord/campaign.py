@@ -5,7 +5,7 @@ one, and aggregates a deterministic report:
 
 * exhaustive-grid   - every multiset of unit-ball grid vectors, every
                       reachable sum as the target, verified on one
-                      reduction.Chain per multiset;
+                      reduction.Chain per sign orbit (below);
 * random            - seeded random instances on a rational grid, each
                       verified as a batch of one (verify_instance);
 * extremal          - the tightness construction (n aligned copies of
@@ -19,6 +19,20 @@ scheduling but never the report bytes.  Wall time is kept in memory
 only and never serialized, for the same reason.  Per-instance failures
 (capacity, perturbation search, infeasible sampling, a failed
 certificate) are recorded in the report rather than aborting the stream.
+
+The eps_i are symmetric, so negating some v_i leaves the law of the
+sign sum unchanged, and along any witness it only negates projected
+coefficients.  So the multisets of one sign orbit (every sign choice
+that stays in the grid universe) share their sum table and, on every
+target whose witness needs no perturbation, k and the whole chain.  An
+exhaustive-grid task verifies one orbit: its representative, each
+vector the larger of +-v when both lie in the universe, runs its chain
+on every target, and each other member reruns on its own chain only
+the targets where the representative was perturbed (the search tries
+the v_i as directions, so it depends on the signs), failed its chain,
+or raised.  Indices stay those of the per-multiset stream: the runner
+resolves a block's (norm, d, n) record indices from the targets of its
+orbits once the block has merged.
 """
 
 from __future__ import annotations
@@ -28,10 +42,12 @@ import math
 import os
 import random
 import time
+from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import (chain, combinations_with_replacement, groupby, islice,
+                       product)
 from multiprocessing import Pool
 from typing import Iterator, Sequence
 
@@ -242,13 +258,60 @@ def _grid_universe(grid: Sequence[Fraction], d: int,
             if not is_zero(coords) and in_unit_ball(norm, coords)]
 
 
+def _negated(v: RVector) -> RVector:
+    return tuple(-c for c in v)
+
+
+def _canonical(universe: list[RVector]) -> dict[RVector, RVector]:
+    """Each universe vector's orbit representative: the larger of +-v
+    when both lie in the universe, else v itself."""
+    inside = set(universe)
+    return {v: max(v, _negated(v)) if _negated(v) in inside else v
+            for v in universe}
+
+
+def _grid_blocks(config: CampaignConfig) -> Iterator[tuple]:
+    """The (norm, n, universe, canonical, representatives) blocks of an
+    exhaustive-grid sweep, in report order; representatives are the
+    canonical vectors, in universe order."""
+    for norm in config.norms:
+        for d in range(config.d_min, config.d_max + 1):
+            # Fixed-dimension norms (facet form) only apply to matching d.
+            if norm.dimension not in (None, d):
+                continue
+            universe = _grid_universe(config.grid, d, norm)
+            canonical = _canonical(universe)
+            reps = [v for v in universe if canonical[v] == v]
+            for n in range(config.n_min, config.n_max + 1):
+                yield norm, n, universe, canonical, reps
+
+
+def _orbit(rep: tuple[RVector, ...], mirrored: tuple[bool, ...]
+           ) -> tuple[int, Iterator[tuple[RVector, ...]]]:
+    """The size of rep's sign orbit and its multisets, made as they are
+    read, each sorted as the stream lists it, rep first: every way to
+    negate some copies of each mirrored vector (one whose negation lies
+    in the universe)."""
+    choices = []
+    for (v, flips), copies in groupby(zip(rep, mirrored)):
+        m = len(list(copies))
+        choices.append([(v,) * (m - j) + (_negated(v),) * j
+                        for j in range(m + 1 if flips else 1)])
+    return math.prod(map(len, choices)), (
+        tuple(sorted(chain.from_iterable(parts)))
+        for parts in product(*choices))
+
+
 @dataclass
 class _TaskResult:
     count: int = 0
     tight: int = 0
     max_ratio: Fraction = Fraction(0)
-    violations: list = field(default_factory=list)  # (local index, Instance, report)
-    errors: list = field(default_factory=list)      # (local index, message)
+    violations: list = field(default_factory=list)  # (local, Instance, report)
+    errors: list = field(default_factory=list)      # (local, message)
+    # Orbit tasks: the targets of each multiset; their locals are
+    # (multiset, local) pairs.
+    targets: int = 0
 
 
 def _tally(res: _TaskResult, local: int, instance: Instance,
@@ -263,39 +326,101 @@ def _tally(res: _TaskResult, local: int, instance: Instance,
             res.max_ratio = ratio
 
 
+def _tally_counts(res: _TaskResult, count: int, allowed: int) -> None:
+    """Tally a target whose chain held, in pattern counts over 2^n."""
+    if count == allowed:
+        res.tight += 1
+    best = res.max_ratio
+    # count / allowed > best, cross-multiplied (allowed >= count >= 1)
+    if count * best.denominator > best.numerator * allowed:
+        res.max_ratio = Fraction(count, allowed)
+
+
 _RECORDED_FAILURES = (InputError, CapacityError, PerturbationError,
                       CertificateError)
 
 
-def _task_exhaustive(norm: NormSpec, vectors: tuple[RVector, ...]) -> _TaskResult:
-    """Verify every reachable target of one vector multiset on one chain,
-    in pattern counts over 2^n; p_exact is a count in the sum table of
-    the chain's scaled vectors, which lives only as long as this task.
-    A failed chain is rerun by verify_instance for its violation record."""
-    res = _TaskResult()
+def _check_target(res: _TaskResult, chain: Chain, norm: NormSpec,
+                  vectors: tuple[RVector, ...], local: int,
+                  u: tuple[int, ...], count: int) -> int | None:
+    """Verify the target u of one multiset on its chain; count is its
+    p_exact in patterns.  Return the allowed count when the chain held on
+    the unperturbed witness, which every member of the orbit shares, for
+    the caller to tally.  Otherwise tally the target into res and return
+    None; a failed chain is rerun by verify_instance for its violation
+    record."""
+    try:
+        projected, allowed, perturbed = chain.counts(u)
+        if not count <= projected <= allowed:
+            x = tuple(Fraction(c, chain.den) for c in u)
+            instance = Instance(vectors, x, norm)
+            _tally(res, local, instance, verify_instance(instance))
+        elif perturbed:
+            _tally_counts(res, count, allowed)
+        else:
+            return allowed
+    except _RECORDED_FAILURES as exc:
+        res.errors.append((local, str(exc)))
+    return None
+
+
+def _rerun(norm: NormSpec, vectors: tuple[RVector, ...],
+           targets: list[tuple]) -> _TaskResult:
+    """The (local, u, count) targets of one multiset on its own chain."""
+    res = _TaskResult(count=len(targets))
     try:
         chain = Chain(vectors, norm)
     except InputError as exc:
-        res.count = len(reachable_sums_nd(vectors))
-        res.errors = [(local, str(exc)) for local in range(res.count)]
+        res.errors = [(local, str(exc)) for local, _, _ in targets]
         return res
-    for local, (u, count) in enumerate(scaled_sums(chain.scaled)):
-        res.count += 1
-        try:
-            projected, allowed = chain.counts(u)
-            if not count <= projected <= allowed:
-                x = tuple(Fraction(c, chain.den) for c in u)
-                instance = Instance(vectors, x, norm)
-                _tally(res, local, instance, verify_instance(instance))
-                continue
-            if count == allowed:
-                res.tight += 1
-            best = res.max_ratio
-            # count / allowed > best, cross-multiplied (allowed >= count >= 1)
-            if count * best.denominator > best.numerator * allowed:
-                res.max_ratio = Fraction(count, allowed)
-        except _RECORDED_FAILURES as exc:
-            res.errors.append((local, str(exc)))
+    for local, u, count in targets:
+        allowed = _check_target(res, chain, norm, vectors, local, u, count)
+        if allowed is not None:
+            _tally_counts(res, count, allowed)
+    return res
+
+
+def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
+                mirrored: tuple[bool, ...]) -> _TaskResult:
+    """Verify every reachable target of every multiset in the sign orbit
+    of rep (see the module docstring).  rep's chain runs every target in
+    pattern counts over 2^n, p_exact read off the sum table of its scaled
+    vectors, which lives only as long as this task; the other members
+    rerun only the targets rep could not share."""
+    size, members = _orbit(rep, mirrored)
+    shared = _TaskResult()
+    try:
+        rep_chain = Chain(rep, norm)
+    except InputError:
+        # Only outside a sweep: the grid universe holds valid vectors.
+        rerun = [(local, None, None)
+                 for local in range(len(reachable_sums_nd(rep)))]
+        parts = [(m, _rerun(norm, m, rerun)) for m in members]
+    else:
+        own, rerun = _TaskResult(), []
+        for local, (u, count) in enumerate(scaled_sums(rep_chain.scaled)):
+            allowed = _check_target(own, rep_chain, norm, rep, local, u, count)
+            if allowed is None:
+                rerun.append((local, u, count))
+            else:
+                shared.count += 1
+                _tally_counts(shared, count, allowed)
+        own.count = len(rerun)
+        parts = [(rep, own)]
+        if rerun:
+            parts += [(m, _rerun(norm, m, rerun))
+                      for m in islice(members, 1, None)]
+    res = _TaskResult(count=size * shared.count, tight=size * shared.tight,
+                      max_ratio=shared.max_ratio,
+                      targets=shared.count + len(rerun))
+    for member, part in parts:
+        res.count += part.count
+        res.tight += part.tight
+        res.max_ratio = max(res.max_ratio, part.max_ratio)
+        res.violations += [((member, local), instance, report)
+                           for local, instance, report in part.violations]
+        res.errors += [((member, local), message)
+                       for local, message in part.errors]
     return res
 
 
@@ -364,15 +489,12 @@ def _run_task(task: tuple) -> _TaskResult:
 def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
     """The campaign's tasks in report order, one at a time."""
     if config.mode == "exhaustive-grid":
-        for norm in config.norms:
-            for d in range(config.d_min, config.d_max + 1):
-                # Fixed-dimension norms (facet form) only apply to matching d.
-                if norm.dimension not in (None, d):
-                    continue
-                universe = _grid_universe(config.grid, d, norm)
-                for n in range(config.n_min, config.n_max + 1):
-                    for combo in combinations_with_replacement(universe, n):
-                        yield _task_exhaustive, norm, combo
+        # One task per sign orbit, its canonical multiset as representative.
+        for norm, n, _, canonical, reps in _grid_blocks(config):
+            mirrored = {v: _negated(v) in canonical for v in reps}
+            for rep in combinations_with_replacement(reps, n):
+                yield (_task_orbit, norm, rep,
+                       tuple(mirrored[v] for v in rep))
     elif config.mode == "extremal":
         for norm in config.norms:
             for n in range(config.n_min, config.n_max + 1):
@@ -383,18 +505,76 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
             yield task, config, start, min(_BATCH, config.budget - start)
 
 
+class _StreamIndex:
+    """Record indices of an exhaustive-grid sweep, as the per-multiset
+    stream numbers them: every multiset of a (norm, d, n) block in
+    combinations_with_replacement order, each with its reachable targets.
+
+    Orbit tasks merge in canonical order, and a multiset's target count
+    is its representative's.  So the runner keeps one target count per
+    orbit of the current block, and once the block's last orbit merged it
+    walks that block's stream once, if the block has records at all."""
+
+    def __init__(self, config: CampaignConfig):
+        self._blocks = _grid_blocks(config)
+        self._left = 0
+        self._violations: list = []
+        self._errors: list = []
+
+    def add(self, report: CampaignReport, part: _TaskResult,
+            offset: int) -> None:
+        """Merge the records of the orbit task part; offset counts the
+        instances merged before it."""
+        while not self._left:
+            self.flush(report)
+            self._block = next(self._blocks)
+            _, n, _, _, reps = self._block
+            self._left = math.comb(len(reps) + n - 1, n)
+            self._start, self._targets = offset, array("q")
+        self._left -= 1
+        self._targets.append(part.targets)
+        self._violations += part.violations
+        self._errors += part.errors
+
+    def flush(self, report: CampaignReport) -> None:
+        """Append the current block's records with their stream indices."""
+        if not (self._violations or self._errors):
+            return
+        _, n, universe, canonical, reps = self._block
+        targets = dict(zip(combinations_with_replacement(reps, n),
+                           self._targets))
+        wanted = {key[0] for key, *_ in self._violations + self._errors}
+        starts, offset = {}, self._start
+        for combo in combinations_with_replacement(universe, n):
+            if combo in wanted:
+                starts[combo] = offset
+                if len(starts) == len(wanted):
+                    break
+            offset += targets[tuple(sorted(canonical[v] for v in combo))]
+        report.violations += sorted(
+            (Violation(starts[member] + local, instance, vrep)
+             for (member, local), instance, vrep in self._violations),
+            key=lambda violation: violation.index)
+        report.errors += sorted((starts[member] + local, message)
+                                for (member, local), message in self._errors)
+        self._violations, self._errors = [], []
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured campaign and aggregate its report.
 
     Tasks are generated as they run and merge in task order with
-    cumulative instance indexing, so the output is identical for any
-    worker count.  The pool never has more processes than tasks or cores.
+    cumulative instance indexing (for exhaustive-grid, the indices of the
+    per-multiset stream), so the output is identical for any worker
+    count.  The pool never has more processes than tasks or cores.
     """
     started = time.perf_counter()
     tasks = _build_tasks(config)
     # The first tasks, at most one per process, size the pool.
     head = list(islice(tasks, min(config.workers, os.cpu_count() or 1)))
     report = CampaignReport(mode=config.mode)
+    sweep = (_StreamIndex(config) if config.mode == "exhaustive-grid"
+             else None)
     with Pool(len(head)) if len(head) > 1 else nullcontext() as pool:
         tasks = chain(head, tasks)
         partials = (pool.imap(_run_task, tasks, chunksize=8) if pool
@@ -405,11 +585,16 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
             report.tight += part.tight
             if part.max_ratio > report.max_ratio:
                 report.max_ratio = part.max_ratio
+            if sweep:
+                sweep.add(report, part, offset)
+                continue
             for local, instance, vrep in part.violations:
                 report.violations.append(
                     Violation(offset + local, instance, vrep))
             for local, message in part.errors:
                 report.errors.append((offset + local, message))
+    if sweep:
+        sweep.flush(report)
     report.wall_time = time.perf_counter() - started
     return report
 

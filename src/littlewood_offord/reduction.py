@@ -311,10 +311,12 @@ class Chain:
             f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={n}, d={d}, "
             f"norm={format_norm(self.norm)})")
 
-    def counts(self, u: tuple[int, ...]) -> tuple[int, int]:
-        """(projected, allowed) sign-pattern counts for the target u."""
-        proj, t, k, _ = self.locate(u)
-        return proj.count(t), lo_count(len(self.scaled), k)
+    def counts(self, u: tuple[int, ...]) -> tuple[int, int, bool]:
+        """(projected, allowed) sign-pattern counts for the target u, and
+        whether its witness was perturbed."""
+        proj, t, k, perturbed = self.locate(u)
+        return (proj.count(t), lo_count(len(self.scaled), k),
+                perturbed is not None)
 
 
 def project(instance: Instance) -> ProjectedInstance:

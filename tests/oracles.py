@@ -3,15 +3,21 @@
 Everything here enumerates literally (sign patterns via itertools, the
 Pascal triangle via its additive recurrence) and shares no code with
 the library's counting paths.  The perturbation search is kept in its
-rational form, as the reference for the library's integer search.
+rational form, as the reference for the library's integer search, and
+the exhaustive-grid sweep in its unreduced form, every target of every
+multiset verified alone, as the reference for the orbit sweep.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
-from littlewood_offord import PerturbationError, Witness, ceil_norm
+from littlewood_offord import (CampaignReport, Instance, PerturbationError,
+                               Violation, Witness, ceil_norm, in_unit_ball,
+                               reachable_sums_nd, verify_instance)
+from littlewood_offord.campaign import (_RECORDED_FAILURES, _TaskResult,
+                                        _tally)
 
 
 def enumerate_atom_1d(a, t) -> Fraction:
@@ -138,3 +144,45 @@ def reference_perturb_witness(instance, w):
                 return Witness(tuple(f * c for c in z), w.scale)
     raise PerturbationError(
         f"no acceptable witness perturbation among {tried} candidates")
+
+
+def per_instance_task(norm, vectors):
+    """verify_instance, a batch of one, over every reachable target of
+    one multiset."""
+    res = _TaskResult()
+    for target in reachable_sums_nd(vectors):
+        local = res.count
+        res.count += 1
+        try:
+            instance = Instance(vectors, target, norm)
+            _tally(res, local, instance, verify_instance(instance))
+        except _RECORDED_FAILURES as exc:
+            res.errors.append((local, str(exc)))
+    return res
+
+
+def reference_sweep(config) -> CampaignReport:
+    """The exhaustive-grid campaign unreduced: per_instance_task on every
+    multiset of nonzero unit-ball grid vectors, for each norm, d and n in
+    config order, multisets in combinations_with_replacement order and
+    instances indexed along that stream."""
+    report = CampaignReport(mode=config.mode)
+    for norm in config.norms:
+        for d in range(config.d_min, config.d_max + 1):
+            if norm.dimension not in (None, d):
+                continue
+            universe = [p for p in product(sorted(config.grid), repeat=d)
+                        if any(p) and in_unit_ball(norm, p)]
+            for n in range(config.n_min, config.n_max + 1):
+                for combo in combinations_with_replacement(universe, n):
+                    part = per_instance_task(norm, combo)
+                    offset = report.instances
+                    report.instances += part.count
+                    report.tight += part.tight
+                    report.max_ratio = max(report.max_ratio, part.max_ratio)
+                    report.violations += [
+                        Violation(offset + local, instance, vrep)
+                        for local, instance, vrep in part.violations]
+                    report.errors += [(offset + local, message)
+                                      for local, message in part.errors]
+    return report

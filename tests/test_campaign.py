@@ -4,22 +4,22 @@ config parsing, and report serialization."""
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
 from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                InputError, Instance, NormSpec,
-                               VerificationReport, Violation, ceil_norm, delta,
+                               PerturbationError, VerificationReport,
+                               Violation, ceil_norm, delta,
                                format_campaign_config, format_campaign_report,
                                gen_extremal, gen_random, lo_bound, make_instance,
                                parse_campaign_config, project,
                                reachable_sums_nd, run_campaign,
                                verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
-from littlewood_offord.campaign import (_RECORDED_FAILURES, _TaskResult,
-                                        _build_tasks, _tally,
-                                        _task_exhaustive)
-from oracles import enumerate_atom_1d, enumerate_atom_nd
+from littlewood_offord.campaign import _build_tasks, _orbit, _task_orbit
+from oracles import enumerate_atom_1d, enumerate_atom_nd, reference_sweep
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 GRID = (F(-1), F(-1, 2), F(1, 2), F(1))
@@ -93,38 +93,32 @@ def test_gen_random_infeasible_grid_errors():
         gen_random(7, 2, 2, tiny_ball, 1)
 
 
-def _per_instance_task(norm, vectors):
-    """verify_instance, a batch of one, over every reachable target: the
-    reference that one chain per multiset must reproduce."""
-    res = _TaskResult()
-    for target in reachable_sums_nd(vectors):
-        local = res.count
-        res.count += 1
-        try:
-            instance = Instance(vectors, target, norm)
-            _tally(res, local, instance, verify_instance(instance))
-        except _RECORDED_FAILURES as exc:
-            res.errors.append((local, str(exc)))
-    return res
-
-
 # Zero coordinates put targets on witness hyperplanes of other vectors,
 # so every sweep below from d = 2 on also runs perturbation fallbacks.
 GRID0 = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
 GRID0_3D = (F(-1), F(0), F(1, 2))
+POLY2 = NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)])
 SWEEPS = (
     [(nm, 1, GRID0, 4) for nm in (L1, L2, LINF, NormSpec.polyhedral([(2,)]))]
     + [(L1, 2, GRID0, 3), (L2, 2, GRID0, 3), (LINF, 2, GRID0, 2),
-       (NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)]), 2, GRID0, 2)]
+       (POLY2, 2, GRID0, 2)]
     + [(nm, 3, GRID0_3D, 2) for nm in
        (L1, L2, LINF,
         NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))])
 
 
-def _sweep_tasks(norm, d, grid, n_max):
-    cfg = CampaignConfig(mode="exhaustive-grid", norms=(norm,), n_min=1,
-                         n_max=n_max, d_min=d, d_max=d, grid=grid)
-    return cfg, [task[2] for task in _build_tasks(cfg)]
+def _sweep(norms, d, grid, n_max, **kwargs):
+    return CampaignConfig(mode="exhaustive-grid", norms=norms, n_min=1,
+                          n_max=n_max, d_min=d, d_max=d, grid=grid, **kwargs)
+
+
+def _same_as_reference(cfg):
+    """The orbit sweep's report, checked byte for byte against the
+    unreduced per-multiset sweep."""
+    report = run_campaign(cfg)
+    text = format_campaign_report(report)
+    assert text == format_campaign_report(reference_sweep(cfg)), cfg
+    return report
 
 
 def _check_against_oracles(norm, vectors):
@@ -151,23 +145,74 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
     monkeypatch.setattr(reduction.Chain, "perturb", counted)
     for norm, d, grid, n_max in SWEEPS:
         perturbations.clear()
-        cfg, combos = _sweep_tasks(norm, d, grid, n_max)
-        for combo in combos:
-            before = len(perturbations)
-            batch = _task_exhaustive(norm, combo)
-            middle = len(perturbations)
-            direct = _per_instance_task(norm, combo)
-            # count, tight, max_ratio, errors and violations, per multiset
-            assert batch == direct, (norm, combo)
-            # the batch perturbs on exactly the targets that perturb alone
-            assert middle - before == len(perturbations) - middle
-            if len(combo) <= 3:
-                _check_against_oracles(norm, combo)
-        # In one dimension no nonzero vector projects to zero.
-        assert bool(perturbations) == (d > 1), (norm, d)
-        report = run_campaign(cfg)
+        report = _same_as_reference(_sweep((norm,), d, grid, n_max))
         assert report.verified and not report.errors
         assert report.max_ratio <= 1
+        # In one dimension no nonzero vector projects to zero.
+        assert bool(perturbations) == (d > 1), (norm, d)
+        universe = campaign._grid_universe(grid, d, norm)
+        for n in range(1, min(n_max, 3) + 1):
+            for combo in combinations_with_replacement(universe, n):
+                _check_against_oracles(norm, combo)
+
+
+# Orbits are whole on the symmetric grid and partial on the other two,
+# where a vector with a coordinate 1 (second grid) or 1/2 (third) has no
+# negation in the universe.
+ORBIT_GRIDS = (GRID, (F(-1, 2), F(1, 2), F(1)), (F(-1), F(1, 2), F(1)))
+
+
+@pytest.mark.parametrize("grid", ORBIT_GRIDS)
+@pytest.mark.parametrize("d, n_max", [(1, 5), (2, 3), (3, 2)])
+def test_orbit_sweep_matches_the_per_multiset_sweep(grid, d, n_max):
+    # The facet norm is planar, so it runs at d = 2 only.
+    norms = (L1, L2, LINF) + ((POLY2,) if d == 2 else ())
+    _same_as_reference(_sweep(norms, d, grid, n_max))
+
+
+def test_orbit_members_are_every_sign_choice_in_the_universe():
+    a, b = (F(1, 2), F(-1)), (F(1), F(1, 2))
+    size, members = _orbit((a, a, b), (True, True, False))
+    neg = (F(-1, 2), F(1))
+    assert size == 3
+    assert list(members) == [(a, a, b), (neg, a, b), (neg, neg, b)]
+    for grid in ORBIT_GRIDS:
+        cfg = _sweep((LINF,), 2, grid, 3)
+        streamed = [combo for n in range(1, 4) for combo in
+                    combinations_with_replacement(
+                        campaign._grid_universe(grid, 2, LINF), n)]
+        tasks = list(_build_tasks(cfg))
+        orbits = [m for task in tasks for m in _orbit(*task[2:])[1]]
+        assert sorted(orbits) == sorted(streamed)
+        assert len(set(orbits)) == len(orbits) == sum(
+            _orbit(*task[2:])[0] for task in tasks)
+        # the representative comes first
+        assert all(next(_orbit(*task[2:])[1]) == task[2] for task in tasks)
+
+
+def test_orbit_sweep_is_the_same_for_any_worker_count():
+    cfg = _sweep((L1, LINF), 2, ORBIT_GRIDS[1], 3)
+    text = format_campaign_report(_same_as_reference(cfg))
+    assert format_campaign_report(run_campaign(replace(cfg, workers=2))) == text
+
+
+def test_perturbation_errors_on_members_are_their_own(monkeypatch):
+    # Every representative of the symmetric grid holds only vectors above
+    # their negation; a perturbation search fails on any other multiset.
+    # So members, which rerun the targets the representative perturbed,
+    # record errors that the representative does not, at their own index.
+    perturb = reduction.Chain.perturb
+
+    def members_fail(chain, *args):
+        if any(v < tuple(-c for c in v) for v in chain.scaled):
+            raise PerturbationError("perturbation refused on a member")
+        return perturb(chain, *args)
+    monkeypatch.setattr(reduction.Chain, "perturb", members_fail)
+    for norm in (L1, POLY2):
+        text = format_campaign_report(
+            _same_as_reference(_sweep((norm,), 2, GRID, 3)))
+        assert "status = incomplete" in text
+        assert "message = perturbation refused on a member" in text
 
 
 def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
@@ -179,15 +224,9 @@ def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
         return real(n, k) - 1
     monkeypatch.setattr(exactnum, "lo_count", lowered)
     monkeypatch.setattr(reduction, "lo_count", lowered)
-    for norm in (L2, LINF):
-        cfg, combos = _sweep_tasks(norm, 2, GRID0, 2)
-        for combo in combos:
-            batch = _task_exhaustive(norm, combo)
-            assert batch == _per_instance_task(norm, combo)
-        text = format_campaign_report(run_campaign(cfg))
-        with monkeypatch.context() as m:
-            m.setattr(campaign, "_task_exhaustive", _per_instance_task)
-            assert format_campaign_report(run_campaign(cfg)) == text
+    for norm, grid in ((L2, GRID0), (LINF, GRID0), (L1, ORBIT_GRIDS[2])):
+        text = format_campaign_report(
+            _same_as_reference(_sweep((norm,), 2, grid, 2)))
         assert "status = violations-found" in text
         assert "[violation 1]" in text and "chain_holds = false" in text
 
@@ -198,16 +237,15 @@ def test_failed_certificate_is_recorded_per_instance(monkeypatch):
     def broken(t, s, squared):
         return -1
     monkeypatch.setattr(reduction, "ceil_ratio", broken)
-    cfg, combos = _sweep_tasks(L2, 1, (F(1, 2), F(1)), 3)
-    for combo in combos:
-        assert _task_exhaustive(L2, combo) == _per_instance_task(L2, combo)
-    report = run_campaign(cfg)
-    assert report.instances > 0
-    assert len(report.errors) == report.instances
-    assert {message for _, message in report.errors} == {
-        "projection changed the target's norm ceiling"}
-    assert report.status == "incomplete"
-    assert "status = incomplete" in format_campaign_report(report)
+    for grid in ((F(1, 2), F(1)), GRID):
+        report = _same_as_reference(_sweep((L2,), 1, grid, 3))
+        assert report.instances > 0
+        assert [index for index, _ in report.errors] == list(
+            range(report.instances))
+        assert {message for _, message in report.errors} == {
+            "projection changed the target's norm ceiling"}
+        assert report.status == "incomplete"
+        assert "status = incomplete" in format_campaign_report(report)
     extremal = run_campaign(CampaignConfig(mode="extremal", norms=(L2,),
                                            n_min=1, n_max=2))
     assert len(extremal.errors) == extremal.instances == 6
@@ -216,11 +254,20 @@ def test_failed_certificate_is_recorded_per_instance(monkeypatch):
 def test_invalid_multiset_records_one_error_per_target():
     # The grid filter keeps such multisets out of a sweep; a task given
     # one still counts each reachable sum, (+-3, 0) and (+-1, 0), as an
-    # instance with an error.
-    res = _task_exhaustive(L2, ((F(2), F(0)), (F(1), F(0))))
+    # instance with an error, for each member of the orbit on its own
+    # chain.
+    one, big = (F(1), F(0)), (F(2), F(0))
+    res = _task_orbit(L2, (one, big), (False, False))
     assert res.count == 4 and res.tight == 0 and not res.violations
-    assert res.errors == [(local, "vector 0 lies outside the unit ball")
+    assert res.errors == [(((one, big), local),
+                           "vector 1 lies outside the unit ball")
                           for local in range(4)]
+    res = _task_orbit(L2, (one, big), (False, True))
+    assert res.count == 8 and res.targets == 4
+    flipped = ((F(-2), F(0)), one)
+    assert res.errors[4:] == [((flipped, local),
+                               "vector 0 lies outside the unit ball")
+                              for local in range(4)]
 
 
 def test_extremal_campaign_max_ratio_counts_tight_instances():
@@ -265,8 +312,9 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
 
 
 def test_campaign_tasks_are_generated_as_they_run():
-    # linf on the planar grid at n <= 7 has 245,156 vector multisets, so
-    # listing every task before the first one runs costs tens of MiB.
+    # linf on the planar grid at n <= 7 has 245,156 vector multisets in
+    # 6,434 sign orbits, one task each; listing every task before the
+    # first one runs costs about 1.6 MiB.
     cfg = CampaignConfig(mode="exhaustive-grid", norms=(LINF,), n_min=1,
                          n_max=7, d_min=2, d_max=2, grid=GRID)
     tracemalloc.start()
@@ -275,7 +323,7 @@ def test_campaign_tasks_are_generated_as_they_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == (_task_exhaustive, LINF, ((F(-1), F(-1)),))
+    assert first == (_task_orbit, LINF, ((F(1, 2), F(-1)),), (True,))
     assert peak < 2 ** 20
 
 
