@@ -144,12 +144,20 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
         return perturb(*args)
     monkeypatch.setattr(reduction.Chain, "perturb", counted)
     for norm, d, grid, n_max in SWEEPS:
+        cfg = _sweep((norm,), d, grid, n_max)
         perturbations.clear()
-        report = _same_as_reference(_sweep((norm,), d, grid, n_max))
+        report = run_campaign(cfg)
+        swept = len(perturbations)
+        perturbations.clear()
+        assert (format_campaign_report(report)
+                == format_campaign_report(reference_sweep(cfg))), cfg
+        # A sign flip keeps zero coefficients zero, so each member reruns
+        # exactly the targets that perturb on it alone.
+        assert swept == len(perturbations), (norm, d)
         assert report.verified and not report.errors
         assert report.max_ratio <= 1
         # In one dimension no nonzero vector projects to zero.
-        assert bool(perturbations) == (d > 1), (norm, d)
+        assert bool(swept) == (d > 1), (norm, d)
         universe = campaign._grid_universe(grid, d, norm)
         for n in range(1, min(n_max, 3) + 1):
             for combo in combinations_with_replacement(universe, n):
