@@ -57,8 +57,8 @@ from .errors import (CapacityError, CertificateError, InputError,
                      PerturbationError)
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
-from .norms import (L1, L2, LINF, NormSpec, RVector, format_norm, is_zero,
-                    parse_norm)
+from .norms import (L1, L2, LINF, NormSpec, RVector, ceil_norm_over,
+                    format_norm, is_zero, parse_norm)
 from .reduction import (Chain, Instance, VerificationReport, in_unit_ball,
                         instance_lines, parse_keyvals, report_lines,
                         verify_instance)
@@ -224,13 +224,18 @@ def gen_random(seed: int, n: int, d: int, norm: NormSpec,
     g = grid_denominator
     if g < 1:
         raise InputError(f"grid_denominator must be positive, got {g}")
+    if norm.dimension not in (None, d):
+        raise InputError(f"dimension mismatch: norm is on {norm.dimension} "
+                         f"coordinates, vector has {d}")
+    # Drawn as the integer numerators over g; ||a / g|| <= 1 exactly
+    # when ceil(||a|| / g) <= 1.
     rng = random.Random(seed)
-    vectors: list[RVector] = []
+    draws: list[tuple[int, ...]] = []
     for _ in range(n):
         for _ in range(_VECTOR_RETRIES):
-            v = tuple(Fraction(rng.randint(-g, g), g) for _ in range(d))
-            if not is_zero(v) and in_unit_ball(norm, v):
-                vectors.append(v)
+            a = tuple(rng.randint(-g, g) for _ in range(d))
+            if any(a) and ceil_norm_over(norm, a, g) <= 1:
+                draws.append(a)
                 break
         else:
             raise InputError(
@@ -239,11 +244,12 @@ def gen_random(seed: int, n: int, d: int, norm: NormSpec,
                 f"after {_VECTOR_RETRIES} tries")
     if rng.random() < 0.5:
         signs = [rng.choice((-1, 1)) for _ in range(n)]
-        target = tuple(sum(s * v[j] for s, v in zip(signs, vectors))
+        target = tuple(sum(s * a[j] for s, a in zip(signs, draws))
                        for j in range(d))
     else:
-        target = tuple(Fraction(rng.randint(-g, g), g) for _ in range(d))
-    return Instance(tuple(vectors), target, norm)
+        target = tuple(rng.randint(-g, g) for _ in range(d))
+    return Instance(tuple(tuple(Fraction(c, g) for c in a) for a in draws),
+                    tuple(Fraction(c, g) for c in target), norm)
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -364,12 +370,18 @@ def _check_target(res: _TaskResult, chain: Chain, norm: NormSpec,
     return None
 
 
+def _sweep_chain(norm: NormSpec, vectors: tuple[RVector, ...]) -> Chain:
+    """The chain of one multiset of a sweep, validated as an instance
+    with target 0."""
+    return Chain(Instance(vectors, (Fraction(0),) * len(vectors[0]), norm))
+
+
 def _rerun(norm: NormSpec, vectors: tuple[RVector, ...],
            targets: list[tuple]) -> _TaskResult:
     """The (local, u, count) targets of one multiset on its own chain."""
     res = _TaskResult(count=len(targets))
     try:
-        chain = Chain(vectors, norm)
+        chain = _sweep_chain(norm, vectors)
     except InputError as exc:
         res.errors = [(local, str(exc)) for local, _, _ in targets]
         return res
@@ -390,7 +402,7 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
     size, members = _orbit(rep, mirrored)
     shared = _TaskResult()
     try:
-        rep_chain = Chain(rep, norm)
+        rep_chain = _sweep_chain(norm, rep)
     except InputError:
         # Only outside a sweep: the grid universe holds valid vectors.
         rerun = [(local, None, None)
@@ -575,9 +587,13 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     report = CampaignReport(mode=config.mode)
     sweep = (_StreamIndex(config) if config.mode == "exhaustive-grid"
              else None)
+    # A random or uniform-kleitman task is already a batch of _BATCH
+    # instances, so those go out one at a time and split evenly; the many
+    # small orbit and extremal tasks go out in chunks.
+    chunksize = 1 if config.mode in ("random", "uniform-kleitman") else 8
     with Pool(len(head)) if len(head) > 1 else nullcontext() as pool:
         tasks = chain(head, tasks)
-        partials = (pool.imap(_run_task, tasks, chunksize=8) if pool
+        partials = (pool.imap(_run_task, tasks, chunksize=chunksize) if pool
                     else map(_run_task, tasks))
         for part in partials:
             offset = report.instances

@@ -28,11 +28,16 @@ Two enumeration strategies:
   distinct sums, not by 2^n pattern count.
 * mitm - meet-in-the-middle for single-target probes: tabulate the
   first half, tabulate the second half, then count matching
-  complements.  Splitting caps table sizes at 2^(n/2), which extends
-  the reach to PROBE_LIMIT variables for point queries.
+  complements.  The halves are the tables of the first floor(n/2) and
+  the last ceil(n/2) values, so neither holds more than 2^ceil(n/2)
+  entries, and the probe reaches PROBE_LIMIT variables.
 
-Full-distribution operations (sum tables, max_atom, rho_max_1d) have no
-half-table shortcut and stop at EXHAUSTIVE_LIMIT.
+A single-target probe (atom_nd, atom_1d) with method "auto" always
+takes mitm: one lookup never pays for the full table.  sign_counter,
+which answers many keys on one set of values, builds the full table up
+to DIRECT_LIMIT values and probes halves beyond.  Full-distribution
+operations (sum tables, max_atom, rho_max_1d) have no half-table
+shortcut and stop at EXHAUSTIVE_LIMIT.
 
 Nothing here is cached.  At most one full sum table is alive per chain
 or call, and none is kept between multisets: a caller that reads one
@@ -124,11 +129,12 @@ def _probe_count(codes: tuple[int, ...], target: int) -> int:
 
 
 def _check_probe_size(n: int, method: str) -> str:
+    """The method that serves a probe of n values ("auto" is mitm)."""
     if method == "auto":
         if n > PROBE_LIMIT:
             raise CapacityError(
                 f"atom probes support at most {PROBE_LIMIT} vectors, got {n}")
-        return "direct" if n <= DIRECT_LIMIT else "mitm"
+        return "mitm"
     if method == "direct":
         if n > DIRECT_LIMIT:
             raise CapacityError(
@@ -144,9 +150,12 @@ def _check_probe_size(n: int, method: str) -> str:
 
 def sign_counter(values: tuple[int, ...],
                  method: str = "auto") -> Callable[[int], int]:
-    """key -> #{eps : sum_i eps_i values_i = key}, from a table built
-    here up to DIRECT_LIMIT values, by meet-in-the-middle up to
-    PROBE_LIMIT."""
+    """key -> #{eps : sum_i eps_i values_i = key}, for callers that ask
+    many keys: method "auto" builds the full table here once, up to
+    DIRECT_LIMIT values, and probes two half tables per key beyond, up
+    to PROBE_LIMIT.  A caller with one key passes "mitm"."""
+    if method == "auto" and len(values) <= DIRECT_LIMIT:
+        method = "direct"
     if _check_probe_size(len(values), method) == "direct":
         table = _int_table(values)
         return lambda key: table.get(key, 0)
@@ -176,9 +185,11 @@ def target_units(den: int, x: Sequence) -> tuple[tuple[int, ...], int]:
 def atom_nd(v: Sequence[Sequence], x: Sequence, *, method: str = "auto") -> Fraction:
     """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i.
 
-    method "auto" picks direct convolution up to DIRECT_LIMIT variables
-    and meet-in-the-middle up to PROBE_LIMIT; "direct" or "mitm" force
-    one path (the equivalence tests exercise both against each other).
+    method "auto" probes two half tables (meet-in-the-middle) up to
+    PROBE_LIMIT variables, so no table of more than 2^ceil(n/2)
+    entries is built; "direct" forces the full table, up to DIRECT_LIMIT, and
+    "mitm" the halves (the equivalence tests exercise both against each
+    other).
     """
     den, vectors = scaled_vectors(v)
     u, q = target_units(den, x)

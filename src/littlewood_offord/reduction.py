@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 # perfbench/tracer.py wraps reduction.atom_1d, so the name stays here.
 from .concentration import (atom_1d, atom_nd, scaled_vectors,  # noqa: F401
@@ -185,7 +185,7 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     (compared in squares for l2).  The search runs on integers, in
     Chain.perturb.
     """
-    chain = Chain(instance.vectors, instance.norm)
+    chain = Chain(instance)
     u, q = chain.units(instance.target)
     scale = w.scale.value
     lam = math.lcm(scale.denominator, *(c.denominator for c in w.direction))
@@ -199,7 +199,7 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
 class Projection:
     """The image along the integer witness w at scale s (chain units):
     the coefficients <v_i, w>, their certificate failure, and count(t),
-    the sign patterns whose projected sum is t."""
+    the sign patterns whose projected sum is t, built on first use."""
 
     def __init__(self, vectors: tuple[tuple[int, ...], ...],
                  w: tuple[int, ...], s: int, squared: bool):
@@ -207,20 +207,24 @@ class Projection:
         self.s = s
         self.coefficients = tuple(dot(v, w) for v in vectors)
         self.failure = certificate_failure(s, squared, self.coefficients)
-        self.count = None if self.failure else sign_counter(self.coefficients)
+
+    @cached_property
+    def count(self):
+        """The sign counter of the coefficients, for many targets."""
+        return sign_counter(self.coefficients)
 
 
 class Chain:
-    """The chain for one vector multiset under one norm, validated once:
-    scaled holds the vectors times den, the lcm of their denominators,
-    and a target is an integer vector u over q >= 1 in the same units
-    (q = 1 for the sums of scaled_sums)."""
+    """The chain for the vector multiset and norm of a validated
+    instance (its target is not read): scaled holds the vectors times
+    den, the lcm of their denominators, and a target is an integer
+    vector u over q >= 1 in the same units (q = 1 for the sums of
+    scaled_sums)."""
 
-    def __init__(self, vectors: tuple[RVector, ...], norm: NormSpec):
-        Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
-        self.norm = norm
-        self.squared = norm.kind == L2
-        self.den, self.scaled = scaled_vectors(vectors)
+    def __init__(self, instance: Instance):
+        self.norm = instance.norm
+        self.squared = self.norm.kind == L2
+        self.den, self.scaled = scaled_vectors(instance.vectors)
         self._projections: dict = {}
 
     def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
@@ -323,7 +327,7 @@ def project(instance: Instance) -> ProjectedInstance:
     """The chain's projection as exact rationals along the instance's
     witness: the dual witness of the target (of e_1 when x = 0, where
     k = 0 and any direction works), or its perturbation."""
-    chain = Chain(instance.vectors, instance.norm)
+    chain = Chain(instance)
     u, q = chain.units(instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
     w = dual_witness(instance.norm, vector(witness_target(instance.target)))
@@ -339,12 +343,14 @@ def project(instance: Instance) -> ProjectedInstance:
 
 
 def verify_instance(instance: Instance) -> VerificationReport:
-    """Run the full chain p_exact <= p_projected <= bound, all exact."""
-    chain = Chain(instance.vectors, instance.norm)
+    """Run the full chain p_exact <= p_projected <= bound, all exact.
+    Both atoms are single-target probes on half tables."""
+    chain = Chain(instance)
     u, q = chain.units(instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
     p_exact = atom_nd(instance.vectors, instance.target)
-    p_projected = Fraction(0 if t % q else proj.count(t // q), 2 ** instance.n)
+    projected = 0 if t % q else sign_counter(proj.coefficients, "mitm")(t // q)
+    p_projected = Fraction(projected, 2 ** instance.n)
     bound = lo_bound(instance.n, k)
     return VerificationReport(
         p_exact=p_exact,

@@ -5,19 +5,28 @@ Pascal triangle via its additive recurrence) and shares no code with
 the library's counting paths.  The perturbation search is kept in its
 rational form, as the reference for the library's integer search, and
 the exhaustive-grid sweep in its unreduced form, every target of every
-multiset verified alone, as the reference for the orbit sweep.
+multiset verified alone, as the reference for the orbit sweep.  The
+single-instance chain is kept on full sum tables (reference_verify), as
+the reference for its half-table probes, and the random sampler in
+Fraction arithmetic (reference_gen_random), as the reference for its
+integer draws.
 """
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from littlewood_offord import (CampaignReport, Instance, PerturbationError,
-                               Violation, Witness, ceil_norm, in_unit_ball,
+from littlewood_offord import (CampaignReport, InputError, Instance,
+                               PerturbationError, VerificationReport,
+                               Violation, Witness, atom_nd, ceil_norm, delta,
+                               format_norm, in_unit_ball, is_zero, lo_bound,
                                reachable_sums_nd, verify_instance)
-from littlewood_offord.campaign import (_RECORDED_FAILURES, _TaskResult,
-                                        _tally)
+from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
+                                        _TaskResult, _tally)
+from littlewood_offord.concentration import sign_counter
+from littlewood_offord.reduction import Chain
 
 
 def enumerate_atom_1d(a, t) -> Fraction:
@@ -146,6 +155,15 @@ def reference_perturb_witness(instance, w):
         f"no acceptable witness perturbation among {tried} candidates")
 
 
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the recorded error it
+    raised, so that two paths compare equal only if they fail alike."""
+    try:
+        return fn(*args)
+    except _RECORDED_FAILURES as exc:
+        return type(exc), str(exc)
+
+
 def per_instance_task(norm, vectors):
     """verify_instance, a batch of one, over every reachable target of
     one multiset."""
@@ -186,3 +204,57 @@ def reference_sweep(config) -> CampaignReport:
                     report.errors += [(offset + local, message)
                                       for local, message in part.errors]
     return report
+
+
+def reference_verify(instance) -> VerificationReport:
+    """verify_instance on full tables: p_exact from the n-d sum table
+    (atom_nd forced to direct) and p_projected from a table counter of
+    the projected coefficients, built before it is read."""
+    chain = Chain(instance)
+    u, q = chain.units(instance.target)
+    proj, t, k, perturbed = chain.locate(u, q)
+    p_exact = atom_nd(instance.vectors, instance.target, method="direct")
+    count = sign_counter(proj.coefficients, "direct")
+    p_projected = Fraction(0 if t % q else count(t // q), 2 ** instance.n)
+    bound = lo_bound(instance.n, k)
+    return VerificationReport(
+        p_exact=p_exact,
+        p_projected=p_projected,
+        bound=bound,
+        k=k,
+        delta=delta(instance.n, k),
+        chain_holds=p_exact <= p_projected <= bound,
+        tight=p_exact == bound,
+        perturbed=perturbed is not None,
+    )
+
+
+def reference_gen_random(seed, n, d, norm, grid_denominator) -> Instance:
+    """gen_random in Fraction arithmetic: each coordinate drawn as
+    Fraction(randint(-g, g), g), a draw kept when nonzero and inside the
+    unit ball by in_unit_ball, and the target summed in Fractions."""
+    if n < 1 or d < 1:
+        raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    g = grid_denominator
+    if g < 1:
+        raise InputError(f"grid_denominator must be positive, got {g}")
+    rng = random.Random(seed)
+    vectors = []
+    for _ in range(n):
+        for _ in range(_VECTOR_RETRIES):
+            v = tuple(Fraction(rng.randint(-g, g), g) for _ in range(d))
+            if not is_zero(v) and in_unit_ball(norm, v):
+                vectors.append(v)
+                break
+        else:
+            raise InputError(
+                f"could not sample a nonzero unit-ball vector for "
+                f"{format_norm(norm)} on the 1/{g} grid "
+                f"after {_VECTOR_RETRIES} tries")
+    if rng.random() < 0.5:
+        signs = [rng.choice((-1, 1)) for _ in range(n)]
+        target = tuple(sum(s * v[j] for s, v in zip(signs, vectors))
+                       for j in range(d))
+    else:
+        target = tuple(Fraction(rng.randint(-g, g), g) for _ in range(d))
+    return Instance(tuple(vectors), target, norm)

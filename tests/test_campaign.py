@@ -19,7 +19,8 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
 from littlewood_offord.campaign import _build_tasks, _orbit, _task_orbit
-from oracles import enumerate_atom_1d, enumerate_atom_nd, reference_sweep
+from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
+                     reference_gen_random, reference_sweep)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 GRID = (F(-1), F(-1, 2), F(1, 2), F(1))
@@ -91,6 +92,21 @@ def test_gen_random_infeasible_grid_errors():
     tiny_ball = NormSpec.polyhedral([(100, 0), (0, 100)])
     with pytest.raises(InputError):
         gen_random(7, 2, 2, tiny_ball, 1)
+
+
+def test_gen_random_matches_fraction_sampler():
+    # Integer draws against Fraction draws: the same instances, and the
+    # same errors for an infeasible grid and a planar norm off d = 2.
+    tiny_ball = NormSpec.polyhedral([(100, 0), (0, 100)])
+    for seed in range(12):
+        for norm in (L1, L2, LINF, POLY2, tiny_ball):
+            for d in (1, 2, 3):
+                for g in (1, 2, 3, 4, 8):
+                    args = (seed, 1 + seed % 6, d, norm, g)
+                    assert (outcome(gen_random, *args)
+                            == outcome(reference_gen_random, *args)), args
+    message = outcome(gen_random, 7, 2, 2, tiny_ball, 1)[1]
+    assert message.startswith("could not sample a nonzero unit-ball vector")
 
 
 # Zero coordinates put targets on witness hyperplanes of other vectors,
@@ -287,10 +303,11 @@ def test_extremal_campaign_max_ratio_counts_tight_instances():
 
 
 def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
-    sizes = []
+    sizes, chunks = [], []
 
     class FakePool:
-        """Runs the tasks in this process and records the pool size."""
+        """Runs the tasks in this process and records the pool size and
+        the chunk size of its task stream."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -302,6 +319,7 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
             return False
 
         def imap(self, fn, tasks, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, tasks)
 
     monkeypatch.setattr(campaign, "Pool", FakePool)
@@ -317,6 +335,16 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert format_campaign_report(run_campaign(cfg)) == expected
     assert sizes == [3, 2]                   # unknown core count: no pool
+    # Batched tasks go out one at a time, so that the processes share
+    # them evenly; orbit and extremal tasks go out eight at a time.
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+    run_campaign(CampaignConfig(mode="uniform-kleitman", n_max=3, seed=4,
+                                budget=2 * 64, workers=2))
+    run_campaign(CampaignConfig(mode="exhaustive-grid", norms=(L1,),
+                                n_max=2, grid=GRID, workers=2))
+    run_campaign(CampaignConfig(mode="extremal", norms=(L1,), n_max=2,
+                                workers=2))
+    assert chunks == [1, 1, 1, 8, 8]
 
 
 def test_campaign_tasks_are_generated_as_they_run():

@@ -17,8 +17,9 @@ from littlewood_offord import (InputError, Instance, NormSpec,
                                parse_instance, perturb_witness, project,
                                vector, verify_instance)
 from littlewood_offord.norms import witness_target
-from oracles import (enumerate_atom_1d, enumerate_atom_nd, pascal_binomial,
-                     reference_perturb_witness)
+from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
+                     pascal_binomial, reference_perturb_witness,
+                     reference_verify)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY3 = NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)])
@@ -316,6 +317,47 @@ def test_verify_chain_on_seeded_instances():
             report = verify_instance(inst)
             assert report.chain_holds
             assert report.p_exact <= report.p_projected <= report.bound
+
+
+def test_verify_matches_full_table_reference():
+    # Half-table probes against full tables, on the drawn target (a
+    # signed sum half the time), zero, an off-lattice point and a point
+    # beyond every sum.
+    rng = random.Random(2209)
+    for d in (1, 2, 3):
+        for norm in (L1, L2, LINF, POLY_BY_D[d]):
+            for n in range(1, 13):
+                inst = gen_random(rng.getrandbits(32), n, d, norm, 4)
+                zero = (F(0),) * d
+                for target in (inst.target, zero,
+                               tuple(c + F(1, 7) for c in inst.target),
+                               (F(n + 1),) + zero[1:]):
+                    case = Instance(inst.vectors, target, norm)
+                    assert (outcome(verify_instance, case)
+                            == outcome(reference_verify, case)), case
+
+
+def test_single_target_verification_builds_no_full_table():
+    # Generic vectors over 10^9 have 2^20 distinct sums at n = 20: a full
+    # table of them peaks near 250 MiB, two half tables of 2^10 entries
+    # at a few hundred KiB.
+    rng = random.Random(2208)
+    den = 10 ** 9
+    for d in (1, 3):
+        vectors = [tuple(F(rng.randint(-den, den), den) for _ in range(d))
+                   for _ in range(20)]
+        signs = [rng.choice((-1, 1)) for _ in vectors]
+        target = tuple(sum(s * v[j] for s, v in zip(signs, vectors))
+                       for j in range(d))
+        inst = make_instance(vectors, target, LINF)
+        tracemalloc.start()
+        try:
+            report = verify_instance(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.chain_holds and report.p_exact == F(1, 2 ** 20)
+        assert peak < 8 * 2 ** 20, peak
 
 
 def test_verify_rejects_float_mode_norm():
