@@ -17,9 +17,9 @@ from .norms import (NormSpec, NormValue, RVector, Witness, ceil_norm, dot,
                     double_dual_check, dual_eval, dual_spec, dual_witness,
                     format_norm, holder_check, is_zero, norm_eval, parse_norm,
                     vector)
-from .concentration import (DIRECT_LIMIT, EXHAUSTIVE_LIMIT, PROBE_LIMIT,
-                            atom_1d, atom_nd, max_atom, reachable_sums_nd,
-                            rho_max_1d, sum_table_1d, sum_table_nd)
+from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, atom_1d, atom_nd,
+                            max_atom, reachable_sums_nd, rho_max_1d,
+                            sum_table_1d, sum_table_nd)
 from .reduction import (Instance, ProjectedInstance, VerificationReport,
                         format_instance, format_report, in_unit_ball,
                         make_instance, parse_instance, perturb_witness,
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CampaignConfig", "CampaignReport", "CapacityError", "CertificateError",
-    "DIRECT_LIMIT", "EXHAUSTIVE_LIMIT", "InputError", "Instance", "NormSpec",
+    "EXHAUSTIVE_LIMIT", "InputError", "Instance", "NormSpec",
     "NormValue", "PROBE_LIMIT", "PerturbationError", "ProjectedInstance",
     "RVector", "Rational", "UnsupportedNormOperation", "VerificationReport",
     "Violation", "Witness", "atom_1d", "atom_nd", "binomial", "ceil_norm",

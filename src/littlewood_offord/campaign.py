@@ -619,7 +619,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 # Campaign text formats.
 
 
-def _split_outside_brackets(s: str) -> list[str]:
+def _split_outside_brackets(s: str, what: str) -> list[str]:
+    """The comma-separated items of s (commas inside [...] do not
+    split); an empty item is an input error."""
     parts: list[str] = []
     depth = 0
     current: list[str] = []
@@ -634,7 +636,10 @@ def _split_outside_brackets(s: str) -> list[str]:
         else:
             current.append(ch)
     parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+    parts = [p.strip() for p in parts]
+    if not all(parts):
+        raise InputError(f"campaign config: empty entry in {what} {s!r}")
+    return parts
 
 
 def _parse_span(text: str, what: str) -> tuple[int, int]:
@@ -653,15 +658,16 @@ def parse_campaign_config(text: str) -> CampaignConfig:
         raise InputError("campaign config: missing mode")
     kwargs: dict = {"mode": fields["mode"]}
     if "norms" in fields:
-        kwargs["norms"] = tuple(parse_norm(part) for part in
-                                _split_outside_brackets(fields["norms"]))
+        kwargs["norms"] = tuple(
+            parse_norm(part)
+            for part in _split_outside_brackets(fields["norms"], "norms"))
     if "n" in fields:
         kwargs["n_min"], kwargs["n_max"] = _parse_span(fields["n"], "n")
     if "d" in fields:
         kwargs["d_min"], kwargs["d_max"] = _parse_span(fields["d"], "d")
     if "grid" in fields:
         kwargs["grid"] = tuple(parse_rational(part) for part in
-                               _split_outside_brackets(fields["grid"]))
+                               _split_outside_brackets(fields["grid"], "grid"))
     for key in ("seed", "budget", "grid_denominator", "workers"):
         if key in fields:
             try:

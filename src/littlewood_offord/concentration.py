@@ -13,51 +13,46 @@ lexicographically.  At d = 1 the code is the scaled value itself.
 
 A target enters the same units by one rule, target_units, which the
 verification chain (reduction.Chain.units) shares: den * x as an
-integer vector u over one denominator q.  atom_nd answers 0 before
-packing when some u_j is not a multiple of q (off the lattice the
-vectors span) or |u_j| > q * reach_j (outside the reachable box, where
-its code could alias a reachable sum).  The 1-d queries are
+integer vector u over one denominator q.  The 1-d queries are
 one-column views: atom_1d is atom_nd and rho_max_1d is max_atom on
 the column of coefficients.
 
-Two enumeration strategies:
+Two ways to count:
 
-* direct - sequential convolution of the +-v_i two-point distributions
-  into one table, up to DIRECT_LIMIT variables.  Duplicate sums
-  collapse as they appear, so the table is bounded by the number of
-  distinct sums, not by 2^n pattern count.
-* mitm - meet-in-the-middle for single-target probes: tabulate the
-  first half, tabulate the second half, then count matching
-  complements.  The halves are the tables of the first floor(n/2) and
-  the last ceil(n/2) values, so neither holds more than 2^ceil(n/2)
-  entries, and the probe reaches PROBE_LIMIT variables.
-
-A single-target probe (atom_nd, atom_1d) with method "auto" always
-takes mitm: one lookup never pays for the full table.  sign_counter,
-which answers many keys on one set of values, builds the full table up
-to DIRECT_LIMIT values and probes halves beyond.  Full-distribution
-operations (sum tables, max_atom, rho_max_1d) have no half-table
-shortcut and stop at EXHAUSTIVE_LIMIT.
+* full tables - sequential convolution of the +-v_i two-point
+  distributions into one table, up to EXHAUSTIVE_LIMIT variables.
+  Duplicate sums collapse as they appear, so the table is bounded by
+  the number of distinct sums, not by 2^n pattern count.  Sum tables,
+  max_atom, rho_max_1d and sign_counter, which answers many keys on
+  one set of values, read them.
+* probe_count - the one single-target count, on integer vectors and a
+  target (u, q) in their units: meet in the middle, tabulating the
+  first floor(n/2) and the last ceil(n/2) values and counting matching
+  complements, so neither table holds more than 2^ceil(n/2) entries
+  and the probe reaches PROBE_LIMIT variables.  It answers 0 before
+  packing when some u_j is not a multiple of q (off the lattice the
+  vectors span) or |u_j| > q * reach_j (outside the reachable box,
+  where its code could alias a reachable sum).  atom_nd, atom_1d and
+  both atoms of reduction.verify_instance call it.
 
 Nothing here is cached.  At most one full sum table is alive per chain
 or call, and none is kept between multisets: a caller that reads one
-multiset many times scales it once (scaled_vectors) and holds its
-table (scaled_sums) for as long as it needs it.
+multiset many times scales it once (reduction.Instance holds
+scaled_vectors of its vectors) and holds its table (scaled_sums) for
+as long as it needs it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Sequence
 
 from .errors import CapacityError, InputError
 from .norms import RVector, vector
 
-DIRECT_LIMIT = 24
+EXHAUSTIVE_LIMIT = 24
 PROBE_LIMIT = 44
-EXHAUSTIVE_LIMIT = DIRECT_LIMIT
 
 
 def _as_column(a: Sequence) -> list[tuple]:
@@ -120,57 +115,22 @@ def _unpack(code: int, m: int, d: int, den: int) -> RVector:
     return tuple(Fraction(s, den) for s in _digits(code, m, d))
 
 
-def _probe_count(codes: tuple[int, ...], target: int) -> int:
-    h = len(codes) // 2
-    left = _int_table(codes[:h])
-    right = _int_table(codes[h:])
-    rget = right.get
-    return sum(c * rget(target - s, 0) for s, c in left.items())
-
-
-def _check_probe_size(n: int, method: str) -> str:
-    """The method that serves a probe of n values ("auto" is mitm)."""
-    if method == "auto":
-        if n > PROBE_LIMIT:
-            raise CapacityError(
-                f"atom probes support at most {PROBE_LIMIT} vectors, got {n}")
-        return "mitm"
-    if method == "direct":
-        if n > DIRECT_LIMIT:
-            raise CapacityError(
-                f"direct enumeration supports at most {DIRECT_LIMIT} vectors, got {n}")
-        return method
-    if method == "mitm":
-        if n > PROBE_LIMIT:
-            raise CapacityError(
-                f"meet-in-the-middle supports at most {PROBE_LIMIT} vectors, got {n}")
-        return method
-    raise InputError(f"unknown method {method!r} (expected auto, direct, or mitm)")
-
-
-def sign_counter(values: tuple[int, ...],
-                 method: str = "auto") -> Callable[[int], int]:
-    """key -> #{eps : sum_i eps_i values_i = key}, for callers that ask
-    many keys: method "auto" builds the full table here once, up to
-    DIRECT_LIMIT values, and probes two half tables per key beyond, up
-    to PROBE_LIMIT.  A caller with one key passes "mitm"."""
-    if method == "auto" and len(values) <= DIRECT_LIMIT:
-        method = "direct"
-    if _check_probe_size(len(values), method) == "direct":
-        table = _int_table(values)
-        return lambda key: table.get(key, 0)
-    return partial(_probe_count, values)
-
-
 def _full_table(vectors: Sequence[Sequence[int]],
                 what: str) -> tuple[dict[int, int], int]:
     """(packed table, m) of integer vectors, for the operations that
-    read every sum."""
+    read every sum or many keys."""
     if len(vectors) > EXHAUSTIVE_LIMIT:
         raise CapacityError(
             f"{what} at most {EXHAUSTIVE_LIMIT} vectors, got {len(vectors)}")
     codes, _, m = _packed(vectors)
     return _int_table(codes), m
+
+
+def sign_counter(values: tuple[int, ...]) -> Callable[[int], int]:
+    """key -> #{eps : sum_i eps_i values_i = key}, for callers that ask
+    many keys: one full table, built here, up to EXHAUSTIVE_LIMIT values."""
+    table, _ = _full_table(_as_column(values), "sign counters support")
+    return lambda key: table.get(key, 0)
 
 
 def target_units(den: int, x: Sequence) -> tuple[tuple[int, ...], int]:
@@ -182,37 +142,43 @@ def target_units(den: int, x: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(den * c.numerator * (q // c.denominator) for c in x), q
 
 
-def atom_nd(v: Sequence[Sequence], x: Sequence, *, method: str = "auto") -> Fraction:
-    """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i.
-
-    method "auto" probes two half tables (meet-in-the-middle) up to
-    PROBE_LIMIT variables, so no table of more than 2^ceil(n/2)
-    entries is built; "direct" forces the full table, up to DIRECT_LIMIT, and
-    "mitm" the halves (the equivalence tests exercise both against each
-    other).
-    """
-    den, vectors = scaled_vectors(v)
-    u, q = target_units(den, x)
+def probe_count(vectors: Sequence[Sequence[int]], u: Sequence[int],
+                q: int) -> int:
+    """#{eps : sum_i eps_i u_i = u / q} for integer vectors u_i and a
+    target u / q in their units (as target_units gives it), counted from
+    two half tables (meet in the middle), up to PROBE_LIMIT vectors."""
+    n = len(vectors)
     if len(u) != len(vectors[0]):
         raise InputError(f"target has dimension {len(u)}, "
                          f"vectors have {len(vectors[0])}")
-    n = len(vectors)
-    method = _check_probe_size(n, method)
+    if n > PROBE_LIMIT:
+        raise CapacityError(
+            f"atom probes support at most {PROBE_LIMIT} vectors, got {n}")
     codes, reach, m = _packed(vectors)
     key = 0
     for c, r in zip(u, reach):
         # Off the lattice, or outside the box on which packing is
-        # injective: either way no sum hits x, and a packed x could
-        # alias one.
+        # injective: either way no sum hits u / q, and a packed u / q
+        # could alias one.
         if c % q or abs(c) > q * r:
-            return Fraction(0)
+            return 0
         key = key * m + c // q
-    return Fraction(sign_counter(codes, method)(key), 2 ** n)
+    left = _int_table(codes[:n // 2])
+    right = _int_table(codes[n // 2:]).get
+    return sum(c * right(key - s, 0) for s, c in left.items())
 
 
-def atom_1d(a: Sequence, t, *, method: str = "auto") -> Fraction:
+def atom_nd(v: Sequence[Sequence], x: Sequence) -> Fraction:
+    """Exact P(sum_i eps_i v_i = x) over uniform independent signs eps_i,
+    by probe_count on the scaled vectors."""
+    den, vectors = scaled_vectors(v)
+    return Fraction(probe_count(vectors, *target_units(den, x)),
+                    2 ** len(vectors))
+
+
+def atom_1d(a: Sequence, t) -> Fraction:
     """Exact P(sum_i eps_i a_i = t): atom_nd on one column."""
-    return atom_nd(_as_column(a), (t,), method=method)
+    return atom_nd(_as_column(a), (t,))
 
 
 def sum_table_1d(a: Sequence) -> dict[Fraction, int]:

@@ -354,9 +354,11 @@ def parse_norm(text: str) -> NormSpec:
         body = s[5:].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise InputError(f"malformed polyhedral norm: {text!r}")
-        rows = [row for row in body[1:-1].split(";") if row.strip()]
-        if not rows:
+        rows = body[1:-1].split(";")
+        if not body[1:-1].strip():
             raise InputError(f"polyhedral norm needs functionals: {text!r}")
+        if not all(row.strip() for row in rows):
+            raise InputError(f"empty functional in polyhedral norm: {text!r}")
         return NormSpec.polyhedral(
             [parse_rational(c) for c in row.split(",")] for row in rows)
     raise InputError(f"unknown norm spec: {text!r}")

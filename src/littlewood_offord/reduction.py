@@ -10,7 +10,9 @@ maps the equality event into one dimension without losing probability,
 and the projected coefficients <v_i, y> stay in [-1, 1], which is what
 the one-dimensional bound needs.
 
-A Chain runs it in integers: the vectors times den, a target as an
+An Instance enters integer units once: it keeps its vectors times den,
+the lcm of their denominators, and checks the unit ball on those
+integers.  A Chain runs the chain on them: a target as an
 integer vector over one extra denominator q, and a witness as an
 integer vector w with an integer scale s, y = den * w / s (for l2 the
 chain holds s^2, an exact square).  The atom event is invariant under
@@ -19,18 +21,22 @@ certificate is an integer comparison, and one Projection per (w, s),
 divided by their common gcd, serves every target along it.  When some
 <v_i, w> is zero, a deterministic schedule on the same integers nudges
 w off the offending hyperplanes.  verify_instance is a chain with one
-target; project() and perturb_witness are its exact rational views.
+target whose two atoms are concentration.probe_count calls, on the
+scaled vectors and on the projected coefficients; project() and
+perturb_witness are its exact rational views.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-# perfbench/tracer.py wraps reduction.atom_1d, so the name stays here.
-from .concentration import (atom_1d, atom_nd, scaled_vectors,  # noqa: F401
+# perfbench/tracer.py wraps reduction.atom_nd and reduction.atom_1d, so
+# both names stay here although nothing in this module calls them: their
+# spans read 0 calls until the tracer wraps probe_count instead.
+from .concentration import (atom_1d, atom_nd, probe_count,  # noqa: F401
                             sign_counter, target_units)
 from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
@@ -44,9 +50,8 @@ from .norms import (L2, POLY, NormSpec, NormValue, RVector, Witness,
 ETA_EXPONENTS = tuple(range(3, 31, 3))
 
 
-@lru_cache(maxsize=65536)
 def in_unit_ball(norm: NormSpec, v: RVector) -> bool:
-    """Exact membership test ||v|| <= 1."""
+    """Exact membership test ||v|| <= 1, in rationals."""
     return norm_eval(norm, v).le_rational(1)
 
 
@@ -55,12 +60,17 @@ class Instance:
     """A verification instance: nonzero unit-ball vectors, target, norm.
 
     Construction checks the hypotheses (a zero v_i or a vector outside
-    the unit ball would void the bound, so both are rejected up front).
+    the unit ball would void the bound, so both are rejected up front),
+    in integers: scaled holds the vectors times den, the lcm of their
+    coordinate denominators (concentration.scaled_vectors), and a vector
+    lies in the unit ball when ceil(||scaled_i|| / den) <= 1.
     """
 
     vectors: tuple[RVector, ...]
     target: RVector
     norm: NormSpec
+    den: int = field(init=False, repr=False, compare=False)
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.vectors:
@@ -72,14 +82,23 @@ class Instance:
             raise InputError(
                 f"norm is on {self.norm.dimension} coordinates, "
                 f"instance has {d}")
-        for i, v in enumerate(self.vectors):
-            if len(v) != d:
+        try:
+            den = math.lcm(*(c.denominator for v in self.vectors for c in v))
+        except AttributeError:
+            raise InputError("vector coordinates must be exact rationals "
+                             "(int or Fraction)") from None
+        scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in v)
+                       for v in self.vectors)
+        for i, u in enumerate(scaled):
+            if len(u) != d:
                 raise InputError(
-                    f"vector {i} has dimension {len(v)}, target has {d}")
-            if is_zero(v):
+                    f"vector {i} has dimension {len(u)}, target has {d}")
+            if not any(u):
                 raise InputError(f"vector {i} is zero")
-            if not in_unit_ball(self.norm, v):
+            if ceil_norm_over(self.norm, u, den) > 1:
                 raise InputError(f"vector {i} lies outside the unit ball")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "scaled", scaled)
 
     @property
     def n(self) -> int:
@@ -216,15 +235,14 @@ class Projection:
 
 class Chain:
     """The chain for the vector multiset and norm of a validated
-    instance (its target is not read): scaled holds the vectors times
-    den, the lcm of their denominators, and a target is an integer
-    vector u over q >= 1 in the same units (q = 1 for the sums of
-    scaled_sums)."""
+    instance (its target is not read), on the instance's scaled vectors
+    and den: a target is an integer vector u over q >= 1 in the same
+    units (q = 1 for the sums of scaled_sums)."""
 
     def __init__(self, instance: Instance):
         self.norm = instance.norm
         self.squared = self.norm.kind == L2
-        self.den, self.scaled = scaled_vectors(instance.vectors)
+        self.den, self.scaled = instance.den, instance.scaled
         self._projections: dict = {}
 
     def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
@@ -344,13 +362,14 @@ def project(instance: Instance) -> ProjectedInstance:
 
 def verify_instance(instance: Instance) -> VerificationReport:
     """Run the full chain p_exact <= p_projected <= bound, all exact.
-    Both atoms are single-target probes on half tables."""
+    Both atoms are single-target probes on half tables, in chain units:
+    the scaled vectors at u / q, and the projected coefficients at t / q."""
     chain = Chain(instance)
     u, q = chain.units(instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
-    p_exact = atom_nd(instance.vectors, instance.target)
-    projected = 0 if t % q else sign_counter(proj.coefficients, "mitm")(t // q)
-    p_projected = Fraction(projected, 2 ** instance.n)
+    p_exact = Fraction(probe_count(chain.scaled, u, q), 2 ** instance.n)
+    column = [(c,) for c in proj.coefficients]
+    p_projected = Fraction(probe_count(column, (t,), q), 2 ** instance.n)
     bound = lo_bound(instance.n, k)
     return VerificationReport(
         p_exact=p_exact,
@@ -425,10 +444,10 @@ def parse_instance(text: str) -> Instance:
         raise InputError(
             f"instance file: bad dimension {fields['dimension']!r}") from None
     norm = parse_norm(fields["norm"])
-    vectors = tuple(parse_vector(part)
-                    for part in fields["vectors"].split(";") if part.strip())
-    if not vectors:
-        raise InputError("instance file: empty vector list")
+    parts = fields["vectors"].split(";")
+    if not all(part.strip() for part in parts):
+        raise InputError("instance file: empty entry in the vector list")
+    vectors = tuple(parse_vector(part) for part in parts)
     target = parse_vector(fields["target"])
     if len(target) != d or any(len(v) != d for v in vectors):
         raise InputError("instance file: dimension field disagrees with the data")

@@ -1,7 +1,7 @@
 """Brute-force oracles used to pin expected values in the tests.
 
-Everything here enumerates literally (sign patterns via itertools, the
-Pascal triangle via its additive recurrence) and shares no code with
+The enumerators count literally (sign patterns via itertools, the
+Pascal triangle via its additive recurrence) and share no code with
 the library's counting paths.  The perturbation search is kept in its
 rational form, as the reference for the library's integer search, and
 the exhaustive-grid sweep in its unreduced form, every target of every
@@ -20,12 +20,12 @@ from itertools import combinations_with_replacement, product
 
 from littlewood_offord import (CampaignReport, InputError, Instance,
                                PerturbationError, VerificationReport,
-                               Violation, Witness, atom_nd, ceil_norm, delta,
+                               Violation, Witness, ceil_norm, delta,
                                format_norm, in_unit_ball, is_zero, lo_bound,
-                               reachable_sums_nd, verify_instance)
+                               reachable_sums_nd, sum_table_1d, sum_table_nd,
+                               verify_instance)
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
                                         _TaskResult, _tally)
-from littlewood_offord.concentration import sign_counter
 from littlewood_offord.reduction import Chain
 
 
@@ -207,15 +207,16 @@ def reference_sweep(config) -> CampaignReport:
 
 
 def reference_verify(instance) -> VerificationReport:
-    """verify_instance on full tables: p_exact from the n-d sum table
-    (atom_nd forced to direct) and p_projected from a table counter of
-    the projected coefficients, built before it is read."""
+    """verify_instance on full tables: p_exact from the n-d sum table of
+    the vectors and p_projected from the 1-d sum table of the projected
+    coefficients, both read at the target."""
     chain = Chain(instance)
     u, q = chain.units(instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
-    p_exact = atom_nd(instance.vectors, instance.target, method="direct")
-    count = sign_counter(proj.coefficients, "direct")
-    p_projected = Fraction(0 if t % q else count(t // q), 2 ** instance.n)
+    count = sum_table_nd(instance.vectors).get(instance.target, 0)
+    p_exact = Fraction(count, 2 ** instance.n)
+    projected = sum_table_1d(proj.coefficients).get(Fraction(t, q), 0)
+    p_projected = Fraction(projected, 2 ** instance.n)
     bound = lo_bound(instance.n, k)
     return VerificationReport(
         p_exact=p_exact,

@@ -32,6 +32,7 @@ from littlewood_offord import (
     rademacher_atom,
     run_campaign,
     sum_table_1d,
+    sum_table_nd,
     verify_instance,
 )
 
@@ -220,8 +221,11 @@ def test_08_split_enumeration_matches_naive_enumeration():
         n = rng.randint(1, 16)
         coeffs = _random_fractions(rng, n)
         realized = sum(rng.choice((-1, 1)) * c for c in coeffs)
+        table = sum_table_1d(coeffs)
         for t in (realized, realized + Fraction(rng.randint(-2, 2), 2)):
-            if atom_1d(coeffs, t, method="mitm") != _naive_atom_1d(coeffs, t):
+            expected = _naive_atom_1d(coeffs, t)
+            if (atom_1d(coeffs, t) != expected
+                    or Fraction(table.get(t, 0), 2 ** n) != expected):
                 failures.append(("1d", i, t))
     for i in range(150):
         n = rng.randint(1, 12)
@@ -231,8 +235,11 @@ def test_08_split_enumeration_matches_naive_enumeration():
         realized = tuple(sum(s * v[j] for s, v in zip(signs, vectors))
                          for j in range(d))
         shifted = realized[:d - 1] + (realized[-1] + Fraction(1, 2),)
+        table = sum_table_nd(vectors)
         for x in (realized, shifted):
-            if atom_nd(vectors, x, method="mitm") != _naive_atom_nd(vectors, x):
+            expected = _naive_atom_nd(vectors, x)
+            if (atom_nd(vectors, x) != expected
+                    or Fraction(table.get(x, 0), 2 ** n) != expected):
                 failures.append(("nd", i, x))
     _finish(8, "split-table counts equal naive sign enumeration on 500 "
             "instances", started, 60.0, failures)

@@ -483,6 +483,19 @@ def test_campaign_config_parse_errors():
         parse_campaign_config("mode = random\nnorms = l2, l1, l2\n")
 
 
+def test_campaign_config_rejects_empty_list_entries():
+    # An empty item is an error, not an item to skip.
+    grid_config = "mode = exhaustive-grid\nd = 1..1\nn = 1..2\n"
+    for bad in ("norms = l1,,l2\ngrid = -1, 1",
+                "norms = l1, l2,\ngrid = -1, 1",
+                "norms = ,poly:[1;2]\ngrid = -1, 1",
+                "norms = linf\ngrid = 1,,1/2",
+                "norms = linf\ngrid = -1, 1, ",
+                "norms = linf\ngrid = -1, , 1"):
+        with pytest.raises(InputError, match="empty entry in (norms|grid)"):
+            parse_campaign_config(grid_config + bad + "\n")
+
+
 def test_campaign_config_capacity_limits():
     with pytest.raises(CapacityError):
         CampaignConfig(mode="exhaustive-grid", norms=(L1,), grid=GRID,

@@ -151,6 +151,18 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
                    "--workers", "\u0662")[0] == 2
 
 
+def test_exit_code_2_on_empty_list_entries(tmp_path, capsys):
+    instance = tmp_path / "gap.instance"
+    instance.write_text("dimension = 2\nnorm = l2\nvectors = 1,0;;0,1\n"
+                        "target = 0,0\n")
+    code, _, err = run_cli(capsys, "verify", str(instance))
+    assert code == 2 and "empty entry in the vector list" in err
+    config = tmp_path / "gap.config"
+    config.write_text("mode = random\nnorms = l1,,l2\nbudget = 3\n")
+    code, _, err = run_cli(capsys, "campaign", str(config))
+    assert code == 2 and "empty entry in norms" in err
+
+
 def test_exit_code_3_on_capacity(tmp_path, capsys):
     big = tmp_path / "big.instance"
     vectors = "; ".join(["1,0"] * 45)

@@ -1,5 +1,5 @@
 """Exact sign-sum enumeration: point atoms, full tables, maxima, and the
-direct versus meet-in-the-middle equivalence."""
+half-table probe against enumeration and full tables."""
 
 import math
 import random
@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from littlewood_offord import (CapacityError, DIRECT_LIMIT, EXHAUSTIVE_LIMIT,
-                               InputError, PROBE_LIMIT, atom_1d, atom_nd,
-                               lo_bound, max_atom, reachable_sums_nd,
-                               rho_max_1d, sum_table_1d, sum_table_nd)
+from littlewood_offord import (CapacityError, EXHAUSTIVE_LIMIT, InputError,
+                               PROBE_LIMIT, atom_1d, atom_nd, lo_bound,
+                               max_atom, reachable_sums_nd, rho_max_1d,
+                               sum_table_1d, sum_table_nd)
+from littlewood_offord.concentration import sign_counter
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, enumerate_table_1d,
                      enumerate_table_nd)
 
@@ -39,8 +40,8 @@ def test_atom_nd_examples():
     # (0, 3) lies outside the reachable box |s_j| <= sum_i |v_ij| and, with
     # packing base 3, would share the code of the reachable sum (1, 0).
     assert enumerate_atom_nd([(F(1), F(0))], (F(0), F(3))) == 0
-    for method in ("direct", "mitm"):
-        assert atom_nd([(1, 0)], (0, 3), method=method) == 0
+    assert atom_nd([(1, 0)], (0, 3)) == 0
+    assert sum_table_nd([(1, 0)]).get((0, 3), 0) == 0
 
 
 def test_atom_rejects_bad_input():
@@ -52,8 +53,6 @@ def test_atom_rejects_bad_input():
         atom_nd([(1, 0)], (1,))
     with pytest.raises(InputError):
         atom_nd([(1, 0), (1,)], (0, 0))
-    with pytest.raises(InputError):
-        atom_1d([1, 1], 0, method="fast")
 
 
 @given(st.lists(small, min_size=1, max_size=9), small)
@@ -75,23 +74,22 @@ def test_atom_symmetric_under_negation(a, t):
     assert atom_1d(a, t) == atom_1d(a, -t)
 
 
-def test_forced_methods_agree_with_enumeration():
+def test_probe_agrees_with_enumeration_and_table_1d():
     rng = random.Random(1106)
     for _ in range(120):
         n = rng.randint(1, 11)
         a = [F(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n)]
         t = F(rng.randint(-6, 6), rng.randint(1, 4))
         expected = enumerate_atom_1d(a, t)
-        assert atom_1d(a, t, method="direct") == expected
-        assert atom_1d(a, t, method="mitm") == expected
-        assert atom_1d(a, t, method="auto") == expected
+        assert atom_1d(a, t) == expected
+        assert F(sum_table_1d(a).get(t, 0), 2 ** n) == expected
 
 
 def _moved(x, j, c):
     return x[:j] + (c,) + x[j + 1:]
 
 
-def test_forced_methods_agree_nd():
+def test_probe_agrees_with_enumeration_and_table_nd():
     rng = random.Random(1107)
     aux = random.Random(1112)
     for i in range(120):
@@ -121,10 +119,11 @@ def test_forced_methods_agree_nd():
             # one lattice step past the reach, either side
             _moved(s, j, reach + F(1, den)), _moved(s, j, -reach - F(1, den)),
         ]
+        table = sum_table_nd(vectors)
         for y in targets:
             expected = enumerate_atom_nd(vectors, y)
-            assert atom_nd(vectors, y, method="direct") == expected, (vectors, y)
-            assert atom_nd(vectors, y, method="mitm") == expected, (vectors, y)
+            assert atom_nd(vectors, y) == expected, (vectors, y)
+            assert F(table.get(y, 0), 2 ** n) == expected, (vectors, y)
 
 
 def test_sum_table_1d_matches_enumeration():
@@ -208,8 +207,8 @@ def test_capacity_errors_state_their_limits():
     assert str(PROBE_LIMIT) in str(exc.value)
 
     with pytest.raises(CapacityError) as exc:
-        atom_1d([1] * (DIRECT_LIMIT + 1), 0, method="direct")
-    assert str(DIRECT_LIMIT) in str(exc.value)
+        atom_1d([1] * (PROBE_LIMIT + 1), 0)
+    assert str(PROBE_LIMIT) in str(exc.value)
 
     crowded = [(F(1), F(1))] * (EXHAUSTIVE_LIMIT + 1)
     for op in (sum_table_nd, reachable_sums_nd, max_atom):
@@ -222,7 +221,25 @@ def test_capacity_errors_state_their_limits():
         rho_max_1d([1] * (EXHAUSTIVE_LIMIT + 1))
 
 
+def test_sign_counter_is_a_full_table_up_to_its_limit():
+    rng = random.Random(1113)
+    for _ in range(40):
+        values = tuple(rng.randint(-9, 9) or 1
+                       for _ in range(rng.randint(1, 10)))
+        table = enumerate_table_1d(values)
+        count = sign_counter(values)
+        reach = sum(map(abs, values))
+        for key in range(-reach - 1, reach + 2):
+            assert count(key) == table.get(key, 0)
+    assert sign_counter((1,) * EXHAUSTIVE_LIMIT)(0) == math.comb(
+        EXHAUSTIVE_LIMIT, EXHAUSTIVE_LIMIT // 2)
+    with pytest.raises(CapacityError) as exc:
+        sign_counter((1,) * (EXHAUSTIVE_LIMIT + 1))
+    assert str(EXHAUSTIVE_LIMIT) in str(exc.value)
+
+
 def test_mitm_reaches_beyond_direct_limit():
-    n = DIRECT_LIMIT + 4
+    # The full tables stop at EXHAUSTIVE_LIMIT; the probe goes on.
+    n = EXHAUSTIVE_LIMIT + 4
     assert atom_1d([1] * n, n) == F(1, 2 ** n)
     assert atom_1d([1] * n, n - 2) == F(n, 2 ** n)

@@ -213,6 +213,14 @@ def test_norm_text_round_trips():
     assert parse_norm("poly:[1,0;0,1]") == NormSpec.polyhedral([(1, 0), (0, 1)])
 
 
+def test_norm_text_rejects_empty_functionals():
+    # An empty functional is an error, not a row to skip.
+    for bad in ("poly:[1,0;;0,1]", "poly:[1,0;0,1;]", "poly:[;1,0;0,1]",
+                "poly:[1,0; ;0,1]"):
+        with pytest.raises(InputError, match="empty functional"):
+            parse_norm(bad)
+
+
 @pytest.mark.parametrize("bad", ["l3", "lp:1", "lp:0", "lp:abc", "lp:2",
                                  "lp:3/2", "poly:",
                                  "poly:[]", "poly:[1,0]", "poly:(1,0;0,1)",

@@ -3,6 +3,7 @@ perturbation, the verified chain, and instance/report text forms."""
 
 import gc
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -13,9 +14,11 @@ import pytest
 from littlewood_offord import (InputError, Instance, NormSpec,
                                PerturbationError, atom_1d, ceil_norm, dot,
                                dual_witness, format_instance, format_report,
-                               gen_random, lo_bound, make_instance, parse_norm,
-                               parse_instance, perturb_witness, project,
-                               vector, verify_instance)
+                               gen_random, in_unit_ball, lo_bound,
+                               make_instance, parse_norm, parse_instance,
+                               perturb_witness, project, vector,
+                               verify_instance)
+from littlewood_offord.concentration import scaled_vectors
 from littlewood_offord.norms import witness_target
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
                      pascal_binomial, reference_perturb_witness,
@@ -40,12 +43,81 @@ def test_instance_validation():
         make_instance([(1, 0)], (0,), L2)                # target dimension
     with pytest.raises(InputError):
         make_instance([(F(1, 2),)], (0,), POLY3)         # norm dimension
+    with pytest.raises(InputError, match="exact rationals"):
+        Instance(((0.5, 0),), (F(1, 2), F(0)), L2)       # a float coordinate
 
 
 def test_instance_accepts_exact_boundary():
     make_instance([(F(3, 5), F(4, 5))], (0, 0), L2)      # squared norm = 1
     make_instance([(F(1, 2), F(-1, 2))], (0, 0), L1)
     make_instance([(1, -1)], (0, 0), LINF)
+
+
+def _accepted(vectors, norm) -> bool:
+    try:
+        make_instance(vectors, (0,) * len(vectors[0]), norm)
+    except InputError:
+        return False
+    return True
+
+
+def test_ball_check_matches_the_rational_reference():
+    # Points exactly on each unit sphere, the same points one lattice
+    # step (1/1000) further out, and seeded rational points around it.
+    sphere = {L1: [(F(1, 2), F(-1, 2)), (F(-1, 3), F(2, 3))],
+              L2: [(F(3, 5), F(4, 5)), (F(-5, 13), F(12, 13))],
+              LINF: [(1, F(-1, 3)), (F(2, 7), -1)],
+              POLY3: [(F(1, 3), F(2, 3)), (F(-1, 2), -1 + F(1, 2))]}
+    step = F(1, 1000)
+    for norm, points in sphere.items():
+        for p in map(vector, points):
+            assert in_unit_ball(norm, p) and _accepted([p], norm)
+            j = max(range(2), key=lambda i: abs(p[i]))
+            out = p[:j] + (p[j] + (step if p[j] > 0 else -step),) + p[j + 1:]
+            assert not in_unit_ball(norm, out) and not _accepted([out], norm)
+    rng = random.Random(2210)
+    for norm in ALL_EXACT:
+        for _ in range(400):
+            den = rng.choice((1, 2, 3, 5, 7, 12, 1000))
+            v = vector(F(rng.randint(-den - 2, den + 2), den)
+                       for _ in range(2))
+            if any(v):
+                assert _accepted([v], norm) == in_unit_ball(norm, v), (norm, v)
+                # a second vector's denominator changes den, not the answer
+                w = (F(1, 9), 0)
+                assert _accepted([w, v], norm) == in_unit_ball(norm, v)
+
+
+def test_instance_checks_each_vector_in_order():
+    # Per vector: dimension, then zero, then the ball; the first faulty
+    # vector names the error.
+    cases = [([(2, 0), (0, 0)], "vector 0 lies outside the unit ball"),
+             ([(0, 0), (2, 0)], "vector 0 is zero"),
+             ([(1, 0), (0, 0), (2, 0)], "vector 1 is zero"),
+             ([(2, 0), (1,)], "vector 0 lies outside the unit ball"),
+             ([(1,), (2, 0)], "vector 0 has dimension 1, target has 2"),
+             ([(F(1, 2), 0), (1, 2, 3)], "vector 1 has dimension 3, "
+                                         "target has 2")]
+    for vectors, message in cases:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            make_instance(vectors, (0, 0), L2)
+
+
+def test_instance_stores_its_integer_form():
+    inst = make_instance([(F(1, 2), F(-1, 3)), (F(1, 4), 0), (0, 1)],
+                         (F(1, 6), 0), L1)
+    assert (inst.den, inst.scaled) == scaled_vectors(inst.vectors)
+    assert (inst.den, inst.scaled) == (12, ((6, -4), (3, 0), (0, 12)))
+    # den and scaled stay out of equality, hashing and repr.
+    same = make_instance([(F(2, 4), F(-1, 3)), (F(1, 4), 0), (0, 1)],
+                         (F(1, 6), 0), L1)
+    assert same == inst and hash(same) == hash(inst)
+    assert "scaled" not in repr(inst) and "den" not in repr(inst)
+    assert inst != make_instance(inst.vectors, (0, 0), L1)
+    # Violations cross the campaign's process pool pickled.
+    back = pickle.loads(pickle.dumps(inst))
+    assert back == inst and hash(back) == hash(inst)
+    assert (back.den, back.scaled) == (inst.den, inst.scaled)
 
 
 def test_lp_instance_is_rejected():
@@ -407,6 +479,10 @@ def test_instance_text_rejects_malformed():
         parse_instance(good + "bogus line without equals\n")
     with pytest.raises(InputError, match="line 6: duplicate key 'vectors'"):
         parse_instance(good + "vectors = 0,1\n")
+    # An empty list entry is an error, not a vector to skip.
+    for bad in ("1,0;;0,1", "1,0; 0,1;", "; 1,0", "1,0; ;0,1"):
+        with pytest.raises(InputError, match="empty entry in the vector list"):
+            parse_instance(good.replace("vectors = 1,0", f"vectors = {bad}"))
     for bad in ("\u0662", "+2", "0_2", " 2 2", "\uff12"):
         with pytest.raises(InputError, match="bad dimension"):
             parse_instance(good.replace("dimension = 2", f"dimension = {bad}"))
