@@ -27,12 +27,16 @@ that stays in the grid universe) share their sum table and, on every
 target whose witness needs no perturbation, k and the whole chain.  An
 exhaustive-grid task verifies one orbit: its representative, each
 vector the larger of +-v when both lie in the universe, runs its chain
-on every target, and each other member reruns on its own chain only
-the targets where the representative was perturbed (the search tries
-the v_i as directions, so it depends on the signs), failed its chain,
-or raised.  Indices stay those of the per-multiset stream: the runner
-resolves a block's (norm, d, n) record indices from the targets of its
-orbits once the block has merged.
+on every target, and each other member reruns only the targets where
+the representative was perturbed (the search tries the v_i as
+directions, so its winner depends on the signs), failed its chain, or
+raised.  It reruns them on the representative's chain, with its own
+vectors as the order of the perturbation candidates: so a member
+builds no Instance, Chain or sign table, and its search reuses each
+candidate the orbit already tried for that target.  Indices stay those
+of the per-multiset stream: the runner resolves a block's (norm, d, n)
+record indices from the targets of its orbits once the block has
+merged.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (chain, combinations_with_replacement, groupby, islice,
                        product)
-from multiprocessing import Pool
 from typing import Iterator, Sequence
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
@@ -346,20 +349,26 @@ _RECORDED_FAILURES = (InputError, CapacityError, PerturbationError,
                       CertificateError)
 
 
-def _check_target(res: _TaskResult, chain: Chain, norm: NormSpec,
-                  vectors: tuple[RVector, ...], local: int,
-                  u: tuple[int, ...], count: int) -> int | None:
-    """Verify the target u of one multiset on its chain; count is its
-    p_exact in patterns.  Return the allowed count when the chain held on
-    the unperturbed witness, which every member of the orbit shares, for
-    the caller to tally.  Otherwise tally the target into res and return
-    None; a failed chain is rerun by verify_instance for its violation
-    record."""
+def _rational(scaled, den: int) -> tuple[RVector, ...]:
+    """Integer vectors over den as rational vectors."""
+    return tuple(tuple(Fraction(c, den) for c in v) for v in scaled)
+
+
+def _check_target(res: _TaskResult, chain: Chain, local: int,
+                  u: tuple[int, ...], count: int, order=None) -> int | None:
+    """Verify the target u of one multiset on chain: the chain's own
+    multiset, or with order the scaled vectors of another member of its
+    sign orbit (see Chain); count is its p_exact in patterns.  Return the
+    allowed count when the chain held on the unperturbed witness, which
+    every member of the orbit shares, for the caller to tally.  Otherwise
+    tally the target into res and return None; a failed chain is rerun
+    by verify_instance on the multiset itself for its violation record."""
     try:
-        projected, allowed, perturbed = chain.counts(u)
+        projected, allowed, perturbed = chain.counts(u, order)
         if not count <= projected <= allowed:
-            x = tuple(Fraction(c, chain.den) for c in u)
-            instance = Instance(vectors, x, norm)
+            vectors = chain.scaled if order is None else order
+            instance = Instance(_rational(vectors, chain.den),
+                                _rational((u,), chain.den)[0], chain.norm)
             _tally(res, local, instance, verify_instance(instance))
         elif perturbed:
             _tally_counts(res, count, allowed)
@@ -370,26 +379,9 @@ def _check_target(res: _TaskResult, chain: Chain, norm: NormSpec,
     return None
 
 
-def _sweep_chain(norm: NormSpec, vectors: tuple[RVector, ...]) -> Chain:
-    """The chain of one multiset of a sweep, validated as an instance
-    with target 0."""
-    return Chain(Instance(vectors, (Fraction(0),) * len(vectors[0]), norm))
-
-
-def _rerun(norm: NormSpec, vectors: tuple[RVector, ...],
-           targets: list[tuple]) -> _TaskResult:
-    """The (local, u, count) targets of one multiset on its own chain."""
-    res = _TaskResult(count=len(targets))
-    try:
-        chain = _sweep_chain(norm, vectors)
-    except InputError as exc:
-        res.errors = [(local, str(exc)) for local, _, _ in targets]
-        return res
-    for local, u, count in targets:
-        allowed = _check_target(res, chain, norm, vectors, local, u, count)
-        if allowed is not None:
-            _tally_counts(res, count, allowed)
-    return res
+def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
+    """One multiset of a sweep, validated as an instance with target 0."""
+    return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
 
 
 def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
@@ -398,20 +390,28 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
     of rep (see the module docstring).  rep's chain runs every target in
     pattern counts over 2^n, p_exact read off the sum table of its scaled
     vectors, which lives only as long as this task; the other members
-    rerun only the targets rep could not share."""
+    rerun on the same chain only the targets rep could not share."""
     size, members = _orbit(rep, mirrored)
     shared = _TaskResult()
     try:
-        rep_chain = _sweep_chain(norm, rep)
+        instance = _sweep_instance(norm, rep)
     except InputError:
         # Only outside a sweep: the grid universe holds valid vectors.
-        rerun = [(local, None, None)
-                 for local in range(len(reachable_sums_nd(rep)))]
-        parts = [(m, _rerun(norm, m, rerun)) for m in members]
+        # Norms are symmetric, so every member is invalid too, and each
+        # records every target with its own message.
+        rerun = range(len(reachable_sums_nd(rep)))
+        parts = []
+        for member in members:
+            part = _TaskResult(count=len(rerun))
+            try:
+                _sweep_instance(norm, member)
+            except InputError as exc:
+                part.errors = [(local, str(exc)) for local in rerun]
+            parts.append((member, part))
     else:
-        own, rerun = _TaskResult(), []
+        rep_chain, own, rerun = Chain(instance), _TaskResult(), []
         for local, (u, count) in enumerate(scaled_sums(rep_chain.scaled)):
-            allowed = _check_target(own, rep_chain, norm, rep, local, u, count)
+            allowed = _check_target(own, rep_chain, local, u, count)
             if allowed is None:
                 rerun.append((local, u, count))
             else:
@@ -420,8 +420,19 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
         own.count = len(rerun)
         parts = [(rep, own)]
         if rerun:
-            parts += [(m, _rerun(norm, m, rerun))
-                      for m in islice(members, 1, None)]
+            # The members in the stream's order, in the chain's units; a
+            # member is made rational only for its records.
+            for order in islice(_orbit(rep_chain.scaled, mirrored)[1], 1,
+                                None):
+                part = _TaskResult(count=len(rerun))
+                for local, u, count in rerun:
+                    allowed = _check_target(part, rep_chain, local, u, count,
+                                            order)
+                    if allowed is not None:
+                        _tally_counts(part, count, allowed)
+                member = (_rational(order, rep_chain.den)
+                          if part.violations or part.errors else None)
+                parts.append((member, part))
     res = _TaskResult(count=size * shared.count, tight=size * shared.tight,
                       max_ratio=shared.max_ratio,
                       targets=shared.count + len(rerun))
@@ -572,6 +583,16 @@ class _StreamIndex:
         self._violations, self._errors = [], []
 
 
+def _pool(processes: int):
+    """A pool of processes, or a null context for one process.
+    multiprocessing is imported only here, so that a process that runs
+    no pool does not load it."""
+    if processes < 2:
+        return nullcontext()
+    from multiprocessing import Pool
+    return Pool(processes)
+
+
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the configured campaign and aggregate its report.
 
@@ -591,7 +612,7 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     # instances, so those go out one at a time and split evenly; the many
     # small orbit and extremal tasks go out in chunks.
     chunksize = 1 if config.mode in ("random", "uniform-kleitman") else 8
-    with Pool(len(head)) if len(head) > 1 else nullcontext() as pool:
+    with _pool(len(head)) as pool:
         tasks = chain(head, tasks)
         partials = (pool.imap(_run_task, tasks, chunksize=chunksize) if pool
                     else map(_run_task, tasks))

@@ -18,9 +18,11 @@ integer vector w with an integer scale s, y = den * w / s (for l2 the
 chain holds s^2, an exact square).  The atom event is invariant under
 scaling both sides by a positive factor, so k, every sign and every
 certificate is an integer comparison, and one Projection per (w, s),
-divided by their common gcd, serves every target along it.  When some
-<v_i, w> is zero, a deterministic schedule on the same integers nudges
-w off the offending hyperplanes.  verify_instance is a chain with one
+divided by their common gcd, serves every target along +-w: the sign
+sum is symmetric, so count_{-w}(t) = count_w(t), and the projected
+target t is taken along the signed w.  When some <v_i, w> is zero, a
+deterministic schedule on the same integers nudges w off the
+offending hyperplanes.  verify_instance is a chain with one
 target whose two atoms are concentration.probe_count calls, on the
 scaled vectors and on the projected coefficients; project() and
 perturb_witness are its exact rational views.
@@ -211,7 +213,8 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     ints = tuple(c.numerator * (lam // c.denominator) for c in w.direction)
     s = int(_times(scale, chain.den * lam, chain.squared))
     c, _, m = chain.perturb(ints, s, lam, u, q,
-                            ceil_norm(instance.norm, instance.target))
+                            ceil_norm(instance.norm, instance.target),
+                            chain.scaled, {})
     return Witness(tuple(Fraction(a, m) for a in c), w.scale)
 
 
@@ -237,53 +240,80 @@ class Chain:
     """The chain for the vector multiset and norm of a validated
     instance (its target is not read), on the instance's scaled vectors
     and den: a target is an integer vector u over q >= 1 in the same
-    units (q = 1 for the sums of scaled_sums)."""
+    units (q = 1 for the sums of scaled_sums).
+
+    A multiset whose vectors are +-(these), in any order, has the same
+    counts and certificates along every direction: the sign sum keeps
+    its law, and the coefficients only change sign.  So such a multiset
+    runs on this chain too, passing its own vectors as the order of the
+    perturbation candidates, the one thing that depends on its signs.
+    A target that perturbs keeps its witness, scale and k, and the
+    outcome of every candidate tried, for its later runs."""
 
     def __init__(self, instance: Instance):
         self.norm = instance.norm
         self.squared = self.norm.kind == L2
         self.den, self.scaled = instance.den, instance.scaled
         self._projections: dict = {}
+        self._witnesses: dict = {}
+        self._searches: dict = {}
 
     def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
         """(u, q): the target x in chain units, u / q = den * x."""
         return target_units(self.den, x)
 
-    def _along(self, w: tuple[int, ...], s: int) -> Projection:
-        """The cached projection along w at scale s, both divided by their
-        common gcd (for l2, by the gcd of w if its square divides s)."""
+    def _along(self, w: tuple[int, ...], s: int) -> tuple[Projection, int]:
+        """The cached projection along +-w at scale s, both divided by
+        their common gcd (for l2, by the gcd of w if its square divides
+        s), and the sign that takes its direction to w.  Since
+        count_{-w}(t) = count_w(-t) = count_w(t) and the certificate reads
+        only |coefficients|, w and -w share the projection whose direction
+        has a positive first nonzero coordinate."""
         g = math.gcd(*w)
         if not self.squared:
             g = math.gcd(g, s)
         elif s % (g * g):
             g = 1
-        key = (tuple(c // g for c in w), s // _times(1, g, self.squared))
+        sign = 1 if next(filter(None, w)) > 0 else -1
+        key = (tuple(sign * c // g for c in w),
+               s // _times(1, g, self.squared))
         proj = self._projections.get(key)
         if proj is None:
             proj = self._projections[key] = Projection(
                 self.scaled, *key, self.squared)
-        return proj
+        return proj, sign
 
-    def locate(self, u: tuple[int, ...], q: int = 1):
+    def locate(self, u: tuple[int, ...], q: int = 1, order=None):
         """(projection, t, k, perturbed) for the target u / q: the
-        projected target is t / q, and perturbed is None or (c, m), the
-        perturbed witness direction c / m in the vectors' own units."""
-        # w = lam * D for the direction D of dual_witness; its scale is
-        # den lam (dual unit vectors), or the square den^2 <w, w> for l2.
-        w, lam = integer_witness(self.norm, witness_target(u))
-        s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
-        # Also cached by the witness itself, so that a hit costs no gcd.
-        proj = self._projections.get(w)
-        if proj is None:
-            proj = self._projections[w] = self._along(w, s)
-        k = ceil_norm_over(self.norm, u, q * self.den)
+        projected target is t / q along the signed direction, and
+        perturbed is None or (c, m), the perturbed witness direction c / m
+        in the vectors' own units.  order is the vectors whose directions
+        the perturbation search tries, by default the chain's own."""
+        search = self._searches.get((u, q)) if order is not None else None
+        if search is None:
+            # w = lam * D for the direction D of dual_witness; its scale is
+            # den lam (dual unit vectors), or the square den^2 <w, w> for
+            # l2.  Its projection is also cached by w itself, so that a hit
+            # costs no gcd.
+            w, lam = integer_witness(self.norm, witness_target(u))
+            s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
+            hit = self._witnesses.get(w)
+            if hit is None:
+                hit = self._witnesses[w] = self._along(w, s)
+            proj, sign = hit
+            k = ceil_norm_over(self.norm, u, q * self.den)
+            if proj.failure == ZERO_COEFFICIENT:
+                if self.squared and not is_zero(u):
+                    lam = q * self.den  # D = x = u / (q den)
+                search = self._searches[u, q] = (w, s, lam, k, {})
         perturbed = None
-        if proj.failure == ZERO_COEFFICIENT:
-            if self.squared and not is_zero(u):
-                lam = q * self.den  # D = x = u / (q den)
-            c, s, m = self.perturb(w, s, lam, u, q, k)
-            proj, perturbed = self._along(c, s), (c, m)
-        t = dot(u, proj.w)
+        if search is not None:
+            w, s, lam, k, memo = search
+            c, s, m = self.perturb(w, s, lam, u, q, k,
+                                   self.scaled if order is None else order,
+                                   memo)
+            (proj, sign), perturbed = self._along(c, s), (c, m)
+        t = sign * dot(u, proj.w)
         failure = proj.failure or certificate_failure(
             proj.s, self.squared, (), t, q, k)
         if failure is not None:
@@ -291,10 +321,13 @@ class Chain:
         return proj, t, k, perturbed
 
     def perturb(self, w: tuple[int, ...], s: int, lam: int,
-                u: tuple[int, ...], q: int, k: int):
+                u: tuple[int, ...], q: int, k: int, order, memo: dict):
         """perturb_witness's search for w = lam * D at scale s and the
-        target u / q: (c, s', m) for the first candidate c that passes at
-        its scale s', with c / m the w' that perturb_witness returns."""
+        target u / q, with the scaled vectors order as its v-directions:
+        (c, s', m) for the first candidate c that passes at its scale s',
+        with c / m the w' that perturb_witness returns.  The certificates
+        are read on the chain's vectors; memo maps each candidate (c, s')
+        tried for this target to whether it passed."""
         den, squared, vectors = self.den, self.squared, self.scaled
         # With lam a multiple of den, lam * z is integral for every z.
         f = den // math.gcd(den, lam)
@@ -302,21 +335,34 @@ class Chain:
         base = tuple(f * a for a in w)
         s = _times(s, f, squared)
         d, n = len(w), len(vectors)
-        dirs = [tuple(sign * (i == j) for i in range(d))
-                for j in range(d) for sign in (lam, -lam)]
-        dirs += [tuple(lam // den * a for a in v) for v in vectors]
-        curve = [tuple(sign * t ** j for j in range(d))
-                 for t in range(1, n * (d - 1) + 2) for sign in (lam, -lam)]
-        for schedule in (dirs, curve):
+
+        def first(schedule):
             for e in ETA_EXPONENTS:
                 # c = 2^e lam ((1 - eta) D + eta z), at scale 2^e s
                 keep, se = (1 << e) - 1, _times(s, 1 << e, squared)
                 for z in schedule:
                     c = tuple(keep * a + b for a, b in zip(base, z))
-                    if certificate_failure(
+                    passed = memo.get((c, se))
+                    if passed is None:
+                        passed = memo[c, se] = certificate_failure(
                             se, squared, [dot(v, c) for v in vectors],
-                            dot(u, c), q, k) is None:
+                            dot(u, c), q, k) is None
+                    if passed:
                         return c, se, lam << e
+            return None
+
+        dirs = [tuple(sign * (i == j) for i in range(d))
+                for j in range(d) for sign in (lam, -lam)]
+        dirs += [tuple(lam // den * a for a in v) for v in order]
+        found = first(dirs)
+        if found:
+            return found
+        # The moment curve, read only once the first pass is exhausted.
+        curve = [tuple(sign * t ** j for j in range(d))
+                 for t in range(1, n * (d - 1) + 2) for sign in (lam, -lam)]
+        found = first(curve)
+        if found:
+            return found
         if not any(u):
             # x = 0 keeps k = 0 at every scale, so only the coefficients
             # bind: the first +-z(t) that clears every hyperplane serves,
@@ -333,10 +379,10 @@ class Chain:
             f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={n}, d={d}, "
             f"norm={format_norm(self.norm)})")
 
-    def counts(self, u: tuple[int, ...]) -> tuple[int, int, bool]:
+    def counts(self, u: tuple[int, ...], order=None) -> tuple[int, int, bool]:
         """(projected, allowed) sign-pattern counts for the target u, and
-        whether its witness was perturbed."""
-        proj, t, k, perturbed = self.locate(u)
+        whether its witness was perturbed; order as in locate."""
+        proj, t, k, perturbed = self.locate(u, 1, order)
         return (proj.count(t), lo_count(len(self.scaled), k),
                 perturbed is not None)
 
@@ -352,11 +398,12 @@ def project(instance: Instance) -> ProjectedInstance:
     if perturbed is not None:
         c, m = perturbed
         w = Witness(tuple(Fraction(a, m) for a in c), w.scale)
-    # The chain's w is a positive multiple of w.direction.
+    # The projection's direction is a multiple of w.direction, negative
+    # when it is keyed by -w; t is along w itself.
     j = next(j for j, a in enumerate(w.direction) if a)
     unit = chain.den * proj.w[j] / w.direction[j]
     return ProjectedInstance(tuple(c / unit for c in proj.coefficients),
-                             t / (q * unit), w.scale, k,
+                             t / (q * abs(unit)), w.scale, k,
                              perturbed is not None)
 
 

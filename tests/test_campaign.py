@@ -1,10 +1,11 @@
 """Instance generators and campaign runs: determinism, aggregation,
 config parsing, and report serialization."""
 
+import multiprocessing
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -18,6 +19,7 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                reachable_sums_nd, run_campaign,
                                verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
+from littlewood_offord.concentration import scaled_sums
 from littlewood_offord.campaign import _build_tasks, _orbit, _task_orbit
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
                      reference_gen_random, reference_sweep)
@@ -114,13 +116,12 @@ def test_gen_random_matches_fraction_sampler():
 GRID0 = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
 GRID0_3D = (F(-1), F(0), F(1, 2))
 POLY2 = NormSpec.polyhedral([(1, 0), (0, 1), (1, 1)])
+POLY3D = NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 SWEEPS = (
     [(nm, 1, GRID0, 4) for nm in (L1, L2, LINF, NormSpec.polyhedral([(2,)]))]
     + [(L1, 2, GRID0, 3), (L2, 2, GRID0, 3), (LINF, 2, GRID0, 2),
        (POLY2, 2, GRID0, 2)]
-    + [(nm, 3, GRID0_3D, 2) for nm in
-       (L1, L2, LINF,
-        NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]))])
+    + [(nm, 3, GRID0_3D, 2) for nm in (L1, L2, LINF, POLY3D)])
 
 
 def _sweep(norms, d, grid, n_max, **kwargs):
@@ -214,6 +215,71 @@ def test_orbit_members_are_every_sign_choice_in_the_universe():
         assert all(next(_orbit(*task[2:])[1]) == task[2] for task in tasks)
 
 
+def test_orbit_members_run_on_the_representatives_chain(monkeypatch):
+    # Members rerun perturbed targets with their own candidate order, but
+    # on the representative's chain: a sweep builds one Chain per orbit
+    # task and none per member.
+    chains, orders = [], []
+    init, perturb = reduction.Chain.__init__, reduction.Chain.perturb
+
+    def counted_init(chain, instance):
+        chains.append(instance)
+        init(chain, instance)
+
+    def counted_perturb(chain, *args):
+        orders.append(args[6] == chain.scaled)
+        return perturb(chain, *args)
+    monkeypatch.setattr(reduction.Chain, "__init__", counted_init)
+    monkeypatch.setattr(reduction.Chain, "perturb", counted_perturb)
+    cfg = _sweep((L2, LINF), 2, GRID0, 3)
+    report = run_campaign(cfg)
+    assert report.verified and not report.errors
+    assert len(chains) == len(list(_build_tasks(cfg)))
+    # both representatives and members perturbed
+    assert set(orders) == {True, False}
+
+
+def _located(chain, *args):
+    """What a target's chain run decides: t, k, the perturbed witness,
+    the projected count at t and the |coefficients| up to order, or the
+    type and message of the error it raised."""
+    found = outcome(chain.locate, *args)
+    if len(found) == 2:
+        return found
+    proj, t, k, perturbed = found
+    return (t, k, perturbed, proj.count(t),
+            sorted(abs(c) for c in proj.coefficients))
+
+
+def test_members_on_the_representatives_chain_match_their_own_chains():
+    # Only a member's candidate order depends on its signs: with its own
+    # vectors as the order, the representative's chain decides every
+    # target as the member's own chain does, perturbed ones included.
+    # On the planar sweeps the axis directions always win, so the order
+    # is seen only at d = 3, where some members pick another v-direction
+    # than their representative.
+    perturbed = reordered = 0
+    for norm, d, grid, n_max in ([(nm, 2, GRID0, 3)
+                                  for nm in (L1, L2, LINF, POLY2)]
+                                 + [(POLY3D, 3, (F(-1), F(0), F(1)), 3)]):
+        for task in _build_tasks(_sweep((norm,), d, grid, n_max)):
+            rep, mirrored = task[2:]
+            chain = reduction.Chain(campaign._sweep_instance(norm, rep))
+            targets = [u for u, _ in scaled_sums(chain.scaled)]
+            members = zip(_orbit(rep, mirrored)[1],
+                          _orbit(chain.scaled, mirrored)[1])
+            for member, order in islice(members, 1, None):
+                own = reduction.Chain(campaign._sweep_instance(norm, member))
+                assert own.scaled == order
+                for u in targets:
+                    found = _located(chain, u, 1, order)
+                    assert found == _located(own, u), (norm, member, u)
+                    if len(found) > 2 and found[2] is not None:
+                        perturbed += 1
+                        reordered += found != _located(chain, u)
+    assert perturbed > 1000 and reordered > 10
+
+
 def test_orbit_sweep_is_the_same_for_any_worker_count():
     cfg = _sweep((L1, LINF), 2, ORBIT_GRIDS[1], 3)
     text = format_campaign_report(_same_as_reference(cfg))
@@ -222,15 +288,17 @@ def test_orbit_sweep_is_the_same_for_any_worker_count():
 
 def test_perturbation_errors_on_members_are_their_own(monkeypatch):
     # Every representative of the symmetric grid holds only vectors above
-    # their negation; a perturbation search fails on any other multiset.
-    # So members, which rerun the targets the representative perturbed,
-    # record errors that the representative does not, at their own index.
+    # their negation; a perturbation search fails on any other multiset,
+    # which a member passes as its candidate order on the representative's
+    # chain.  So members, which rerun the targets the representative
+    # perturbed, record errors that the representative does not, at their
+    # own index.
     perturb = reduction.Chain.perturb
 
-    def members_fail(chain, *args):
-        if any(v < tuple(-c for c in v) for v in chain.scaled):
+    def members_fail(chain, w, s, lam, u, q, k, order, memo):
+        if any(v < tuple(-c for c in v) for v in order):
             raise PerturbationError("perturbation refused on a member")
-        return perturb(chain, *args)
+        return perturb(chain, w, s, lam, u, q, k, order, memo)
     monkeypatch.setattr(reduction.Chain, "perturb", members_fail)
     for norm in (L1, POLY2):
         text = format_campaign_report(
@@ -322,7 +390,7 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
             chunks.append(chunksize)
             return map(fn, tasks)
 
-    monkeypatch.setattr(campaign, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     cfg = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
                          budget=5 * 64, workers=50)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)

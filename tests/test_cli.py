@@ -1,9 +1,14 @@
 """Command-line entry points: output shapes, exit codes, file handling."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import littlewood_offord
 from littlewood_offord import parse_instance
 from littlewood_offord.cli import main
 
@@ -12,6 +17,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # Only a campaign that starts a pool loads multiprocessing, so that
+    # each `lo verify` process does not pay for it.
+    src = Path(littlewood_offord.__file__).resolve().parent.parent
+    probe = ("import sys, littlewood_offord.cli; "
+             "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "False\n"
 
 
 def test_bound_prints_exact_and_decimal(capsys):

@@ -20,6 +20,7 @@ from littlewood_offord import (InputError, Instance, NormSpec,
                                verify_instance)
 from littlewood_offord.concentration import scaled_vectors
 from littlewood_offord.norms import witness_target
+from littlewood_offord.reduction import Chain
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
                      pascal_binomial, reference_perturb_witness,
                      reference_verify)
@@ -266,6 +267,29 @@ POLY_BY_D = {1: NormSpec.polyhedral([(F(3, 4),)]), 2: POLY3,
                                      (1, 1, 1)])}
 
 
+# The linf witness of x = (-1, 0) is -e_1, orthogonal to (0, 1/2); the
+# schedule's first acceptable candidate is w' = (-7/8, 1/8), whose first
+# nonzero coordinate is negative, so its projection is keyed by -w'.
+FLIPPED_KEY_LINF = (
+    "dimension = 2\nnorm = linf\n"
+    "vectors = 0,1/2; 1/2,1/2; 1/2,0\n"
+    "target = -1,0\n")
+
+
+def test_projection_is_shared_by_w_and_minus_w():
+    chain = Chain(parse_instance(FLIPPED_KEY_LINF))
+    for w, s in (((-7, 1), 8), ((2, -4), 6), ((0, 3), 3)):
+        proj, sign = chain._along(w, s)
+        assert chain._along(tuple(-c for c in w), s) == (proj, -sign)
+        assert proj.w[next(j for j, c in enumerate(proj.w) if c)] > 0
+        assert tuple(sign * c for c in proj.coefficients) == tuple(
+            dot(v, w) // (math.gcd(*w, s)) for v in chain.scaled)
+    proj = project(parse_instance(FLIPPED_KEY_LINF))
+    assert proj.perturbed and proj.k == 1
+    assert proj.coefficients == (F(1, 16), F(-3, 8), F(-7, 16))
+    assert proj.target_value == F(7, 8)
+
+
 def _perturbation_cases():
     """Seeded instances at d = 1..3 under all four norm kinds, on grids
     with zero coordinates (so that witnesses often meet a hyperplane),
@@ -286,6 +310,7 @@ def _perturbation_cases():
         yield Instance(inst.vectors, target, norm)
     yield parse_instance(TWO_HYPERPLANES_D3)
     yield parse_instance(ZERO_TARGET_LINF_D3)
+    yield parse_instance(FLIPPED_KEY_LINF)
 
 
 def test_perturbation_matches_the_rational_reference():
