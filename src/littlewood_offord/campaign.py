@@ -5,7 +5,8 @@ one, and aggregates a deterministic report:
 
 * exhaustive-grid   - every multiset of unit-ball grid vectors, every
                       reachable sum as the target, verified on one
-                      reduction.Chain per sign orbit (below);
+                      reduction.Chain per orbit of the norm's symmetry
+                      group (below);
 * random            - seeded random instances on a rational grid, each
                       verified as a batch of one (verify_instance);
 * extremal          - the tightness construction (n aligned copies of
@@ -22,21 +23,25 @@ certificate) are recorded in the report rather than aborting the stream.
 
 The eps_i are symmetric, so negating some v_i leaves the law of the
 sign sum unchanged, and along any witness it only negates projected
-coefficients.  So the multisets of one sign orbit (every sign choice
-that stays in the grid universe) share their sum table and, on every
-target whose witness needs no perturbation, k and the whole chain.  An
-exhaustive-grid task verifies one orbit: its representative, each
-vector the larger of +-v when both lie in the universe, runs its chain
-on every target, and each other member reruns only the targets where
-the representative was perturbed (the search tries the v_i as
-directions, so its winner depends on the signs), failed its chain, or
-raised.  It reruns them on the representative's chain, with its own
-vectors as the order of the perturbation candidates: so a member
-builds no Instance, Chain or sign table, and its search reuses each
-candidate the orbit already tried for that target.  Indices stay those
-of the per-multiset stream: the runner resolves a block's (norm, d, n)
-record indices from the targets of its orbits once the block has
-merged.
+coefficients.  A signed permutation g of the coordinates that fixes the
+norm and the grid universe maps (V, x) to (gV, gx) with the same
+p_exact and k, and along g w every projected coefficient is one of
+those along w, up to sign.  So an exhaustive-grid task verifies one
+orbit of G x signs, G the group of such g: every multiset +-g v_i.  Its
+representative, the least multiset of sign class representatives (each
+vector the larger of +-v when both lie in the universe), runs its chain
+on every target.  The first multiset of each other sign orbit g rep
+reruns the targets the representative perturbed (the search tries the
+v_i as directions, so its winner depends on the signs), failed its
+chain or raised on, and those where the witness may not commute with g
+(norms.witness_tie); what holds there on the unperturbed witness holds
+on its whole sign orbit, and every other multiset reruns the rest.  All
+reruns run on the representative's chain, in the multiset's own
+reduction.Frame: so a member builds no Instance, Chain or sign table,
+and its search reuses each candidate the orbit already tried for that
+target.  Indices stay those of the per-multiset stream: the runner
+resolves a block's (norm, d, n) record indices from the targets of its
+orbits once the block has merged.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (chain, combinations_with_replacement, groupby, islice,
-                       product)
+                       permutations, product)
 from typing import Iterator, Sequence
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
@@ -60,11 +65,12 @@ from .errors import (CapacityError, CertificateError, InputError,
                      PerturbationError)
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
-from .norms import (L1, L2, LINF, NormSpec, RVector, ceil_norm_over,
-                    format_norm, is_zero, parse_norm)
-from .reduction import (Chain, Instance, VerificationReport, in_unit_ball,
-                        instance_lines, parse_keyvals, report_lines,
-                        verify_instance)
+from .norms import (L1, L2, LINF, NormSpec, RVector, act, ceil_norm_over,
+                    fixes_norm, format_norm, is_zero, parse_norm,
+                    witness_tie)
+from .reduction import (Chain, Frame, Instance, VerificationReport,
+                        in_unit_ball, instance_lines, parse_keyvals,
+                        report_lines, verify_instance)
 
 MODES = ("exhaustive-grid", "random", "extremal", "uniform-kleitman")
 
@@ -271,36 +277,124 @@ def _negated(v: RVector) -> RVector:
     return tuple(-c for c in v)
 
 
-def _canonical(universe: list[RVector]) -> dict[RVector, RVector]:
-    """Each universe vector's orbit representative: the larger of +-v
-    when both lie in the universe, else v itself."""
-    inside = set(universe)
-    return {v: max(v, _negated(v)) if _negated(v) in inside else v
-            for v in universe}
+# Above d = 3 the group is the identity, and orbits are sign orbits:
+# testing the 2^d d! signed permutations on every universe vector, and
+# every orbit against them, costs more than the chains it saves.  With
+# the group at d = 4 (384 candidates), the l1 and linf sweep of the grid
+# -1, 0, 1 at n <= 3 took 34 s, against 18 s with sign orbits alone.
+_SYMMETRY_DIMENSIONS = 3
+
+
+class _Classes:
+    """The sign classes of one (norm, d) grid universe, +-v when both
+    lie in it, else v alone, and the group G that permutes them.
+
+    reps holds each class's representative (the larger of +-v), in
+    universe order, mirrored whether the class holds two vectors, and
+    index each universe vector's class.  G holds the signed coordinate
+    permutations (norms.act) that fix the norm and map the universe onto
+    itself, the identity first; perms holds, for each g in G, the
+    permutation of the classes it induces (g -v = -g v)."""
+
+    def __init__(self, universe: list[RVector], d: int, norm: NormSpec):
+        # In integer units, where a signed permutation costs no Fraction.
+        den = math.lcm(*(c.denominator for v in universe for c in v))
+        scaled = {v: tuple(c.numerator * (den // c.denominator) for c in v)
+                  for v in universe}
+        inside = set(scaled.values())
+        reps = [v for v in universe if _negated(scaled[v]) not in inside
+                or scaled[v] > _negated(scaled[v])]
+        at = {scaled[v]: i for i, v in enumerate(reps)}
+        at.update([(_negated(u), i) for u, i in list(at.items())
+                   if _negated(u) in inside])
+        group = [tuple((j, 1) for j in range(d))]
+        if d <= _SYMMETRY_DIMENSIONS:
+            for perm in permutations(range(d)):
+                for signs in product((1, -1), repeat=d):
+                    g = tuple(zip(perm, signs))
+                    if (g != group[0] and fixes_norm(norm, g)
+                            and all(act(g, u) in inside for u in inside)):
+                        group.append(g)
+        units = [scaled[v] for v in reps]
+        self.reps = tuple(reps)
+        self.mirrored = tuple(_negated(u) in inside for u in units)
+        self.index = {v: at[u] for v, u in scaled.items()}
+        self.group = tuple(group)
+        self.perms = tuple(tuple(at[act(g, u)] for u in units)
+                           for g in group)
+
+    def least(self, combo: Sequence[int]) -> tuple:
+        """The least multiset of classes in the G-orbit of combo."""
+        return min(tuple(sorted([p[i] for i in combo])) for p in self.perms)
+
+    def orbits(self, n: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+        """The G-orbits on the n-multisets of classes, in
+        combinations_with_replacement order of their least multiset: that
+        multiset, as class indices, with the g in G that map it onto each
+        other multiset of its orbit, one g each.
+
+        A prefix of a least multiset is least in its own orbit: if
+        sorted(g P) < P for a prefix P, then sorted(g C) < C, since the
+        i-th least of g C is at most the i-th least of g P.  So the
+        search extends only least prefixes (orderly generation;
+        B. McKay, "Isomorph-free exhaustive generation", J. Algorithms
+        26, 1998)."""
+        def extend(prefix: tuple, start: int):
+            for i in range(start, len(self.reps)):
+                combo = prefix + (i,)
+                images: dict = {}
+                for g, p in zip(self.group, self.perms):
+                    image = tuple(sorted([p[j] for j in combo]))
+                    if image < combo:
+                        break
+                    images.setdefault(image, g)
+                else:
+                    if len(combo) < n:
+                        yield from extend(combo, i)
+                    else:
+                        yield combo, tuple(images.values())[1:]
+        return extend((), 0)
+
+    def count(self, n: int) -> int:
+        """The number of orbits, by Burnside's lemma: the mean over g of
+        the multisets g fixes, which hold each cycle of g's permutation
+        of the classes a whole number of times."""
+        total = 0
+        for p in self.perms:
+            ways, seen = [1] + [0] * n, set()
+            for start in range(len(p)):
+                if start in seen:
+                    continue
+                length, i = 0, start
+                while i not in seen:
+                    seen.add(i)
+                    i, length = p[i], length + 1
+                for m in range(length, n + 1):
+                    ways[m] += ways[m - length]
+            total += ways[n]
+        return total // len(self.perms)
 
 
 def _grid_blocks(config: CampaignConfig) -> Iterator[tuple]:
-    """The (norm, n, universe, canonical, representatives) blocks of an
-    exhaustive-grid sweep, in report order; representatives are the
-    canonical vectors, in universe order."""
+    """The (norm, n, universe, classes) blocks of an exhaustive-grid
+    sweep, in report order."""
     for norm in config.norms:
         for d in range(config.d_min, config.d_max + 1):
             # Fixed-dimension norms (facet form) only apply to matching d.
             if norm.dimension not in (None, d):
                 continue
             universe = _grid_universe(config.grid, d, norm)
-            canonical = _canonical(universe)
-            reps = [v for v in universe if canonical[v] == v]
+            classes = _Classes(universe, d, norm)
             for n in range(config.n_min, config.n_max + 1):
-                yield norm, n, universe, canonical, reps
+                yield norm, n, universe, classes
 
 
 def _orbit(rep: tuple[RVector, ...], mirrored: tuple[bool, ...]
            ) -> tuple[int, Iterator[tuple[RVector, ...]]]:
     """The size of rep's sign orbit and its multisets, made as they are
-    read, each sorted as the stream lists it, rep first: every way to
-    negate some copies of each mirrored vector (one whose negation lies
-    in the universe)."""
+    read, each sorted as the stream lists it, rep's own first: every way
+    to negate some copies of each mirrored vector (one whose negation
+    lies in the universe).  Copies of a vector must be adjacent in rep."""
     choices = []
     for (v, flips), copies in groupby(zip(rep, mirrored)):
         m = len(list(copies))
@@ -309,6 +403,16 @@ def _orbit(rep: tuple[RVector, ...], mirrored: tuple[bool, ...]
     return math.prod(map(len, choices)), (
         tuple(sorted(chain.from_iterable(parts)))
         for parts in product(*choices))
+
+
+def _sign_orbits(rep: tuple, mirrored: tuple[bool, ...], images: tuple
+                 ) -> Iterator[tuple]:
+    """rep's orbit under G x signs, one sign orbit at a time: (g, size,
+    multisets) as _orbit gives them for g rep, g the identity and then
+    each of images, so that the first multiset is rep (sorted)."""
+    identity = tuple((j, 1) for j in range(len(rep[0])))
+    for g in (identity,) + images:
+        yield (g, *_orbit(tuple(act(g, v) for v in rep), mirrored))
 
 
 @dataclass
@@ -355,20 +459,22 @@ def _rational(scaled, den: int) -> tuple[RVector, ...]:
 
 
 def _check_target(res: _TaskResult, chain: Chain, local: int,
-                  u: tuple[int, ...], count: int, order=None) -> int | None:
+                  u: tuple[int, ...], count: int,
+                  frame: Frame | None = None) -> int | None:
     """Verify the target u of one multiset on chain: the chain's own
-    multiset, or with order the scaled vectors of another member of its
-    sign orbit (see Chain); count is its p_exact in patterns.  Return the
-    allowed count when the chain held on the unperturbed witness, which
-    every member of the orbit shares, for the caller to tally.  Otherwise
-    tally the target into res and return None; a failed chain is rerun
-    by verify_instance on the multiset itself for its violation record."""
+    multiset, or with a frame the target g u of another multiset of its
+    orbit (see Frame); count is its p_exact in patterns.  Return the
+    allowed count when the chain held on the unperturbed witness, for
+    the caller to tally or share.  Otherwise tally the target into res
+    and return None; a failed chain is rerun by verify_instance on the
+    multiset itself for its violation record."""
     try:
-        projected, allowed, perturbed = chain.counts(u, order)
+        projected, allowed, perturbed = chain.counts(u, frame)
         if not count <= projected <= allowed:
-            vectors = chain.scaled if order is None else order
+            vectors, x = ((chain.scaled, u) if frame is None
+                          else (frame.vectors, frame.act(u)))
             instance = Instance(_rational(vectors, chain.den),
-                                _rational((u,), chain.den)[0], chain.norm)
+                                _rational((x,), chain.den)[0], chain.norm)
             _tally(res, local, instance, verify_instance(instance))
         elif perturbed:
             _tally_counts(res, count, allowed)
@@ -384,58 +490,127 @@ def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
     return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
 
 
+def _relocate(part: _TaskResult, frame: Frame, sums: list) -> None:
+    """Give the records of part, kept at the local indices of the
+    chain's targets u, the local indices of the frame's targets g u:
+    their ranks among its lexicographically sorted sums."""
+    rank = {x: i for i, x in enumerate(sorted(frame.act(u) for u, _ in sums))}
+
+    def local(i):
+        return rank[frame.act(sums[i][0])]
+    part.violations = [(local(i), instance, report)
+                       for i, instance, report in part.violations]
+    part.errors = [(local(i), message) for i, message in part.errors]
+
+
+def _check_targets(chain: Chain, frame: Frame | None, todo: list
+                   ) -> tuple[_TaskResult, list, list]:
+    """_check_target on each (local, u, count) of todo for one multiset:
+    (part, held, rerun), where rerun lists the targets part tallies and
+    held adds the allowed count to each of the others."""
+    part, held, rerun = _TaskResult(), [], []
+    for local, u, count in todo:
+        allowed = _check_target(part, chain, local, u, count, frame)
+        if allowed is None:
+            rerun.append((local, u, count))
+        else:
+            held.append((local, u, count, allowed))
+    part.count = len(rerun)
+    return part, held, rerun
+
+
+def _hold(tally: _TaskResult, held: list) -> None:
+    """Tally the held targets of _check_targets."""
+    for _, _, count, allowed in held:
+        tally.count += 1
+        _tally_counts(tally, count, allowed)
+
+
 def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
-                mirrored: tuple[bool, ...]) -> _TaskResult:
-    """Verify every reachable target of every multiset in the sign orbit
-    of rep (see the module docstring).  rep's chain runs every target in
-    pattern counts over 2^n, p_exact read off the sum table of its scaled
-    vectors, which lives only as long as this task; the other members
-    rerun on the same chain only the targets rep could not share."""
-    size, members = _orbit(rep, mirrored)
-    shared = _TaskResult()
+                mirrored: tuple[bool, ...], images: tuple = ()
+                ) -> _TaskResult:
+    """Verify every reachable target of every multiset in the orbit of
+    rep under G x signs (see the module docstring); images holds one g
+    in G for each sign orbit of that orbit but rep's own.  rep's chain
+    runs every target in pattern counts over 2^n, p_exact read off the
+    sum table of its scaled vectors, which lives only as long as this
+    task.  Every other multiset reruns on the same chain, in its own
+    Frame, only the targets it cannot share."""
+    sizes, parts = [], []
+    shares = []  # (multisets, tally) of the targets they share
     try:
         instance = _sweep_instance(norm, rep)
     except InputError:
         # Only outside a sweep: the grid universe holds valid vectors.
         # Norms are symmetric, so every member is invalid too, and each
         # records every target with its own message.
-        rerun = range(len(reachable_sums_nd(rep)))
-        parts = []
-        for member in members:
-            part = _TaskResult(count=len(rerun))
-            try:
-                _sweep_instance(norm, member)
-            except InputError as exc:
-                part.errors = [(local, str(exc)) for local in rerun]
-            parts.append((member, part))
-    else:
-        rep_chain, own, rerun = Chain(instance), _TaskResult(), []
-        for local, (u, count) in enumerate(scaled_sums(rep_chain.scaled)):
-            allowed = _check_target(own, rep_chain, local, u, count)
-            if allowed is None:
-                rerun.append((local, u, count))
-            else:
-                shared.count += 1
-                _tally_counts(shared, count, allowed)
-        own.count = len(rerun)
-        parts = [(rep, own)]
-        if rerun:
-            # The members in the stream's order, in the chain's units; a
-            # member is made rational only for its records.
-            for order in islice(_orbit(rep_chain.scaled, mirrored)[1], 1,
-                                None):
-                part = _TaskResult(count=len(rerun))
-                for local, u, count in rerun:
-                    allowed = _check_target(part, rep_chain, local, u, count,
-                                            order)
-                    if allowed is not None:
-                        _tally_counts(part, count, allowed)
-                member = (_rational(order, rep_chain.den)
-                          if part.violations or part.errors else None)
+        targets = len(reachable_sums_nd(rep))
+        for _, size, members in _sign_orbits(rep, mirrored, images):
+            sizes.append(size)
+            for member in members:
+                part = _TaskResult(count=targets)
+                try:
+                    _sweep_instance(norm, member)
+                except InputError as exc:
+                    part.errors = [(local, str(exc))
+                                   for local in range(targets)]
                 parts.append((member, part))
-    res = _TaskResult(count=size * shared.count, tight=size * shared.tight,
-                      max_ratio=shared.max_ratio,
-                      targets=shared.count + len(rerun))
+    else:
+        rep_chain, shared = Chain(instance), _TaskResult()
+        sums = scaled_sums(rep_chain.scaled)
+        targets = len(sums)
+
+        def record(vectors, frame, part):
+            # A member is made rational only for its records, which take
+            # its own local indices.
+            member = None
+            if part.violations or part.errors:
+                member = _rational(vectors, rep_chain.den)
+                if frame is not None:
+                    _relocate(part, frame, sums)
+            parts.append((member, part))
+
+        # The first multiset of each sign orbit g rep (rep itself for
+        # g = identity) runs the targets that may differ on it: for rep,
+        # all; for the others, those rep reran and those where the
+        # witness may not commute with g (norms.witness_tie).  What held
+        # there on the unperturbed witness holds on that whole sign
+        # orbit, and what held on rep off a tie on the whole orbit.  The
+        # other multisets of each sign orbit rerun the rest.
+        todo = [(local, u, count) for local, (u, count) in enumerate(sums)]
+        for image, (g, size, members) in enumerate(
+                _sign_orbits(rep_chain.scaled, mirrored, images)):
+            sizes.append(size)
+            if not todo:
+                continue
+            vectors = next(members)
+            frame = Frame(g, vectors) if image else None
+            part, held, rerun = _check_targets(rep_chain, frame, todo)
+            record(vectors, frame, part)
+            within = _TaskResult()
+            if image:
+                _hold(within, held)
+            else:
+                ties = []
+                for target in held:
+                    if images and witness_tie(norm, target[1]):
+                        ties.append(target)
+                    else:
+                        _hold(shared, [target])
+                _hold(within, ties)
+                todo = rerun + [target[:3] for target in ties]
+            shares.append((size, within))
+            for vectors in (members if rerun else ()):
+                frame = Frame(g, vectors)
+                part, held, _ = _check_targets(rep_chain, frame, rerun)
+                _hold(part, held)
+                record(vectors, frame, part)
+        shares.append((sum(sizes), shared))
+    res = _TaskResult(targets=targets)
+    for size, part in shares:
+        res.count += size * part.count
+        res.tight += size * part.tight
+        res.max_ratio = max(res.max_ratio, part.max_ratio)
     for member, part in parts:
         res.count += part.count
         res.tight += part.tight
@@ -512,12 +687,13 @@ def _run_task(task: tuple) -> _TaskResult:
 def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
     """The campaign's tasks in report order, one at a time."""
     if config.mode == "exhaustive-grid":
-        # One task per sign orbit, its canonical multiset as representative.
-        for norm, n, _, canonical, reps in _grid_blocks(config):
-            mirrored = {v: _negated(v) in canonical for v in reps}
-            for rep in combinations_with_replacement(reps, n):
-                yield (_task_orbit, norm, rep,
-                       tuple(mirrored[v] for v in rep))
+        # One task per orbit of G x signs, its least multiset of sign
+        # class representatives as representative.
+        for norm, n, _, classes in _grid_blocks(config):
+            for combo, images in classes.orbits(n):
+                yield (_task_orbit, norm,
+                       tuple(classes.reps[i] for i in combo),
+                       tuple(classes.mirrored[i] for i in combo), images)
     elif config.mode == "extremal":
         for norm in config.norms:
             for n in range(config.n_min, config.n_max + 1):
@@ -533,10 +709,11 @@ class _StreamIndex:
     stream numbers them: every multiset of a (norm, d, n) block in
     combinations_with_replacement order, each with its reachable targets.
 
-    Orbit tasks merge in canonical order, and a multiset's target count
-    is its representative's.  So the runner keeps one target count per
-    orbit of the current block, and once the block's last orbit merged it
-    walks that block's stream once, if the block has records at all."""
+    Orbit tasks merge in the order of their least multisets, and every
+    multiset of an orbit has its representative's target count.  So the
+    runner keeps one target count per orbit of the current block, and
+    once the block's last orbit merged it walks that block's stream
+    once, if the block has records at all."""
 
     def __init__(self, config: CampaignConfig):
         self._blocks = _grid_blocks(config)
@@ -551,8 +728,8 @@ class _StreamIndex:
         while not self._left:
             self.flush(report)
             self._block = next(self._blocks)
-            _, n, _, _, reps = self._block
-            self._left = math.comb(len(reps) + n - 1, n)
+            _, n, _, classes = self._block
+            self._left = classes.count(n)
             self._start, self._targets = offset, array("q")
         self._left -= 1
         self._targets.append(part.targets)
@@ -563,8 +740,8 @@ class _StreamIndex:
         """Append the current block's records with their stream indices."""
         if not (self._violations or self._errors):
             return
-        _, n, universe, canonical, reps = self._block
-        targets = dict(zip(combinations_with_replacement(reps, n),
+        _, n, universe, classes = self._block
+        targets = dict(zip((combo for combo, _ in classes.orbits(n)),
                            self._targets))
         wanted = {key[0] for key, *_ in self._violations + self._errors}
         starts, offset = {}, self._start
@@ -573,7 +750,8 @@ class _StreamIndex:
                 starts[combo] = offset
                 if len(starts) == len(wanted):
                     break
-            offset += targets[tuple(sorted(canonical[v] for v in combo))]
+            offset += targets[classes.least(
+                [classes.index[v] for v in combo])]
         report.violations += sorted(
             (Violation(starts[member] + local, instance, vrep)
              for (member, local), instance, vrep in self._violations),

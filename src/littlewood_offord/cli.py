@@ -30,6 +30,17 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
+def _check_writable(out: str) -> None:
+    """Raise the OSError that writing out would raise, before a long
+    run ends in it; a file this check creates is removed again."""
+    path = Path(out)
+    existed = path.exists()
+    with path.open("a"):
+        pass
+    if not existed:
+        path.unlink()
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -70,6 +81,8 @@ def _cmd_campaign(args) -> int:
     config = parse_campaign_config(_read_text(args.config))
     if args.workers is not None:
         config = replace(config, workers=parse_int(args.workers))
+    if args.out:
+        _check_writable(args.out)
     report = run_campaign(config)
     _write_output(format_campaign_report(report), args.out)
     if args.out:

@@ -43,10 +43,10 @@ from .concentration import (atom_1d, atom_nd, probe_count,  # noqa: F401
 from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
                        lo_bound, lo_count, parse_int, parse_rational)
-from .norms import (L2, POLY, NormSpec, NormValue, RVector, Witness,
+from .norms import (L2, POLY, NormSpec, NormValue, RVector, Witness, act,
                     ceil_norm, ceil_norm_over, dot, dual_witness, format_norm,
-                    integer_witness, is_zero, norm_eval, parse_norm, vector,
-                    witness_target)
+                    integer_witness, inverse, is_zero, norm_eval, parse_norm,
+                    vector, witness_target, witness_tie)
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -214,7 +214,7 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     s = int(_times(scale, chain.den * lam, chain.squared))
     c, _, m = chain.perturb(ints, s, lam, u, q,
                             ceil_norm(instance.norm, instance.target),
-                            chain.scaled, {})
+                            None, {})
     return Witness(tuple(Fraction(a, m) for a in c), w.scale)
 
 
@@ -236,19 +236,55 @@ class Projection:
         return sign_counter(self.coefficients)
 
 
+class Frame:
+    """Another multiset of a chain's orbit, seen from the chain: a signed
+    coordinate permutation g (norms.act) and the multiset's own scaled
+    vectors, each +-g v for a vector v of the chain, in its own order.
+    Its target g u is the chain's target u, with the same sign-pattern
+    counts.  Its witness and its perturbation candidates are its own,
+    pulled back by g^-1 into the chain's coordinates: since
+    <g v, z> = <v, g^-1 z>, the chain then decides every candidate as
+    the multiset's own chain would.  A sign-orbit member is the case
+    g = identity."""
+
+    def __init__(self, g: tuple, vectors: tuple[tuple[int, ...], ...]):
+        self.g, self.vectors = g, vectors
+        self.fixed = all(p == i and s == 1 for i, (p, s) in enumerate(g))
+        self._inverse = inverse(g)
+
+    def act(self, x: tuple) -> tuple:
+        """x in the multiset's coordinates: g x."""
+        return x if self.fixed else act(self.g, x)
+
+    def pull(self, y: tuple) -> tuple:
+        """y in the chain's coordinates: g^-1 y."""
+        return y if self.fixed else act(self._inverse, y)
+
+    @cached_property
+    def order(self) -> tuple:
+        """The multiset's vectors pulled back: its v-directions."""
+        return tuple(map(self.pull, self.vectors))
+
+    @cached_property
+    def axes(self) -> list:
+        """+e_1, -e_1, ..., +e_d, -e_d pulled back: its axis directions."""
+        d = len(self.g)
+        return [self.pull(tuple(sign * (i == j) for i in range(d)))
+                for j in range(d) for sign in (1, -1)]
+
+
 class Chain:
     """The chain for the vector multiset and norm of a validated
     instance (its target is not read), on the instance's scaled vectors
     and den: a target is an integer vector u over q >= 1 in the same
     units (q = 1 for the sums of scaled_sums).
 
-    A multiset whose vectors are +-(these), in any order, has the same
-    counts and certificates along every direction: the sign sum keeps
-    its law, and the coefficients only change sign.  So such a multiset
-    runs on this chain too, passing its own vectors as the order of the
-    perturbation candidates, the one thing that depends on its signs.
-    A target that perturbs keeps its witness, scale and k, and the
-    outcome of every candidate tried, for its later runs."""
+    Every other multiset of its orbit, +-g v_i for a signed permutation
+    g that fixes the norm, runs on this chain too, through its Frame: the
+    sign sum keeps its law, and along g^-1 w every coefficient is one of
+    the chain's, up to sign.  Projections are cached by direction and
+    scale, and a target that perturbs keeps the outcome of every
+    candidate tried, for the runs of the whole orbit."""
 
     def __init__(self, instance: Instance):
         self.norm = instance.norm
@@ -257,6 +293,12 @@ class Chain:
         self._projections: dict = {}
         self._witnesses: dict = {}
         self._searches: dict = {}
+
+    @cached_property
+    def _own(self) -> Frame:
+        """The chain's own multiset, with g = identity."""
+        return Frame(tuple((j, 1) for j in range(len(self.scaled[0]))),
+                     self.scaled)
 
     def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
         """(u, q): the target x in chain units, u / q = den * x."""
@@ -283,36 +325,54 @@ class Chain:
                 self.scaled, *key, self.squared)
         return proj, sign
 
-    def locate(self, u: tuple[int, ...], q: int = 1, order=None):
+    def _projection(self, w: tuple[int, ...], s: int):
+        """_along(w, s), cached by (w, s) itself, so that a hit costs no
+        gcd."""
+        hit = self._witnesses.get((w, s))
+        if hit is None:
+            hit = self._witnesses[w, s] = self._along(w, s)
+        return hit
+
+    def locate(self, u: tuple[int, ...], q: int = 1,
+               frame: Frame | None = None):
         """(projection, t, k, perturbed) for the target u / q: the
         projected target is t / q along the signed direction, and
         perturbed is None or (c, m), the perturbed witness direction c / m
-        in the vectors' own units.  order is the vectors whose directions
-        the perturbation search tries, by default the chain's own."""
-        search = self._searches.get((u, q)) if order is not None else None
-        if search is None:
+        in the vectors' own units.  With a frame the target is the frame's
+        g u: its witness, and c, are pulled back by g^-1, and t, k and
+        the counts are its own."""
+        if frame is None:
+            frame = self._own
+        search = self._searches.get((u, q))
+        if search is not None and search[0] is not None and (
+                frame.fixed or not search[5]):
+            # A perturbed target whose witness is this frame's too.
+            w, s, lam, k, memo, _ = search
+            proj = None
+        else:
             # w = lam * D for the direction D of dual_witness; its scale is
             # den lam (dual unit vectors), or the square den^2 <w, w> for
-            # l2.  Its projection is also cached by w itself, so that a hit
-            # costs no gcd.
-            w, lam = integer_witness(self.norm, witness_target(u))
+            # l2.
+            w, lam = integer_witness(self.norm, witness_target(frame.act(u)))
+            w = frame.pull(w)
             s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
-            hit = self._witnesses.get(w)
-            if hit is None:
-                hit = self._witnesses[w] = self._along(w, s)
-            proj, sign = hit
+            proj, sign = self._projection(w, s)
             k = ceil_norm_over(self.norm, u, q * self.den)
             if proj.failure == ZERO_COEFFICIENT:
                 if self.squared and not is_zero(u):
                     lam = q * self.den  # D = x = u / (q den)
-                search = self._searches[u, q] = (w, s, lam, k, {})
+                if search is None:
+                    # Off a tie, w is the witness of every frame; on one,
+                    # only of the frames with g = identity.
+                    tie = witness_tie(self.norm, u)
+                    search = self._searches[u, q] = (
+                        w if frame.fixed or not tie else None, s, lam, k, {},
+                        tie)
+                memo, proj = search[4], None
         perturbed = None
-        if search is not None:
-            w, s, lam, k, memo = search
-            c, s, m = self.perturb(w, s, lam, u, q, k,
-                                   self.scaled if order is None else order,
-                                   memo)
-            (proj, sign), perturbed = self._along(c, s), (c, m)
+        if proj is None:
+            c, s, m = self.perturb(w, s, lam, u, q, k, frame, memo)
+            (proj, sign), perturbed = self._projection(c, s), (c, m)
         t = sign * dot(u, proj.w)
         failure = proj.failure or certificate_failure(
             proj.s, self.squared, (), t, q, k)
@@ -321,13 +381,17 @@ class Chain:
         return proj, t, k, perturbed
 
     def perturb(self, w: tuple[int, ...], s: int, lam: int,
-                u: tuple[int, ...], q: int, k: int, order, memo: dict):
+                u: tuple[int, ...], q: int, k: int, frame: Frame | None,
+                memo: dict):
         """perturb_witness's search for w = lam * D at scale s and the
-        target u / q, with the scaled vectors order as its v-directions:
-        (c, s', m) for the first candidate c that passes at its scale s',
-        with c / m the w' that perturb_witness returns.  The certificates
-        are read on the chain's vectors; memo maps each candidate (c, s')
-        tried for this target to whether it passed."""
+        target u / q, with the candidates of frame (by default the
+        chain's own multiset) in the chain's coordinates: (c, s', m) for
+        the first candidate c that passes at its scale s', with c / m the
+        w' that perturb_witness returns.  The certificates are read on
+        the chain's vectors; memo maps each candidate (c, s') tried for
+        this target to whether it passed."""
+        if frame is None:
+            frame = self._own
         den, squared, vectors = self.den, self.squared, self.scaled
         # With lam a multiple of den, lam * z is integral for every z.
         f = den // math.gcd(den, lam)
@@ -336,8 +400,8 @@ class Chain:
         s = _times(s, f, squared)
         d, n = len(w), len(vectors)
 
-        def first(schedule):
-            for e in ETA_EXPONENTS:
+        def first(schedule, exponents=ETA_EXPONENTS):
+            for e in exponents:
                 # c = 2^e lam ((1 - eta) D + eta z), at scale 2^e s
                 keep, se = (1 << e) - 1, _times(s, 1 << e, squared)
                 for z in schedule:
@@ -351,14 +415,19 @@ class Chain:
                         return c, se, lam << e
             return None
 
-        dirs = [tuple(sign * (i == j) for i in range(d))
-                for j in range(d) for sign in (lam, -lam)]
-        dirs += [tuple(lam // den * a for a in v) for v in order]
-        found = first(dirs)
+        axes = [tuple(lam * c for c in z) for z in frame.axes]
+        found = first(axes, ETA_EXPONENTS[:1])
+        if found:
+            return found
+        # The v-directions, read only once the axes failed at the first
+        # eta.
+        dirs = [tuple(lam // den * a for a in v) for v in frame.order]
+        found = (first(dirs, ETA_EXPONENTS[:1])
+                 or first(axes + dirs, ETA_EXPONENTS[1:]))
         if found:
             return found
         # The moment curve, read only once the first pass is exhausted.
-        curve = [tuple(sign * t ** j for j in range(d))
+        curve = [frame.pull(tuple(sign * t ** j for j in range(d)))
                  for t in range(1, n * (d - 1) + 2) for sign in (lam, -lam)]
         found = first(curve)
         if found:
@@ -373,16 +442,17 @@ class Chain:
                     while certificate_failure(s, squared, coefficients):
                         s, lam = _times(s, 2, squared), 2 * lam
                     return z, s, lam
-        tried = len(ETA_EXPONENTS) * (len(dirs) + len(curve))
+        tried = len(ETA_EXPONENTS) * (len(axes) + len(dirs) + len(curve))
         raise PerturbationError(
             f"no acceptable witness perturbation among {tried} candidates "
             f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={n}, d={d}, "
             f"norm={format_norm(self.norm)})")
 
-    def counts(self, u: tuple[int, ...], order=None) -> tuple[int, int, bool]:
+    def counts(self, u: tuple[int, ...],
+               frame: Frame | None = None) -> tuple[int, int, bool]:
         """(projected, allowed) sign-pattern counts for the target u, and
-        whether its witness was perturbed; order as in locate."""
-        proj, t, k, perturbed = self.locate(u, 1, order)
+        whether its witness was perturbed; frame as in locate."""
+        proj, t, k, perturbed = self.locate(u, 1, frame)
         return (proj.count(t), lo_count(len(self.scaled), k),
                 perturbed is not None)
 

@@ -5,7 +5,7 @@ import multiprocessing
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -20,7 +20,10 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
 from littlewood_offord.concentration import scaled_sums
-from littlewood_offord.campaign import _build_tasks, _orbit, _task_orbit
+from littlewood_offord.campaign import (_build_tasks, _Classes, _orbit,
+                                        _rational, _sign_orbits, _task_orbit)
+from littlewood_offord.norms import (act, integer_witness, witness_target,
+                                     witness_tie)
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
                      reference_gen_random, reference_sweep)
 
@@ -195,30 +198,115 @@ def test_orbit_sweep_matches_the_per_multiset_sweep(grid, d, n_max):
     _same_as_reference(_sweep(norms, d, grid, n_max))
 
 
+# Witnesses tie most often where the grid holds 0: l1 targets with a
+# zero coordinate, linf targets with two maximal coordinates, and the
+# d = 3 facet norm's functionals, so group images rerun most there.
+@pytest.mark.parametrize("norm, d, grid, n_max", [
+    (POLY3D, 3, GRID0_3D, 2), (L1, 2, GRID0, 3), (LINF, 2, GRID0, 3)])
+def test_orbit_sweep_matches_the_per_multiset_sweep_where_witnesses_tie(
+        norm, d, grid, n_max):
+    _same_as_reference(_sweep((norm,), d, grid, n_max))
+
+
+def _members(task):
+    """Every multiset of an orbit task, with its g: the representative
+    first."""
+    return [(g, member) for g, _, members in _sign_orbits(*task[2:])
+            for member in members]
+
+
 def test_orbit_members_are_every_sign_choice_in_the_universe():
     a, b = (F(1, 2), F(-1)), (F(1), F(1, 2))
     size, members = _orbit((a, a, b), (True, True, False))
     neg = (F(-1, 2), F(1))
     assert size == 3
     assert list(members) == [(a, a, b), (neg, a, b), (neg, neg, b)]
+    # With the group, every multiset of the stream is in exactly one
+    # task, as g times a sign choice of its representative.
     for grid in ORBIT_GRIDS:
-        cfg = _sweep((LINF,), 2, grid, 3)
-        streamed = [combo for n in range(1, 4) for combo in
-                    combinations_with_replacement(
-                        campaign._grid_universe(grid, 2, LINF), n)]
-        tasks = list(_build_tasks(cfg))
-        orbits = [m for task in tasks for m in _orbit(*task[2:])[1]]
-        assert sorted(orbits) == sorted(streamed)
-        assert len(set(orbits)) == len(orbits) == sum(
-            _orbit(*task[2:])[0] for task in tasks)
-        # the representative comes first
-        assert all(next(_orbit(*task[2:])[1]) == task[2] for task in tasks)
+        for norm in (LINF, POLY2):
+            cfg = _sweep((norm,), 2, grid, 3)
+            streamed = [combo for n in range(1, 4) for combo in
+                        combinations_with_replacement(
+                            campaign._grid_universe(grid, 2, norm), n)]
+            tasks = list(_build_tasks(cfg))
+            orbits = [m for task in tasks for _, m in _members(task)]
+            assert sorted(orbits) == sorted(streamed)
+            assert len(set(orbits)) == len(orbits) == sum(
+                size for task in tasks
+                for _, size, _ in _sign_orbits(*task[2:]))
+            # the representative comes first, and g maps it onto each
+            # multiset up to signs
+            for task in tasks:
+                rep = task[2]
+                assert _members(task)[0] == (
+                    tuple((j, 1) for j in range(2)), rep)
+                for g, member in _members(task):
+                    assert sorted(map(max, member, map(_neg, member))) == \
+                        sorted(max(act(g, v), _neg(act(g, v))) for v in rep)
+
+
+def _neg(v):
+    return tuple(-c for c in v)
+
+
+def test_symmetry_groups_of_the_norms_and_grids():
+    # Signed coordinate permutations that fix the norm and the universe.
+    symmetric = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
+    cases = [(nm, d, symmetric, size) for nm in (L1, L2, LINF)
+             for d, size in ((2, 8), (3, 48))]
+    cases += [(POLY2, 2, symmetric, 4), (POLY2, 2, GRID, 4),
+              (POLY3D, 3, (F(-1), F(0), F(1)), 12),
+              (LINF, 2, (F(-1), F(1, 2), F(1)), 2),
+              (L2, 1, (F(-1), F(1, 2), F(1)), 1)]
+    for norm, d, grid, size in cases:
+        universe = campaign._grid_universe(grid, d, norm)
+        classes = _Classes(universe, d, norm)
+        group = set(classes.group)
+        assert len(group) == len(classes.group) == size, (norm, d, grid)
+        assert classes.group[0] == tuple((j, 1) for j in range(d))
+        # Each g is known by its images of e_1, ..., e_d; G is closed.
+        columns = {tuple(act(g, e) for e in _unit(d)) for g in group}
+        for g in group:
+            assert sorted(act(g, v) for v in universe) == universe
+            for h in group:
+                assert tuple(act(g, act(h, e)) for e in _unit(d)) in columns
+        # Burnside's count is the number of orbits the search yields.
+        for n in range(1, 4):
+            assert classes.count(n) == len(list(classes.orbits(n)))
+
+
+def _unit(d):
+    return [tuple(int(i == j) for i in range(d)) for j in range(d)]
+
+
+def test_tie_rule_matches_the_direct_comparison():
+    # Off a tie, the witness of g u is g times the witness of u, for every
+    # g of the sweep's group and every target of every multiset.
+    ties = broken = 0
+    for norm, d, grid, n_max in SWEEPS:
+        universe = campaign._grid_universe(grid, d, norm)
+        group = _Classes(universe, d, norm).group
+        targets = {u for n in range(1, n_max + 1)
+                   for combo in combinations_with_replacement(universe, n)
+                   for u, _ in scaled_sums(
+                       campaign._sweep_instance(norm, combo).scaled)}
+        for u in targets:
+            tie = witness_tie(norm, u)
+            ties += tie
+            w = integer_witness(norm, witness_target(u))[0]
+            for g in group:
+                same = integer_witness(
+                    norm, witness_target(act(g, u)))[0] == act(g, w)
+                assert same or tie, (norm, u, g)
+                broken += not same
+    assert ties > 100 and broken > 100
 
 
 def test_orbit_members_run_on_the_representatives_chain(monkeypatch):
-    # Members rerun perturbed targets with their own candidate order, but
-    # on the representative's chain: a sweep builds one Chain per orbit
-    # task and none per member.
+    # Members rerun perturbed targets with their own candidates, but on
+    # the representative's chain, in their own frame: a sweep builds one
+    # Chain per orbit task and none per member.
     chains, orders = [], []
     init, perturb = reduction.Chain.__init__, reduction.Chain.perturb
 
@@ -227,7 +315,7 @@ def test_orbit_members_run_on_the_representatives_chain(monkeypatch):
         init(chain, instance)
 
     def counted_perturb(chain, *args):
-        orders.append(args[6] == chain.scaled)
+        orders.append(args[6].vectors == chain.scaled)
         return perturb(chain, *args)
     monkeypatch.setattr(reduction.Chain, "__init__", counted_init)
     monkeypatch.setattr(reduction.Chain, "perturb", counted_perturb)
@@ -252,32 +340,39 @@ def _located(chain, *args):
 
 
 def test_members_on_the_representatives_chain_match_their_own_chains():
-    # Only a member's candidate order depends on its signs: with its own
-    # vectors as the order, the representative's chain decides every
-    # target as the member's own chain does, perturbed ones included.
-    # On the planar sweeps the axis directions always win, so the order
-    # is seen only at d = 3, where some members pick another v-direction
-    # than their representative.
-    perturbed = reordered = 0
+    # In its frame, a member's target g u, witness and candidates pulled
+    # back by g^-1, the representative's chain decides every target as
+    # the member's own chain does, perturbed ones included, with the
+    # perturbed witness mapped by g.  On the planar sweeps the axis
+    # directions always win, so the candidate order is seen only at
+    # d = 3, where some members pick another v-direction than their
+    # representative.
+    perturbed = reordered = moved = 0
     for norm, d, grid, n_max in ([(nm, 2, GRID0, 3)
                                   for nm in (L1, L2, LINF, POLY2)]
                                  + [(POLY3D, 3, (F(-1), F(0), F(1)), 3)]):
         for task in _build_tasks(_sweep((norm,), d, grid, n_max)):
-            rep, mirrored = task[2:]
+            rep, mirrored, images = task[2:]
             chain = reduction.Chain(campaign._sweep_instance(norm, rep))
             targets = [u for u, _ in scaled_sums(chain.scaled)]
-            members = zip(_orbit(rep, mirrored)[1],
-                          _orbit(chain.scaled, mirrored)[1])
-            for member, order in islice(members, 1, None):
-                own = reduction.Chain(campaign._sweep_instance(norm, member))
-                assert own.scaled == order
-                for u in targets:
-                    found = _located(chain, u, 1, order)
-                    assert found == _located(own, u), (norm, member, u)
-                    if len(found) > 2 and found[2] is not None:
-                        perturbed += 1
-                        reordered += found != _located(chain, u)
-    assert perturbed > 1000 and reordered > 10
+            for g, _, members in _sign_orbits(chain.scaled, mirrored,
+                                              images):
+                for vectors in members:
+                    own = reduction.Chain(campaign._sweep_instance(
+                        norm, _rational(vectors, chain.den)))
+                    assert own.scaled == vectors
+                    frame = reduction.Frame(g, vectors)
+                    for u in targets:
+                        found = _located(chain, u, 1, frame)
+                        if len(found) > 2 and found[2] is not None:
+                            (c, m), rest = found[2], found[3:]
+                            found = found[:2] + ((act(g, c), m),) + rest
+                            perturbed += 1
+                            reordered += found != _located(chain, u)
+                        assert found == _located(own, act(g, u)), (
+                            norm, vectors, u)
+                    moved += g != tuple((j, 1) for j in range(d))
+    assert perturbed > 1000 and reordered > 10 and moved > 100
 
 
 def test_orbit_sweep_is_the_same_for_any_worker_count():
@@ -288,17 +383,18 @@ def test_orbit_sweep_is_the_same_for_any_worker_count():
 
 def test_perturbation_errors_on_members_are_their_own(monkeypatch):
     # Every representative of the symmetric grid holds only vectors above
-    # their negation; a perturbation search fails on any other multiset,
-    # which a member passes as its candidate order on the representative's
+    # their negation; a perturbation search fails on any multiset that
+    # does not, which a member passes in its frame on the representative's
     # chain.  So members, which rerun the targets the representative
     # perturbed, record errors that the representative does not, at their
     # own index.
     perturb = reduction.Chain.perturb
 
-    def members_fail(chain, w, s, lam, u, q, k, order, memo):
-        if any(v < tuple(-c for c in v) for v in order):
+    def members_fail(chain, w, s, lam, u, q, k, frame, memo):
+        vectors = chain.scaled if frame is None else frame.vectors
+        if any(v < tuple(-c for c in v) for v in vectors):
             raise PerturbationError("perturbation refused on a member")
-        return perturb(chain, w, s, lam, u, q, k, order, memo)
+        return perturb(chain, w, s, lam, u, q, k, frame, memo)
     monkeypatch.setattr(reduction.Chain, "perturb", members_fail)
     for norm in (L1, POLY2):
         text = format_campaign_report(
@@ -321,6 +417,40 @@ def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
             _same_as_reference(_sweep((norm,), 2, grid, 2)))
         assert "status = violations-found" in text
         assert "[violation 1]" in text and "chain_holds = false" in text
+
+
+def test_a_violation_on_a_group_image_has_its_own_index(monkeypatch):
+    # Along a tied linf witness a group image projects onto another axis
+    # than its representative.  Triple the coefficients of every
+    # projection with a coefficient 1/2 (|c| = s / 2): its atom then
+    # misses targets that the sign sum hits, so the chain fails wherever
+    # the projection shows a grid value 1/2, on some group images and not
+    # on their representative.  The records, index and instance, are
+    # those of the per-multiset sweep.
+    init = reduction.Projection.__init__
+
+    def tripled(proj, vectors, w, s, squared):
+        init(proj, vectors, w, s, squared)
+        if any(2 * abs(c) == s for c in proj.coefficients):
+            proj.coefficients = tuple(3 * c for c in proj.coefficients)
+    monkeypatch.setattr(reduction.Projection, "__init__", tripled)
+    cfg = _sweep((LINF,), 2, GRID0, 2)
+    report = _same_as_reference(cfg)
+    assert report.status == "violations-found"
+    failed = {(v.instance.vectors, v.instance.target)
+              for v in report.violations}
+    on_images = 0
+    for task in _build_tasks(cfg):
+        rep = task[2]
+        for g, member in _members(task)[1:]:
+            if g == tuple((j, 1) for j in range(2)):
+                continue
+            back = reduction.Frame(g, member).pull
+            for target in reachable_sums_nd(member):
+                if (member, target) in failed:
+                    mine = verify_instance(Instance(rep, back(target), LINF))
+                    on_images += mine.chain_holds
+    assert on_images > 0
 
 
 def test_failed_certificate_is_recorded_per_instance(monkeypatch):
@@ -417,8 +547,7 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
 
 def test_campaign_tasks_are_generated_as_they_run():
     # linf on the planar grid at n <= 7 has 245,156 vector multisets in
-    # 6,434 sign orbits, one task each; listing every task before the
-    # first one runs costs about 1.6 MiB.
+    # 6,434 sign orbits and 1,802 orbits of the group, one task each.
     cfg = CampaignConfig(mode="exhaustive-grid", norms=(LINF,), n_min=1,
                          n_max=7, d_min=2, d_max=2, grid=GRID)
     tracemalloc.start()
@@ -427,7 +556,7 @@ def test_campaign_tasks_are_generated_as_they_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == (_task_orbit, LINF, ((F(1, 2), F(-1)),), (True,))
+    assert first[:4] == (_task_orbit, LINF, ((F(1, 2), F(-1)),), (True,))
     assert peak < 2 ** 20
 
 

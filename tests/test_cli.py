@@ -130,6 +130,33 @@ def test_campaign_runs_config_and_writes_report(tmp_path, capsys):
     assert out_path2.read_text() == text
 
 
+def test_campaign_out_that_cannot_be_written_fails_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    config = tmp_path / "tiny.campaign"
+    config.write_text("mode = exhaustive-grid\nnorms = l1\nn = 1..1\n"
+                      "d = 1..1\ngrid = -1, 1\n")
+
+    def never(config):
+        raise AssertionError("the campaign ran")
+    monkeypatch.setattr("littlewood_offord.cli.run_campaign", never)
+    for out in (tmp_path / "missing" / "report", tmp_path):
+        code, text, err = run_cli(capsys, "campaign", str(config),
+                                  "--out", str(out))
+        assert (code, text) == (2, "")
+        assert err.startswith("error: [Errno")
+    # A writable path is checked without leaving a file: a run that then
+    # fails writes no empty report.
+    report = tmp_path / "report"
+
+    def refused(config):
+        raise littlewood_offord.CapacityError("refused")
+    monkeypatch.setattr("littlewood_offord.cli.run_campaign", refused)
+    code, _, err = run_cli(capsys, "campaign", str(config),
+                           "--out", str(report))
+    assert code == 3 and "refused" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.campaign"]
+
+
 def test_campaign_prints_to_stdout_without_out(tmp_path, capsys):
     config = tmp_path / "tiny.campaign"
     config.write_text("mode = extremal\nnorms = l2\nn = 1..4\n")
