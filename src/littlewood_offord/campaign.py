@@ -39,9 +39,13 @@ on its whole sign orbit, and every other multiset reruns the rest.  All
 reruns run on the representative's chain, in the multiset's own
 reduction.Frame: so a member builds no Instance, Chain or sign table,
 and its search reuses each candidate the orbit already tried for that
-target.  Indices stay those of the per-multiset stream: the runner
-resolves a block's (norm, d, n) record indices from the targets of its
-orbits once the block has merged.
+target.  A task keeps one tally and counts each run once, weighted by
+the multisets it stands for: the whole orbit, a sign orbit, or the one
+multiset that ran it.  Its records are keyed by frame and target until
+it ends; then each takes its multiset and the rank of g u among that
+multiset's sorted sums.  Indices stay those of the per-multiset stream:
+the runner resolves a block's (norm, d, n) record indices from the
+targets of its orbits once the block has merged.
 """
 
 from __future__ import annotations
@@ -439,10 +443,13 @@ def _tally(res: _TaskResult, local: int, instance: Instance,
             res.max_ratio = ratio
 
 
-def _tally_counts(res: _TaskResult, count: int, allowed: int) -> None:
-    """Tally a target whose chain held, in pattern counts over 2^n."""
+def _tally_counts(res: _TaskResult, count: int, allowed: int,
+                  weight: int = 1) -> None:
+    """Tally a target whose chain held, in pattern counts over 2^n, for
+    weight multisets."""
+    res.count += weight
     if count == allowed:
-        res.tight += 1
+        res.tight += weight
     best = res.max_ratio
     # count / allowed > best, cross-multiplied (allowed >= count >= 1)
     if count * best.denominator > best.numerator * allowed:
@@ -458,72 +465,35 @@ def _rational(scaled, den: int) -> tuple[RVector, ...]:
     return tuple(tuple(Fraction(c, den) for c in v) for v in scaled)
 
 
-def _check_target(res: _TaskResult, chain: Chain, local: int,
-                  u: tuple[int, ...], count: int,
-                  frame: Frame | None = None) -> int | None:
-    """Verify the target u of one multiset on chain: the chain's own
-    multiset, or with a frame the target g u of another multiset of its
-    orbit (see Frame); count is its p_exact in patterns.  Return the
-    allowed count when the chain held on the unperturbed witness, for
-    the caller to tally or share.  Otherwise tally the target into res
-    and return None; a failed chain is rerun by verify_instance on the
-    multiset itself for its violation record."""
+def _check_target(res: _TaskResult, chain: Chain, frame: Frame,
+                  u: tuple[int, ...], count: int) -> int | None:
+    """Verify the target g u of the frame's multiset on chain (see
+    Frame); count is its p_exact in patterns.  Return the allowed count
+    when the chain held on the unperturbed witness, for the caller to
+    tally with its weight.  Otherwise tally the target into res once,
+    its records keyed by (frame, u), and return None; a failed chain is
+    rerun by verify_instance on the multiset itself for its violation
+    record."""
     try:
         projected, allowed, perturbed = chain.counts(u, frame)
-        if not count <= projected <= allowed:
-            vectors, x = ((chain.scaled, u) if frame is None
-                          else (frame.vectors, frame.act(u)))
-            instance = Instance(_rational(vectors, chain.den),
-                                _rational((x,), chain.den)[0], chain.norm)
-            _tally(res, local, instance, verify_instance(instance))
-        elif perturbed:
+        if count <= projected <= allowed:
+            if not perturbed:
+                return allowed
             _tally_counts(res, count, allowed)
-        else:
-            return allowed
+            return None
+        instance = Instance(_rational(frame.vectors, chain.den),
+                            _rational((frame.act(u),), chain.den)[0],
+                            chain.norm)
+        _tally(res, (frame, u), instance, verify_instance(instance))
     except _RECORDED_FAILURES as exc:
-        res.errors.append((local, str(exc)))
+        res.errors.append(((frame, u), str(exc)))
+    res.count += 1
     return None
 
 
 def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
     """One multiset of a sweep, validated as an instance with target 0."""
     return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
-
-
-def _relocate(part: _TaskResult, frame: Frame, sums: list) -> None:
-    """Give the records of part, kept at the local indices of the
-    chain's targets u, the local indices of the frame's targets g u:
-    their ranks among its lexicographically sorted sums."""
-    rank = {x: i for i, x in enumerate(sorted(frame.act(u) for u, _ in sums))}
-
-    def local(i):
-        return rank[frame.act(sums[i][0])]
-    part.violations = [(local(i), instance, report)
-                       for i, instance, report in part.violations]
-    part.errors = [(local(i), message) for i, message in part.errors]
-
-
-def _check_targets(chain: Chain, frame: Frame | None, todo: list
-                   ) -> tuple[_TaskResult, list, list]:
-    """_check_target on each (local, u, count) of todo for one multiset:
-    (part, held, rerun), where rerun lists the targets part tallies and
-    held adds the allowed count to each of the others."""
-    part, held, rerun = _TaskResult(), [], []
-    for local, u, count in todo:
-        allowed = _check_target(part, chain, local, u, count, frame)
-        if allowed is None:
-            rerun.append((local, u, count))
-        else:
-            held.append((local, u, count, allowed))
-    part.count = len(rerun)
-    return part, held, rerun
-
-
-def _hold(tally: _TaskResult, held: list) -> None:
-    """Tally the held targets of _check_targets."""
-    for _, _, count, allowed in held:
-        tally.count += 1
-        _tally_counts(tally, count, allowed)
 
 
 def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
@@ -535,90 +505,71 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
     runs every target in pattern counts over 2^n, p_exact read off the
     sum table of its scaled vectors, which lives only as long as this
     task.  Every other multiset reruns on the same chain, in its own
-    Frame, only the targets it cannot share."""
-    sizes, parts = [], []
-    shares = []  # (multisets, tally) of the targets they share
+    Frame, only the targets it cannot share.  One tally takes each run
+    once, weighted by the multisets it stands for; once the task ends,
+    each record is keyed by its multiset and its rank among that
+    multiset's sorted sums."""
     try:
         instance = _sweep_instance(norm, rep)
     except InputError:
         # Only outside a sweep: the grid universe holds valid vectors.
         # Norms are symmetric, so every member is invalid too, and each
         # records every target with its own message.
-        targets = len(reachable_sums_nd(rep))
-        for _, size, members in _sign_orbits(rep, mirrored, images):
-            sizes.append(size)
+        res = _TaskResult(targets=len(reachable_sums_nd(rep)))
+        for _, _, members in _sign_orbits(rep, mirrored, images):
             for member in members:
-                part = _TaskResult(count=targets)
+                res.count += res.targets
                 try:
                     _sweep_instance(norm, member)
                 except InputError as exc:
-                    part.errors = [(local, str(exc))
-                                   for local in range(targets)]
-                parts.append((member, part))
-    else:
-        rep_chain, shared = Chain(instance), _TaskResult()
-        sums = scaled_sums(rep_chain.scaled)
-        targets = len(sums)
-
-        def record(vectors, frame, part):
-            # A member is made rational only for its records, which take
-            # its own local indices.
-            member = None
-            if part.violations or part.errors:
-                member = _rational(vectors, rep_chain.den)
-                if frame is not None:
-                    _relocate(part, frame, sums)
-            parts.append((member, part))
-
-        # The first multiset of each sign orbit g rep (rep itself for
-        # g = identity) runs the targets that may differ on it: for rep,
-        # all; for the others, those rep reran and those where the
-        # witness may not commute with g (norms.witness_tie).  What held
-        # there on the unperturbed witness holds on that whole sign
-        # orbit, and what held on rep off a tie on the whole orbit.  The
-        # other multisets of each sign orbit rerun the rest.
-        todo = [(local, u, count) for local, (u, count) in enumerate(sums)]
-        for image, (g, size, members) in enumerate(
-                _sign_orbits(rep_chain.scaled, mirrored, images)):
-            sizes.append(size)
-            if not todo:
-                continue
-            vectors = next(members)
-            frame = Frame(g, vectors) if image else None
-            part, held, rerun = _check_targets(rep_chain, frame, todo)
-            record(vectors, frame, part)
-            within = _TaskResult()
-            if image:
-                _hold(within, held)
+                    res.errors += [((member, local), str(exc))
+                                   for local in range(res.targets)]
+        return res
+    chain = Chain(instance)
+    sums = scaled_sums(chain.scaled)
+    res = _TaskResult(targets=len(sums))
+    orbits = list(_sign_orbits(chain.scaled, mirrored, images))
+    total = sum(size for _, size, _ in orbits)
+    # The first multiset of each sign orbit g rep (rep itself for g =
+    # identity) runs the targets that may differ on it: for rep, all;
+    # for the others, those rep reran and those where the witness may
+    # not commute with g (norms.witness_tie).  What held there on the
+    # unperturbed witness holds on that whole sign orbit, and what held
+    # on rep off a tie on the whole orbit.  The other multisets of each
+    # sign orbit rerun the rest.
+    todo = sums
+    for image, (g, size, members) in enumerate(orbits):
+        if not todo:
+            break
+        frame, rerun, ties = Frame(g, next(members)), [], []
+        for u, count in todo:
+            allowed = _check_target(res, chain, frame, u, count)
+            if allowed is None:
+                rerun.append((u, count))
+            elif image or images and witness_tie(norm, u):
+                _tally_counts(res, count, allowed, size)
+                ties.append((u, count))
             else:
-                ties = []
-                for target in held:
-                    if images and witness_tie(norm, target[1]):
-                        ties.append(target)
-                    else:
-                        _hold(shared, [target])
-                _hold(within, ties)
-                todo = rerun + [target[:3] for target in ties]
-            shares.append((size, within))
-            for vectors in (members if rerun else ()):
-                frame = Frame(g, vectors)
-                part, held, _ = _check_targets(rep_chain, frame, rerun)
-                _hold(part, held)
-                record(vectors, frame, part)
-        shares.append((sum(sizes), shared))
-    res = _TaskResult(targets=targets)
-    for size, part in shares:
-        res.count += size * part.count
-        res.tight += size * part.tight
-        res.max_ratio = max(res.max_ratio, part.max_ratio)
-    for member, part in parts:
-        res.count += part.count
-        res.tight += part.tight
-        res.max_ratio = max(res.max_ratio, part.max_ratio)
-        res.violations += [((member, local), instance, report)
-                           for local, instance, report in part.violations]
-        res.errors += [((member, local), message)
-                       for local, message in part.errors]
+                _tally_counts(res, count, allowed, total)
+        if not image:
+            # rep's reruns and ties, for the other sign orbits
+            todo = rerun + ties
+        for vectors in (members if rerun else ()):
+            frame = Frame(g, vectors)
+            for u, count in rerun:
+                allowed = _check_target(res, chain, frame, u, count)
+                if allowed is not None:
+                    _tally_counts(res, count, allowed)
+    # A member's sums are g times rep's, and its records take their
+    # ranks.
+    ranks: dict = {}
+    for records in (res.violations, res.errors):
+        for i, ((frame, u), *rest) in enumerate(records):
+            if frame.g not in ranks:
+                ranks[frame.g] = {x: j for j, x in enumerate(
+                    sorted(frame.act(v) for v, _ in sums))}
+            member = _rational(frame.vectors, chain.den)
+            records[i] = ((member, ranks[frame.g][frame.act(u)]), *rest)
     return res
 
 

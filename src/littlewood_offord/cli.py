@@ -48,8 +48,19 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+# lo_bound at n = 10,000 takes milliseconds and 2^n has 3,011 digits.
+# From about n = 14,300 on, 2^n has more digits than str() converts
+# (sys.get_int_max_str_digits(), 4,300 by default), and at n = 10^6
+# math.comb alone takes over 10 s.
+BOUND_N_LIMIT = 10_000
+
+
 def _cmd_bound(args) -> int:
-    q = lo_bound(parse_int(args.n), parse_int(args.k))
+    n = parse_int(args.n)
+    if n > BOUND_N_LIMIT:
+        raise CapacityError(
+            f"lo bound supports n up to {BOUND_N_LIMIT}, got {n}")
+    q = lo_bound(n, parse_int(args.k))
     print(f"{format_rational(q)} = {float(q):.12g}")
     return 0
 

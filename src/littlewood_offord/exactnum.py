@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -112,11 +113,10 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(s):
         raise InputError(f"not a rational: {text!r}")
     num, _, den = s.partition("/")
-    if not den:
-        return Fraction(int(num))
-    if int(den) == 0:
+    p, q = _digits(num, text), _digits(den or "1", text)
+    if q == 0:
         raise InputError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(p, q)
 
 
 def parse_int(text: str) -> int:
@@ -124,4 +124,16 @@ def parse_int(text: str) -> int:
     s = text.strip()
     if not _INTEGER_RE.match(s):
         raise InputError(f"not an integer: {text!r}")
-    return int(s)
+    return _digits(s, text)
+
+
+def _digits(s: str, text: str) -> int:
+    """int(s) for a matched literal s of text.  int() refuses more than
+    sys.get_int_max_str_digits() digits, and so does this, as an input
+    error that names text."""
+    try:
+        return int(s)
+    except ValueError:
+        raise InputError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} "
+            f"digits: {text!r}") from None

@@ -304,13 +304,18 @@ class Chain:
         """(u, q): the target x in chain units, u / q = den * x."""
         return target_units(self.den, x)
 
-    def _along(self, w: tuple[int, ...], s: int) -> tuple[Projection, int]:
+    def _projection(self, w: tuple[int, ...], s: int
+                    ) -> tuple[Projection, int]:
         """The cached projection along +-w at scale s, both divided by
         their common gcd (for l2, by the gcd of w if its square divides
         s), and the sign that takes its direction to w.  Since
         count_{-w}(t) = count_w(-t) = count_w(t) and the certificate reads
         only |coefficients|, w and -w share the projection whose direction
-        has a positive first nonzero coordinate."""
+        has a positive first nonzero coordinate.  The pair is also cached
+        by (w, s) itself, so that a hit costs no gcd."""
+        hit = self._witnesses.get((w, s))
+        if hit is not None:
+            return hit
         g = math.gcd(*w)
         if not self.squared:
             g = math.gcd(g, s)
@@ -323,15 +328,8 @@ class Chain:
         if proj is None:
             proj = self._projections[key] = Projection(
                 self.scaled, *key, self.squared)
+        self._witnesses[w, s] = proj, sign
         return proj, sign
-
-    def _projection(self, w: tuple[int, ...], s: int):
-        """_along(w, s), cached by (w, s) itself, so that a hit costs no
-        gcd."""
-        hit = self._witnesses.get((w, s))
-        if hit is None:
-            hit = self._witnesses[w, s] = self._along(w, s)
-        return hit
 
     def locate(self, u: tuple[int, ...], q: int = 1,
                frame: Frame | None = None):

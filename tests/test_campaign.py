@@ -327,6 +327,24 @@ def test_orbit_members_run_on_the_representatives_chain(monkeypatch):
     assert set(orders) == {True, False}
 
 
+def test_sweep_work_is_pinned(monkeypatch):
+    # The chains a sweep builds, the targets they count and the
+    # perturbation searches they run: a change that adds reruns or
+    # chains, or shares fewer targets, fails here even where the timings
+    # hide it.
+    calls = {"__init__": 0, "counts": 0, "perturb": 0}
+    for name in calls:
+        method = getattr(reduction.Chain, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(reduction.Chain, name, counted)
+    report = run_campaign(_sweep((L1, L2, LINF, POLY2), 2, GRID0, 3))
+    assert report.verified and not report.errors
+    assert calls == {"__init__": 337, "counts": 13801, "perturb": 12051}
+
+
 def _located(chain, *args):
     """What a target's chain run decides: t, k, the perturbed witness,
     the projected count at t and the |coefficients| up to order, or the

@@ -52,6 +52,29 @@ def test_bound_rejects_bad_arguments(capsys):
         assert "not an integer" in err
 
 
+def test_bound_refuses_n_above_its_limit(capsys):
+    code, out, err = run_cli(capsys, "bound", "20000", "0")
+    assert (code, out) == (3, "")
+    assert "n up to 10000" in err
+    code, out, _ = run_cli(capsys, "bound", "10000", "0")
+    assert code == 0 and " = " in out
+
+
+def test_oversized_literals_exit_2(tmp_path, capsys, monkeypatch):
+    # int() converts at most 4,300 digits by default.
+    long = "3" * 5000
+    code, _, err = run_cli(capsys, "bound", long, "0")
+    assert code == 2 and "integer literal longer than" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        f"dimension = 1\nnorm = l2\nvectors = 1/{long}\ntarget = 0\n"))
+    code, _, err = run_cli(capsys, "verify", "-")
+    assert code == 2 and "integer literal longer than" in err
+    config = tmp_path / "seed.campaign"
+    config.write_text(f"mode = random\nnorms = l2\nseed = {long}\n")
+    code, _, err = run_cli(capsys, "campaign", str(config))
+    assert code == 2 and "bad seed" in err
+
+
 def test_atom_reads_instance_file(tmp_path, capsys):
     path = tmp_path / "axis.instance"
     path.write_text("# lo-instance v1\n"

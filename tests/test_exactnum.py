@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from littlewood_offord import (InputError, binomial, ceil_sqrt, delta,
                                floor_sqrt, format_rational, lo_bound,
                                parse_rational, rademacher_atom)
+from littlewood_offord.exactnum import parse_int
 from oracles import pascal_atom, pascal_binomial
 
 
@@ -163,3 +164,16 @@ def test_rational_serialization_round_trips(q):
 def test_rational_rejects_garbage(bad):
     with pytest.raises(InputError):
         parse_rational(bad)
+
+
+# int() converts at most 4,300 digits by default; a longer literal is an
+# input error, not a ValueError from int().
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_int, LONG), (parse_int, "-" + LONG), (parse_rational, LONG),
+    (parse_rational, "1/" + LONG), (parse_rational, "-" + LONG + "/3")])
+def test_oversized_literals_are_input_errors(parse, text):
+    with pytest.raises(InputError, match="integer literal longer than"):
+        parse(text)

@@ -279,8 +279,8 @@ FLIPPED_KEY_LINF = (
 def test_projection_is_shared_by_w_and_minus_w():
     chain = Chain(parse_instance(FLIPPED_KEY_LINF))
     for w, s in (((-7, 1), 8), ((2, -4), 6), ((0, 3), 3)):
-        proj, sign = chain._along(w, s)
-        assert chain._along(tuple(-c for c in w), s) == (proj, -sign)
+        proj, sign = chain._projection(w, s)
+        assert chain._projection(tuple(-c for c in w), s) == (proj, -sign)
         assert proj.w[next(j for j, c in enumerate(proj.w) if c)] > 0
         assert tuple(sign * c for c in proj.coefficients) == tuple(
             dot(v, w) // (math.gcd(*w, s)) for v in chain.scaled)
