@@ -797,8 +797,8 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
     try:
         a = parse_int(lo)
         b = parse_int(hi) if sep else a
-    except InputError:
-        raise InputError(f"bad {what} range {text!r}") from None
+    except InputError as exc:
+        raise InputError(f"bad {what} range {text!r}: {exc}") from None
     return a, b
 
 
@@ -822,9 +822,8 @@ def parse_campaign_config(text: str) -> CampaignConfig:
         if key in fields:
             try:
                 kwargs[key] = parse_int(fields[key])
-            except InputError:
-                raise InputError(
-                    f"campaign config: bad {key} {fields[key]!r}") from None
+            except InputError as exc:
+                raise InputError(f"campaign config: bad {key}: {exc}") from None
     known = {"mode", "norms", "n", "d", "grid", "seed", "budget",
              "grid_denominator", "workers"}
     unknown = fields.keys() - known

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .campaign import (format_campaign_report, gen_extremal,
-                       parse_campaign_config, run_campaign)
 from .concentration import atom_nd
 from .errors import (CapacityError, CertificateError, InputError,
                      PerturbationError)
@@ -79,6 +76,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .campaign import gen_extremal
     instance = gen_extremal(parse_int(args.n), parse_norm(args.norm),
                             parse_rational(args.value))
     _write_output(format_instance(instance), args.out)
@@ -88,7 +86,19 @@ def _cmd_extremal(args) -> int:
 _CAMPAIGN_EXIT = {"verified": 0, "violations-found": 1, "incomplete": 3}
 
 
+def run_campaign(config):
+    """campaign.run_campaign, imported on first call, so that only the
+    campaign and extremal commands load the campaign module.
+    _cmd_campaign looks this name up when it runs, so a caller may
+    replace it."""
+    from .campaign import run_campaign
+    return run_campaign(config)
+
+
 def _cmd_campaign(args) -> int:
+    from dataclasses import replace
+
+    from .campaign import format_campaign_report, parse_campaign_config
     config = parse_campaign_config(_read_text(args.config))
     if args.workers is not None:
         config = replace(config, workers=parse_int(args.workers))

@@ -11,10 +11,9 @@ them reduces to integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, UnsupportedNormOperation
 from .exactnum import ceil_sqrt, format_rational, parse_rational
@@ -80,41 +79,77 @@ def _rank(rows: Sequence[RVector]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class NormSpec:
+class Frozen:
+    """Base of the immutable records validated on construction (NormSpec,
+    reduction.Instance).  __init__ stores the constructor arguments named
+    in _args, and whatever it derives from them, through
+    object.__setattr__; only the _args take part in equality, hashing,
+    repr and pickling, and a pickle rebuilds the record through its
+    constructor."""
+
+    __slots__ = ()
+    _args: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, a) for a in self._args)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        body = ", ".join(f"{a}={getattr(self, a)!r}" for a in self._args)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NormSpec(Frozen):
     """Tagged description of a norm on rational vectors.
 
     kind is "l1", "l2", "linf", or "poly" (facet form max_j |<f_j, x>|,
-    fixed dimension).
+    fixed dimension).  integer_functionals holds a poly norm's
+    functionals as integer rows over one common denominator,
+    (den, rows), so that evaluating them on integer vectors stays in
+    integer arithmetic; it is () for the other kinds.
     """
 
-    kind: str
-    functionals: tuple[RVector, ...] = ()
-    # The functionals as integer rows over one common denominator,
-    # (den, rows), so that evaluating them on integer vectors stays in
-    # integer arithmetic.
-    integer_functionals: tuple = field(default=(), init=False, repr=False,
-                                       compare=False)
+    __slots__ = ("kind", "functionals", "integer_functionals")
+    _args = ("kind", "functionals")
 
-    def __post_init__(self):
-        if self.kind not in (L1, L2, LINF, POLY):
-            raise InputError(f"unknown norm kind {self.kind!r}")
-        if self.kind == POLY:
-            if not self.functionals:
+    def __init__(self, kind: str, functionals: tuple[RVector, ...] = ()):
+        integer_functionals: tuple = ()
+        if kind not in (L1, L2, LINF, POLY):
+            raise InputError(f"unknown norm kind {kind!r}")
+        if kind == POLY:
+            if not functionals:
                 raise InputError("polyhedral norm needs at least one functional")
-            d = len(self.functionals[0])
-            if d == 0 or any(len(f) != d for f in self.functionals):
+            d = len(functionals[0])
+            if d == 0 or any(len(f) != d for f in functionals):
                 raise InputError("functionals must share a fixed nonzero dimension")
-            if _rank(self.functionals) < d:
+            if _rank(functionals) < d:
                 raise InputError(
                     "functionals do not span the space (a seminorm, not a norm)")
-            den = math.lcm(*(c.denominator
-                             for f in self.functionals for c in f))
+            den = math.lcm(*(c.denominator for f in functionals for c in f))
             rows = tuple(tuple(c.numerator * (den // c.denominator) for c in f)
-                         for f in self.functionals)
-            object.__setattr__(self, "integer_functionals", (den, rows))
-        elif self.functionals:
-            raise InputError(f"{self.kind} norm takes no functionals")
+                         for f in functionals)
+            integer_functionals = (den, rows)
+        elif functionals:
+            raise InputError(f"{kind} norm takes no functionals")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "functionals", functionals)
+        object.__setattr__(self, "integer_functionals", integer_functionals)
 
     @classmethod
     def l1(cls) -> "NormSpec":
@@ -138,8 +173,7 @@ class NormSpec:
         return len(self.functionals[0]) if self.kind == POLY else None
 
 
-@dataclass(frozen=True)
-class NormValue:
+class NormValue(NamedTuple):
     """Exact magnitude descriptor.
 
     kind "rational" stores the magnitude itself; kind "squared" stores
@@ -187,8 +221,7 @@ class NormValue:
         return plain.value * plain.value == squared.value
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Unnormalized dual-optimal direction w with its exact scale s.
 
     The witness proper is y = w / s; keeping the scale symbolic lets l2

@@ -31,9 +31,9 @@ perturb_witness are its exact rational views.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 # perfbench/tracer.py wraps reduction.atom_nd and reduction.atom_1d, so
 # both names stay here although nothing in this module calls them: their
@@ -43,10 +43,10 @@ from .concentration import (atom_1d, atom_nd, probe_count,  # noqa: F401
 from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
                        lo_bound, lo_count, parse_int, parse_rational)
-from .norms import (L2, POLY, NormSpec, NormValue, RVector, Witness, act,
-                    ceil_norm, ceil_norm_over, dot, dual_witness, format_norm,
-                    integer_witness, inverse, is_zero, norm_eval, parse_norm,
-                    vector, witness_target, witness_tie)
+from .norms import (L2, POLY, Frozen, NormSpec, NormValue, RVector, Witness,
+                    act, ceil_norm, ceil_norm_over, dot, dual_witness,
+                    format_norm, integer_witness, inverse, is_zero, norm_eval,
+                    parse_norm, vector, witness_target, witness_tie)
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -57,48 +57,48 @@ def in_unit_ball(norm: NormSpec, v: RVector) -> bool:
     return norm_eval(norm, v).le_rational(1)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """A verification instance: nonzero unit-ball vectors, target, norm.
 
     Construction checks the hypotheses (a zero v_i or a vector outside
     the unit ball would void the bound, so both are rejected up front),
     in integers: scaled holds the vectors times den, the lcm of their
     coordinate denominators (concentration.scaled_vectors), and a vector
-    lies in the unit ball when ceil(||scaled_i|| / den) <= 1.
+    lies in the unit ball when ceil(||scaled_i|| / den) <= 1.  den and
+    scaled stay out of equality, hashing and repr.
     """
 
-    vectors: tuple[RVector, ...]
-    target: RVector
-    norm: NormSpec
-    den: int = field(init=False, repr=False, compare=False)
-    scaled: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("vectors", "target", "norm", "den", "scaled")
+    _args = ("vectors", "target", "norm")
 
-    def __post_init__(self):
-        if not self.vectors:
+    def __init__(self, vectors: tuple[RVector, ...], target: RVector,
+                 norm: NormSpec):
+        if not vectors:
             raise InputError("instance needs at least one vector")
-        d = len(self.target)
+        d = len(target)
         if d == 0:
             raise InputError("empty target")
-        if self.norm.kind == POLY and self.norm.dimension != d:
+        if norm.kind == POLY and norm.dimension != d:
             raise InputError(
-                f"norm is on {self.norm.dimension} coordinates, "
-                f"instance has {d}")
+                f"norm is on {norm.dimension} coordinates, instance has {d}")
         try:
-            den = math.lcm(*(c.denominator for v in self.vectors for c in v))
+            den = math.lcm(*(c.denominator for v in vectors for c in v))
         except AttributeError:
             raise InputError("vector coordinates must be exact rationals "
                              "(int or Fraction)") from None
         scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in v)
-                       for v in self.vectors)
+                       for v in vectors)
         for i, u in enumerate(scaled):
             if len(u) != d:
                 raise InputError(
                     f"vector {i} has dimension {len(u)}, target has {d}")
             if not any(u):
                 raise InputError(f"vector {i} is zero")
-            if ceil_norm_over(self.norm, u, den) > 1:
+            if ceil_norm_over(norm, u, den) > 1:
                 raise InputError(f"vector {i} lies outside the unit ball")
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "scaled", scaled)
 
@@ -116,8 +116,7 @@ def make_instance(vectors, target, norm: NormSpec) -> Instance:
     return Instance(tuple(vector(v) for v in vectors), vector(target), norm)
 
 
-@dataclass(frozen=True)
-class ProjectedInstance:
+class ProjectedInstance(NamedTuple):
     """One-dimensional image of an instance along its (possibly
     perturbed) witness direction w.
 
@@ -133,8 +132,7 @@ class ProjectedInstance:
     perturbed: bool = False
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     p_exact: Fraction
     p_projected: Fraction
     bound: Fraction

@@ -2,6 +2,7 @@
 config parsing, and report serialization."""
 
 import multiprocessing
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction as F
@@ -665,8 +666,14 @@ def test_campaign_config_parse_errors():
         parse_campaign_config("mode = random\nnorms = l1\nbudget = x\n")
     with pytest.raises(InputError):
         parse_campaign_config("mode = random\nnorms = l1\nfrobs = 3\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="bad n range '1..b': not an integer"):
         parse_campaign_config("mode = random\nnorms = l1\nn = 1..b\n")
+    with pytest.raises(InputError, match="bad d range '1..x': not an integer"):
+        parse_campaign_config("mode = random\nnorms = l1\nd = 1..x\n")
+    # The reason survives the rewrap: a seed longer than int() converts.
+    with pytest.raises(InputError, match="bad seed: integer literal longer "
+                       f"than {sys.get_int_max_str_digits()} digits"):
+        parse_campaign_config(f"mode = random\nnorms = l1\nseed = {'7' * 5000}\n")
     with pytest.raises(InputError):
         parse_campaign_config("mode = exhaustive-grid\nnorms = l1\n")  # no grid
     with pytest.raises(InputError):

@@ -1,16 +1,18 @@
 """Norm evaluation, exact ceilings, closed-form duals, dual witnesses,
 and the executable inequality checks."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from littlewood_offord import (InputError, NormSpec, UnsupportedNormOperation,
-                               ceil_norm, dot, double_dual_check, dual_eval,
-                               dual_spec, dual_witness, format_norm,
-                               holder_check, norm_eval, parse_norm)
+from littlewood_offord import (InputError, NormSpec, NormValue,
+                               UnsupportedNormOperation, Witness, ceil_norm,
+                               dot, double_dual_check, dual_eval, dual_spec,
+                               dual_witness, format_norm, holder_check,
+                               norm_eval, parse_norm)
 from littlewood_offord.norms import (ceil_norm_over, integer_witness,
                                      witness_direction, witness_target)
 
@@ -52,6 +54,34 @@ def test_norm_spec_factories_and_validation():
         NormSpec.polyhedral([(1, 0), (1, 1, 0)])
     with pytest.raises(InputError):
         NormSpec("l1", functionals=((F(1),),))
+
+
+def test_norm_records_are_immutable_values():
+    poly = parse_norm("poly:[1/2,0;0,1/3;1,1]")
+    same = NormSpec.polyhedral([(F(2, 4), 0), (0, F(1, 3)), (1, 1)])
+    assert (poly.kind, poly.dimension) == ("poly", 2)
+    assert poly.integer_functionals == (6, ((3, 0), (0, 2), (6, 6)))
+    assert poly == same and hash(poly) == hash(same)
+    assert poly != POLY_CROSS and poly != L1 and L1 == NormSpec("l1")
+    # integer_functionals stays out of repr; a pickle rebuilds it.
+    assert repr(L1) == "NormSpec(kind='l1', functionals=())"
+    assert "integer_functionals" not in repr(poly)
+    back = pickle.loads(pickle.dumps(poly))
+    assert back == poly and hash(back) == hash(poly)
+    assert back.integer_functionals == poly.integer_functionals
+    value = NormValue.squared(F(9, 4))
+    assert (value.kind, value.value) == ("squared", F(9, 4))
+    witness = Witness((F(1), F(0)), value)
+    assert (witness.direction, witness.scale) == ((F(1), F(0)), value)
+    assert witness == Witness((F(1), F(0)), NormValue.squared(F(9, 4)))
+    assert pickle.loads(pickle.dumps(witness)) == witness
+    for record, name in ((poly, "kind"), (poly, "functionals"),
+                         (poly, "integer_functionals"), (value, "value"),
+                         (witness, "scale")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        del poly.kind
 
 
 def test_norm_eval_examples():

@@ -1,0 +1,70 @@
+"""The package namespace, and the modules each entry point loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import littlewood_offord
+
+SRC = Path(littlewood_offord.__file__).resolve().parent.parent
+
+# Modules that only a campaign needs: verifying one instance pays for
+# none of them at start-up.
+CAMPAIGN_ONLY = ("littlewood_offord.campaign", "dataclasses",
+                 "multiprocessing", "hashlib")
+
+
+def loaded_after(code: str, tmp_path: Path) -> set[str]:
+    """The CAMPAIGN_ONLY modules in sys.modules once code has run in a
+    fresh interpreter."""
+    probe = (f"import sys\n{code}\n"
+             f"print(*(m for m in {CAMPAIGN_ONLY!r} if m in sys.modules), "
+             f"file=sys.stderr)")
+    err = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stderr
+    return set(err.split())
+
+
+def test_single_instance_commands_load_no_campaign_modules(tmp_path):
+    instance = tmp_path / "circle.instance"
+    instance.write_text("dimension = 2\nnorm = l2\nvectors = 3/5,4/5\n"
+                        "target = 3/5,4/5\n")
+    main = "from littlewood_offord.cli import main\n"
+    for code in ("import littlewood_offord",
+                 "import littlewood_offord.cli",
+                 main + f"assert main(['verify', {str(instance)!r}]) == 0",
+                 main + "assert main(['bound', '6', '2']) == 0"):
+        assert loaded_after(code, tmp_path) == set(), code
+    config = tmp_path / "grid.campaign"
+    config.write_text("mode = exhaustive-grid\nnorms = l1\nn = 1..2\n"
+                      "d = 1..1\ngrid = -1, 1\n")
+    code = main + (f"assert main(['campaign', {str(config)!r}, "
+                   f"'--workers', '1']) == 0")
+    assert {"littlewood_offord.campaign", "dataclasses"} <= loaded_after(
+        code, tmp_path)
+
+
+def test_public_names_resolve_lazily_to_their_definitions():
+    names = littlewood_offord.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        module = importlib.import_module(
+            f"littlewood_offord.{littlewood_offord._SOURCE[name]}")
+        value = getattr(littlewood_offord, name)
+        assert value is getattr(module, name)
+        if getattr(value, "__module__", "").startswith("littlewood_offord"):
+            assert value.__module__ == module.__name__
+        assert vars(littlewood_offord)[name] is getattr(module, name)
+    assert set(names) <= set(dir(littlewood_offord))
+    namespace: dict = {}
+    exec("from littlewood_offord import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+    with pytest.raises(AttributeError, match="no attribute 'campaign_config'"):
+        littlewood_offord.campaign_config
+    with pytest.raises(ImportError):
+        exec("from littlewood_offord import campaign_config", {})

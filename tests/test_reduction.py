@@ -12,7 +12,8 @@ from fractions import Fraction as F
 import pytest
 
 from littlewood_offord import (InputError, Instance, NormSpec,
-                               PerturbationError, atom_1d, ceil_norm, dot,
+                               PerturbationError, ProjectedInstance,
+                               VerificationReport, atom_1d, ceil_norm, dot,
                                dual_witness, format_instance, format_report,
                                gen_random, in_unit_ball, lo_bound,
                                make_instance, parse_norm, parse_instance,
@@ -119,6 +120,9 @@ def test_instance_stores_its_integer_form():
     back = pickle.loads(pickle.dumps(inst))
     assert back == inst and hash(back) == hash(inst)
     assert (back.den, back.scaled) == (inst.den, inst.scaled)
+    for name in ("vectors", "target", "norm", "den", "scaled"):
+        with pytest.raises(AttributeError):
+            setattr(inst, name, None)
 
 
 def test_lp_instance_is_rejected():
@@ -137,6 +141,23 @@ def test_project_axis_pair_l2():
     assert proj.scale.kind == "squared" and proj.scale.value == F(2)
     assert proj.k == 2
     assert not proj.perturbed
+
+
+def test_projection_and_report_records():
+    inst = make_instance([(1, 0), (0, 1)], (1, 1), L2)
+    proj = project(inst)
+    assert isinstance(proj, ProjectedInstance)
+    assert (proj.k, proj.perturbed) == (2, False)
+    assert ProjectedInstance((F(1),), F(1), proj.scale, 1).perturbed is False
+    report = verify_instance(inst)
+    assert isinstance(report, VerificationReport)
+    assert (report.p_exact, report.bound, report.k) == (F(1, 4), F(1, 4), 2)
+    assert report.chain_holds and report.tight and not report.perturbed
+    assert pickle.loads(pickle.dumps(report)) == report
+    for record, name in ((proj, "k"), (proj, "perturbed"),
+                         (report, "chain_holds"), (report, "p_exact")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_project_preserves_norm_ceiling():
