@@ -25,27 +25,20 @@ The eps_i are symmetric, so negating some v_i leaves the law of the
 sign sum unchanged, and along any witness it only negates projected
 coefficients.  A signed permutation g of the coordinates that fixes the
 norm and the grid universe maps (V, x) to (gV, gx) with the same
-p_exact and k, and along g w every projected coefficient is one of
-those along w, up to sign.  So an exhaustive-grid task verifies one
-orbit of G x signs, G the group of such g: every multiset +-g v_i.  Its
-representative, the least multiset of sign class representatives (each
-vector the larger of +-v when both lie in the universe), runs its chain
-on every target.  The first multiset of each other sign orbit g rep
-reruns the targets the representative perturbed (the search tries the
-v_i as directions, so its winner depends on the signs), failed its
-chain or raised on, and those where the witness may not commute with g
-(norms.witness_tie); what holds there on the unperturbed witness holds
-on its whole sign orbit, and every other multiset reruns the rest.  All
-reruns run on the representative's chain, in the multiset's own
-reduction.Frame: so a member builds no Instance, Chain or sign table,
-and its search reuses each candidate the orbit already tried for that
-target.  A task keeps one tally and counts each run once, weighted by
-the multisets it stands for: the whole orbit, a sign orbit, or the one
-multiset that ran it.  Its records are keyed by frame and target until
-it ends; then each takes its multiset and the rank of g u among that
-multiset's sorted sums.  Indices stay those of the per-multiset stream:
-the runner resolves a block's (norm, d, n) record indices from the
-targets of its orbits once the block has merged.
+p_exact and k, and it fixes the dual unit ball: so if w (perturbed or
+not) certifies the chain for (V, x), g w certifies it for every
+multiset +-g v_i at g x, with the same projected coefficients up to
+sign and the same projected target.  An exhaustive-grid task therefore
+verifies one orbit of G x signs, G the group of such g, on the chain of
+its representative alone: the least multiset of sign class
+representatives (each vector the larger of +-v when both lie in the
+universe).  A target where that chain holds counts for every multiset
+of the orbit.  Only where it fails or raises are the members
+enumerated, and each reruns g u through verify_instance for its own
+record.  The record then takes its multiset and the rank of g u among
+that multiset's sorted sums, so indices stay those of the per-multiset
+stream: the runner resolves a block's (norm, d, n) record indices from
+the targets of its orbits once the block has merged.
 """
 
 from __future__ import annotations
@@ -70,15 +63,19 @@ from .errors import (CapacityError, CertificateError, InputError,
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
 from .norms import (L1, L2, LINF, NormSpec, RVector, act, ceil_norm_over,
-                    fixes_norm, format_norm, is_zero, parse_norm,
-                    witness_tie)
-from .reduction import (Chain, Frame, Instance, VerificationReport,
+                    fixes_norm, format_norm, is_zero, parse_norm)
+from .reduction import (Chain, Instance, VerificationReport,
                         in_unit_ball, instance_lines, parse_keyvals,
                         report_lines, verify_instance)
 
 MODES = ("exhaustive-grid", "random", "extremal", "uniform-kleitman")
 
 _BATCH = 64
+
+# The most coordinates an exhaustive-grid sweep may list for one d: its
+# universe is filtered from all len(grid)^d grid points, d coordinates
+# each, so this bounds the memory of the largest d.
+GRID_COORDINATES = 1 << 20
 
 CONFIG_HEADER = "# lo-campaign-config v1"
 CAMPAIGN_REPORT_HEADER = "# lo-campaign-report v1"
@@ -129,6 +126,18 @@ class CampaignConfig:
         if self.mode == "exhaustive-grid":
             if not self.grid:
                 raise InputError("exhaustive-grid mode needs grid values")
+            # d_max len(grid)^d_max, multiplied out only while it is
+            # within the limit.
+            listed = self.d_max
+            for _ in range(self.d_max if len(self.grid) > 1 else 0):
+                if listed > GRID_COORDINATES:
+                    break
+                listed *= len(self.grid)
+            if listed > GRID_COORDINATES:
+                raise CapacityError(
+                    f"exhaustive-grid lists d * {len(self.grid)}^d grid "
+                    f"coordinates and supports at most {GRID_COORDINATES}, "
+                    f"which d = {self.d_max} exceeds")
             if not self.norms:
                 raise InputError("exhaustive-grid mode needs norms")
             for nm in self.norms:
@@ -282,10 +291,13 @@ def _negated(v: RVector) -> RVector:
 
 
 # Above d = 3 the group is the identity, and orbits are sign orbits:
-# testing the 2^d d! signed permutations on every universe vector, and
-# every orbit against them, costs more than the chains it saves.  With
-# the group at d = 4 (384 candidates), the l1 and linf sweep of the grid
-# -1, 0, 1 at n <= 3 took 34 s, against 18 s with sign orbits alone.
+# testing the 2^d d! signed permutations on every universe vector, every
+# orbit against them, and, where a block has records, every multiset of
+# its stream (_StreamIndex.flush), costs more than the chains it saves.
+# With the group at d = 4 (384 candidates), the l1 and linf sweep of the
+# grid -1, 0, 1 at n <= 3 took 22-24 s, against 6.5-9.8 s with sign
+# orbits alone (2-core Xeon, CPython 3.11, one worker), most of it in
+# resolving the indices of linf's error records.
 _SYMMETRY_DIMENSIONS = 3
 
 
@@ -444,7 +456,7 @@ def _tally(res: _TaskResult, local: int, instance: Instance,
 
 
 def _tally_counts(res: _TaskResult, count: int, allowed: int,
-                  weight: int = 1) -> None:
+                  weight: int) -> None:
     """Tally a target whose chain held, in pattern counts over 2^n, for
     weight multisets."""
     res.count += weight
@@ -465,32 +477,6 @@ def _rational(scaled, den: int) -> tuple[RVector, ...]:
     return tuple(tuple(Fraction(c, den) for c in v) for v in scaled)
 
 
-def _check_target(res: _TaskResult, chain: Chain, frame: Frame,
-                  u: tuple[int, ...], count: int) -> int | None:
-    """Verify the target g u of the frame's multiset on chain (see
-    Frame); count is its p_exact in patterns.  Return the allowed count
-    when the chain held on the unperturbed witness, for the caller to
-    tally with its weight.  Otherwise tally the target into res once,
-    its records keyed by (frame, u), and return None; a failed chain is
-    rerun by verify_instance on the multiset itself for its violation
-    record."""
-    try:
-        projected, allowed, perturbed = chain.counts(u, frame)
-        if count <= projected <= allowed:
-            if not perturbed:
-                return allowed
-            _tally_counts(res, count, allowed)
-            return None
-        instance = Instance(_rational(frame.vectors, chain.den),
-                            _rational((frame.act(u),), chain.den)[0],
-                            chain.norm)
-        _tally(res, (frame, u), instance, verify_instance(instance))
-    except _RECORDED_FAILURES as exc:
-        res.errors.append(((frame, u), str(exc)))
-    res.count += 1
-    return None
-
-
 def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
     """One multiset of a sweep, validated as an instance with target 0."""
     return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
@@ -504,10 +490,9 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
     in G for each sign orbit of that orbit but rep's own.  rep's chain
     runs every target in pattern counts over 2^n, p_exact read off the
     sum table of its scaled vectors, which lives only as long as this
-    task.  Every other multiset reruns on the same chain, in its own
-    Frame, only the targets it cannot share.  One tally takes each run
-    once, weighted by the multisets it stands for; once the task ends,
-    each record is keyed by its multiset and its rank among that
+    task, and a target where it holds is tallied once for the whole
+    orbit.  A target u where it fails or raises reruns on every member
+    at g u, each keyed by its multiset and the rank of g u among that
     multiset's sorted sums."""
     try:
         instance = _sweep_instance(norm, rep)
@@ -528,48 +513,37 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
     chain = Chain(instance)
     sums = scaled_sums(chain.scaled)
     res = _TaskResult(targets=len(sums))
-    orbits = list(_sign_orbits(chain.scaled, mirrored, images))
-    total = sum(size for _, size, _ in orbits)
-    # The first multiset of each sign orbit g rep (rep itself for g =
-    # identity) runs the targets that may differ on it: for rep, all;
-    # for the others, those rep reran and those where the witness may
-    # not commute with g (norms.witness_tie).  What held there on the
-    # unperturbed witness holds on that whole sign orbit, and what held
-    # on rep off a tie on the whole orbit.  The other multisets of each
-    # sign orbit rerun the rest.
-    todo = sums
-    for image, (g, size, members) in enumerate(orbits):
-        if not todo:
-            break
-        frame, rerun, ties = Frame(g, next(members)), [], []
-        for u, count in todo:
-            allowed = _check_target(res, chain, frame, u, count)
-            if allowed is None:
-                rerun.append((u, count))
-            elif image or images and witness_tie(norm, u):
-                _tally_counts(res, count, allowed, size)
-                ties.append((u, count))
-            else:
-                _tally_counts(res, count, allowed, total)
-        if not image:
-            # rep's reruns and ties, for the other sign orbits
-            todo = rerun + ties
-        for vectors in (members if rerun else ()):
-            frame = Frame(g, vectors)
-            for u, count in rerun:
-                allowed = _check_target(res, chain, frame, u, count)
-                if allowed is not None:
-                    _tally_counts(res, count, allowed)
-    # A member's sums are g times rep's, and its records take their
-    # ranks.
-    ranks: dict = {}
-    for records in (res.violations, res.errors):
-        for i, ((frame, u), *rest) in enumerate(records):
-            if frame.g not in ranks:
-                ranks[frame.g] = {x: j for j, x in enumerate(
-                    sorted(frame.act(v) for v, _ in sums))}
-            member = _rational(frame.vectors, chain.den)
-            records[i] = ((member, ranks[frame.g][frame.act(u)]), *rest)
+    # Every sign orbit g rep has the size of rep's own.
+    total = (1 + len(images)) * _orbit(rep, mirrored)[0]
+    failed = []
+    for u, count in sums:
+        try:
+            projected, allowed = chain.counts(u)
+        except _RECORDED_FAILURES:
+            failed.append(u)
+            continue
+        if count <= projected <= allowed:
+            _tally_counts(res, count, allowed, total)
+        else:
+            failed.append(u)
+    if not failed:
+        return res
+    for g, _, members in _sign_orbits(chain.scaled, mirrored, images):
+        # A member's sums are g times rep's.
+        ranks = {x: j for j, x in enumerate(sorted(act(g, v)
+                                                    for v, _ in sums))}
+        for member in members:
+            vectors = _rational(member, chain.den)
+            for u in failed:
+                x = act(g, u)
+                key = (vectors, ranks[x])
+                res.count += 1
+                try:
+                    instance = Instance(vectors, _rational((x,), chain.den)[0],
+                                        norm)
+                    _tally(res, key, instance, verify_instance(instance))
+                except _RECORDED_FAILURES as exc:
+                    res.errors.append((key, str(exc)))
     return res
 
 

@@ -327,23 +327,15 @@ def integer_witness(spec: NormSpec, u: Sequence[int]) -> tuple:
 def act(g: Sequence[tuple[int, int]], x: Sequence) -> tuple:
     """g x for a signed coordinate permutation g, given as its pairs
     (p_i, s_i): (g x)_i = s_i x_{p_i}.  Such a g is orthogonal, so
-    <g x, y> = <x, g^-1 y>."""
+    <g x, g y> = <x, y>."""
     return tuple(s * x[p] for p, s in g)
-
-
-def inverse(g: Sequence[tuple[int, int]]) -> tuple:
-    """g^-1, in the pairs of act."""
-    pairs = [(0, 1)] * len(g)
-    for i, (p, s) in enumerate(g):
-        pairs[p] = (i, s)
-    return tuple(pairs)
 
 
 def fixes_norm(spec: NormSpec, g: Sequence[tuple[int, int]]) -> bool:
     """Whether g maps the functionals of a poly norm onto themselves up
     to sign, counted with multiplicity (every g does for l1, l2 and
-    linf).  Then ||g x|| = ||x||, and g permutes the values
-    |<f_j, x>| that integer_witness compares."""
+    linf).  Then ||g x|| = ||x||, and g maps the dual unit ball onto
+    itself, so g carries a witness of x to a witness of g x."""
     if spec.kind != POLY:
         return True
     rows = spec.integer_functionals[1]
@@ -351,26 +343,6 @@ def fixes_norm(spec: NormSpec, g: Sequence[tuple[int, int]]) -> bool:
     def signless(fs):
         return sorted(max(f, tuple(-c for c in f)) for f in fs)
     return signless(act(g, f) for f in rows) == signless(rows)
-
-
-def witness_tie(spec: NormSpec, u: Sequence[int]) -> bool:
-    """Whether integer_witness(g u) = g integer_witness(u) can fail for
-    some g that fixes the norm, because the witness of u breaks a tie:
-    at u = 0 (witness_target takes e_1), at a zero coordinate for l1
-    (sign(0) = +1), and at a maximum |u_j| (linf) or |<f_j, u>| (poly)
-    reached twice (the first one wins).  Otherwise the witness commutes
-    with every such g; for l2, whose witness is u itself, always."""
-    if not any(u):
-        return True
-    if spec.kind == L2:
-        return False
-    if spec.kind == L1:
-        return not all(u)
-    if spec.kind == LINF:
-        values = [abs(c) for c in u]
-    else:
-        values = [abs(dot(f, u)) for f in spec.integer_functionals[1]]
-    return values.count(max(values)) > 1
 
 
 def dual_witness(spec: NormSpec, x: RVector) -> Witness:

@@ -44,9 +44,9 @@ from .errors import CertificateError, InputError, PerturbationError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
                        lo_bound, lo_count, parse_int, parse_rational)
 from .norms import (L2, POLY, Frozen, NormSpec, NormValue, RVector, Witness,
-                    act, ceil_norm, ceil_norm_over, dot, dual_witness,
-                    format_norm, integer_witness, inverse, is_zero, norm_eval,
-                    parse_norm, vector, witness_target, witness_tie)
+                    ceil_norm, ceil_norm_over, dot, dual_witness, format_norm,
+                    integer_witness, is_zero, norm_eval, parse_norm, vector,
+                    witness_target)
 
 # Perturbation schedule: eta = 2^-3, 2^-6, ..., 2^-30, coarse to fine.
 ETA_EXPONENTS = tuple(range(3, 31, 3))
@@ -211,8 +211,7 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     ints = tuple(c.numerator * (lam // c.denominator) for c in w.direction)
     s = int(_times(scale, chain.den * lam, chain.squared))
     c, _, m = chain.perturb(ints, s, lam, u, q,
-                            ceil_norm(instance.norm, instance.target),
-                            None, {})
+                            ceil_norm(instance.norm, instance.target))
     return Witness(tuple(Fraction(a, m) for a in c), w.scale)
 
 
@@ -234,55 +233,12 @@ class Projection:
         return sign_counter(self.coefficients)
 
 
-class Frame:
-    """Another multiset of a chain's orbit, seen from the chain: a signed
-    coordinate permutation g (norms.act) and the multiset's own scaled
-    vectors, each +-g v for a vector v of the chain, in its own order.
-    Its target g u is the chain's target u, with the same sign-pattern
-    counts.  Its witness and its perturbation candidates are its own,
-    pulled back by g^-1 into the chain's coordinates: since
-    <g v, z> = <v, g^-1 z>, the chain then decides every candidate as
-    the multiset's own chain would.  A sign-orbit member is the case
-    g = identity."""
-
-    def __init__(self, g: tuple, vectors: tuple[tuple[int, ...], ...]):
-        self.g, self.vectors = g, vectors
-        self.fixed = all(p == i and s == 1 for i, (p, s) in enumerate(g))
-        self._inverse = inverse(g)
-
-    def act(self, x: tuple) -> tuple:
-        """x in the multiset's coordinates: g x."""
-        return x if self.fixed else act(self.g, x)
-
-    def pull(self, y: tuple) -> tuple:
-        """y in the chain's coordinates: g^-1 y."""
-        return y if self.fixed else act(self._inverse, y)
-
-    @cached_property
-    def order(self) -> tuple:
-        """The multiset's vectors pulled back: its v-directions."""
-        return tuple(map(self.pull, self.vectors))
-
-    @cached_property
-    def axes(self) -> list:
-        """+e_1, -e_1, ..., +e_d, -e_d pulled back: its axis directions."""
-        d = len(self.g)
-        return [self.pull(tuple(sign * (i == j) for i in range(d)))
-                for j in range(d) for sign in (1, -1)]
-
-
 class Chain:
     """The chain for the vector multiset and norm of a validated
     instance (its target is not read), on the instance's scaled vectors
     and den: a target is an integer vector u over q >= 1 in the same
-    units (q = 1 for the sums of scaled_sums).
-
-    Every other multiset of its orbit, +-g v_i for a signed permutation
-    g that fixes the norm, runs on this chain too, through its Frame: the
-    sign sum keeps its law, and along g^-1 w every coefficient is one of
-    the chain's, up to sign.  Projections are cached by direction and
-    scale, and a target that perturbs keeps the outcome of every
-    candidate tried, for the runs of the whole orbit."""
+    units (q = 1 for the sums of scaled_sums).  Projections are cached
+    by direction and scale, for the many targets of a sweep."""
 
     def __init__(self, instance: Instance):
         self.norm = instance.norm
@@ -290,13 +246,6 @@ class Chain:
         self.den, self.scaled = instance.den, instance.scaled
         self._projections: dict = {}
         self._witnesses: dict = {}
-        self._searches: dict = {}
-
-    @cached_property
-    def _own(self) -> Frame:
-        """The chain's own multiset, with g = identity."""
-        return Frame(tuple((j, 1) for j in range(len(self.scaled[0]))),
-                     self.scaled)
 
     def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
         """(u, q): the target x in chain units, u / q = den * x."""
@@ -329,45 +278,22 @@ class Chain:
         self._witnesses[w, s] = proj, sign
         return proj, sign
 
-    def locate(self, u: tuple[int, ...], q: int = 1,
-               frame: Frame | None = None):
+    def locate(self, u: tuple[int, ...], q: int = 1):
         """(projection, t, k, perturbed) for the target u / q: the
         projected target is t / q along the signed direction, and
         perturbed is None or (c, m), the perturbed witness direction c / m
-        in the vectors' own units.  With a frame the target is the frame's
-        g u: its witness, and c, are pulled back by g^-1, and t, k and
-        the counts are its own."""
-        if frame is None:
-            frame = self._own
-        search = self._searches.get((u, q))
-        if search is not None and search[0] is not None and (
-                frame.fixed or not search[5]):
-            # A perturbed target whose witness is this frame's too.
-            w, s, lam, k, memo, _ = search
-            proj = None
-        else:
-            # w = lam * D for the direction D of dual_witness; its scale is
-            # den lam (dual unit vectors), or the square den^2 <w, w> for
-            # l2.
-            w, lam = integer_witness(self.norm, witness_target(frame.act(u)))
-            w = frame.pull(w)
-            s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
-            proj, sign = self._projection(w, s)
-            k = ceil_norm_over(self.norm, u, q * self.den)
-            if proj.failure == ZERO_COEFFICIENT:
-                if self.squared and not is_zero(u):
-                    lam = q * self.den  # D = x = u / (q den)
-                if search is None:
-                    # Off a tie, w is the witness of every frame; on one,
-                    # only of the frames with g = identity.
-                    tie = witness_tie(self.norm, u)
-                    search = self._searches[u, q] = (
-                        w if frame.fixed or not tie else None, s, lam, k, {},
-                        tie)
-                memo, proj = search[4], None
+        in the vectors' own units."""
+        # w = lam * D for the direction D of dual_witness; its scale is
+        # den lam (dual unit vectors), or the square den^2 <w, w> for l2.
+        w, lam = integer_witness(self.norm, witness_target(u))
+        s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
+        proj, sign = self._projection(w, s)
+        k = ceil_norm_over(self.norm, u, q * self.den)
         perturbed = None
-        if proj is None:
-            c, s, m = self.perturb(w, s, lam, u, q, k, frame, memo)
+        if proj.failure == ZERO_COEFFICIENT:
+            if self.squared and not is_zero(u):
+                lam = q * self.den  # D = x = u / (q den)
+            c, s, m = self.perturb(w, s, lam, u, q, k)
             (proj, sign), perturbed = self._projection(c, s), (c, m)
         t = sign * dot(u, proj.w)
         failure = proj.failure or certificate_failure(
@@ -377,17 +303,10 @@ class Chain:
         return proj, t, k, perturbed
 
     def perturb(self, w: tuple[int, ...], s: int, lam: int,
-                u: tuple[int, ...], q: int, k: int, frame: Frame | None,
-                memo: dict):
+                u: tuple[int, ...], q: int, k: int):
         """perturb_witness's search for w = lam * D at scale s and the
-        target u / q, with the candidates of frame (by default the
-        chain's own multiset) in the chain's coordinates: (c, s', m) for
-        the first candidate c that passes at its scale s', with c / m the
-        w' that perturb_witness returns.  The certificates are read on
-        the chain's vectors; memo maps each candidate (c, s') tried for
-        this target to whether it passed."""
-        if frame is None:
-            frame = self._own
+        target u / q: (c, s', m) for the first candidate c that passes at
+        its scale s', with c / m the w' that perturb_witness returns."""
         den, squared, vectors = self.den, self.squared, self.scaled
         # With lam a multiple of den, lam * z is integral for every z.
         f = den // math.gcd(den, lam)
@@ -402,28 +321,26 @@ class Chain:
                 keep, se = (1 << e) - 1, _times(s, 1 << e, squared)
                 for z in schedule:
                     c = tuple(keep * a + b for a, b in zip(base, z))
-                    passed = memo.get((c, se))
-                    if passed is None:
-                        passed = memo[c, se] = certificate_failure(
+                    if certificate_failure(
                             se, squared, [dot(v, c) for v in vectors],
-                            dot(u, c), q, k) is None
-                    if passed:
+                            dot(u, c), q, k) is None:
                         return c, se, lam << e
             return None
 
-        axes = [tuple(lam * c for c in z) for z in frame.axes]
+        axes = [tuple(sign * (i == j) for i in range(d))
+                for j in range(d) for sign in (lam, -lam)]
         found = first(axes, ETA_EXPONENTS[:1])
         if found:
             return found
         # The v-directions, read only once the axes failed at the first
         # eta.
-        dirs = [tuple(lam // den * a for a in v) for v in frame.order]
+        dirs = [tuple(lam // den * a for a in v) for v in vectors]
         found = (first(dirs, ETA_EXPONENTS[:1])
                  or first(axes + dirs, ETA_EXPONENTS[1:]))
         if found:
             return found
         # The moment curve, read only once the first pass is exhausted.
-        curve = [frame.pull(tuple(sign * t ** j for j in range(d)))
+        curve = [tuple(sign * t ** j for j in range(d))
                  for t in range(1, n * (d - 1) + 2) for sign in (lam, -lam)]
         found = first(curve)
         if found:
@@ -444,13 +361,10 @@ class Chain:
             f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={n}, d={d}, "
             f"norm={format_norm(self.norm)})")
 
-    def counts(self, u: tuple[int, ...],
-               frame: Frame | None = None) -> tuple[int, int, bool]:
-        """(projected, allowed) sign-pattern counts for the target u, and
-        whether its witness was perturbed; frame as in locate."""
-        proj, t, k, perturbed = self.locate(u, 1, frame)
-        return (proj.count(t), lo_count(len(self.scaled), k),
-                perturbed is not None)
+    def counts(self, u: tuple[int, ...]) -> tuple[int, int]:
+        """(projected, allowed) sign-pattern counts for the target u."""
+        proj, t, k, _ = self.locate(u)
+        return proj.count(t), lo_count(len(self.scaled), k)
 
 
 def project(instance: Instance) -> ProjectedInstance:

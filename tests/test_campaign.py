@@ -23,8 +23,7 @@ from littlewood_offord import campaign, exactnum, reduction
 from littlewood_offord.concentration import scaled_sums
 from littlewood_offord.campaign import (_build_tasks, _Classes, _orbit,
                                         _rational, _sign_orbits, _task_orbit)
-from littlewood_offord.norms import (act, integer_witness, witness_target,
-                                     witness_tie)
+from littlewood_offord.norms import act, ceil_norm_over, dot
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
                      reference_gen_random, reference_sweep)
 
@@ -172,13 +171,19 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
         perturbations.clear()
         assert (format_campaign_report(report)
                 == format_campaign_report(reference_sweep(cfg))), cfg
-        # A sign flip keeps zero coefficients zero, so each member reruns
-        # exactly the targets that perturb on it alone.
+        unreduced = len(perturbations)
+        perturbations.clear()
+        for task in _build_tasks(cfg):
+            for target in reachable_sums_nd(task[2]):
+                verify_instance(Instance(task[2], target, norm))
+        # Only representatives run, so the sweep perturbs exactly the
+        # targets that perturb on a representative alone, and fewer than
+        # the per-multiset sweep wherever any target perturbs.
         assert swept == len(perturbations), (norm, d)
         assert report.verified and not report.errors
         assert report.max_ratio <= 1
         # In one dimension no nonzero vector projects to zero.
-        assert bool(swept) == (d > 1), (norm, d)
+        assert bool(swept) == (swept < unreduced) == (d > 1), (norm, d)
         universe = campaign._grid_universe(grid, d, norm)
         for n in range(1, min(n_max, 3) + 1):
             for combo in combinations_with_replacement(universe, n):
@@ -201,7 +206,8 @@ def test_orbit_sweep_matches_the_per_multiset_sweep(grid, d, n_max):
 
 # Witnesses tie most often where the grid holds 0: l1 targets with a
 # zero coordinate, linf targets with two maximal coordinates, and the
-# d = 3 facet norm's functionals, so group images rerun most there.
+# d = 3 facet norm's functionals, so there a member's own witness most
+# often differs from the image of its representative's.
 @pytest.mark.parametrize("norm, d, grid, n_max", [
     (POLY3D, 3, GRID0_3D, 2), (L1, 2, GRID0, 3), (LINF, 2, GRID0, 3)])
 def test_orbit_sweep_matches_the_per_multiset_sweep_where_witnesses_tie(
@@ -281,53 +287,6 @@ def _unit(d):
     return [tuple(int(i == j) for i in range(d)) for j in range(d)]
 
 
-def test_tie_rule_matches_the_direct_comparison():
-    # Off a tie, the witness of g u is g times the witness of u, for every
-    # g of the sweep's group and every target of every multiset.
-    ties = broken = 0
-    for norm, d, grid, n_max in SWEEPS:
-        universe = campaign._grid_universe(grid, d, norm)
-        group = _Classes(universe, d, norm).group
-        targets = {u for n in range(1, n_max + 1)
-                   for combo in combinations_with_replacement(universe, n)
-                   for u, _ in scaled_sums(
-                       campaign._sweep_instance(norm, combo).scaled)}
-        for u in targets:
-            tie = witness_tie(norm, u)
-            ties += tie
-            w = integer_witness(norm, witness_target(u))[0]
-            for g in group:
-                same = integer_witness(
-                    norm, witness_target(act(g, u)))[0] == act(g, w)
-                assert same or tie, (norm, u, g)
-                broken += not same
-    assert ties > 100 and broken > 100
-
-
-def test_orbit_members_run_on_the_representatives_chain(monkeypatch):
-    # Members rerun perturbed targets with their own candidates, but on
-    # the representative's chain, in their own frame: a sweep builds one
-    # Chain per orbit task and none per member.
-    chains, orders = [], []
-    init, perturb = reduction.Chain.__init__, reduction.Chain.perturb
-
-    def counted_init(chain, instance):
-        chains.append(instance)
-        init(chain, instance)
-
-    def counted_perturb(chain, *args):
-        orders.append(args[6].vectors == chain.scaled)
-        return perturb(chain, *args)
-    monkeypatch.setattr(reduction.Chain, "__init__", counted_init)
-    monkeypatch.setattr(reduction.Chain, "perturb", counted_perturb)
-    cfg = _sweep((L2, LINF), 2, GRID0, 3)
-    report = run_campaign(cfg)
-    assert report.verified and not report.errors
-    assert len(chains) == len(list(_build_tasks(cfg)))
-    # both representatives and members perturbed
-    assert set(orders) == {True, False}
-
-
 def test_sweep_work_is_pinned(monkeypatch):
     # The chains a sweep builds, the targets they count and the
     # perturbation searches they run: a change that adds reruns or
@@ -343,55 +302,7 @@ def test_sweep_work_is_pinned(monkeypatch):
         monkeypatch.setattr(reduction.Chain, name, counted)
     report = run_campaign(_sweep((L1, L2, LINF, POLY2), 2, GRID0, 3))
     assert report.verified and not report.errors
-    assert calls == {"__init__": 337, "counts": 13801, "perturb": 12051}
-
-
-def _located(chain, *args):
-    """What a target's chain run decides: t, k, the perturbed witness,
-    the projected count at t and the |coefficients| up to order, or the
-    type and message of the error it raised."""
-    found = outcome(chain.locate, *args)
-    if len(found) == 2:
-        return found
-    proj, t, k, perturbed = found
-    return (t, k, perturbed, proj.count(t),
-            sorted(abs(c) for c in proj.coefficients))
-
-
-def test_members_on_the_representatives_chain_match_their_own_chains():
-    # In its frame, a member's target g u, witness and candidates pulled
-    # back by g^-1, the representative's chain decides every target as
-    # the member's own chain does, perturbed ones included, with the
-    # perturbed witness mapped by g.  On the planar sweeps the axis
-    # directions always win, so the candidate order is seen only at
-    # d = 3, where some members pick another v-direction than their
-    # representative.
-    perturbed = reordered = moved = 0
-    for norm, d, grid, n_max in ([(nm, 2, GRID0, 3)
-                                  for nm in (L1, L2, LINF, POLY2)]
-                                 + [(POLY3D, 3, (F(-1), F(0), F(1)), 3)]):
-        for task in _build_tasks(_sweep((norm,), d, grid, n_max)):
-            rep, mirrored, images = task[2:]
-            chain = reduction.Chain(campaign._sweep_instance(norm, rep))
-            targets = [u for u, _ in scaled_sums(chain.scaled)]
-            for g, _, members in _sign_orbits(chain.scaled, mirrored,
-                                              images):
-                for vectors in members:
-                    own = reduction.Chain(campaign._sweep_instance(
-                        norm, _rational(vectors, chain.den)))
-                    assert own.scaled == vectors
-                    frame = reduction.Frame(g, vectors)
-                    for u in targets:
-                        found = _located(chain, u, 1, frame)
-                        if len(found) > 2 and found[2] is not None:
-                            (c, m), rest = found[2], found[3:]
-                            found = found[:2] + ((act(g, c), m),) + rest
-                            perturbed += 1
-                            reordered += found != _located(chain, u)
-                        assert found == _located(own, act(g, u)), (
-                            norm, vectors, u)
-                    moved += g != tuple((j, 1) for j in range(d))
-    assert perturbed > 1000 and reordered > 10 and moved > 100
+    assert calls == {"__init__": 337, "counts": 1983, "perturb": 719}
 
 
 def test_orbit_sweep_is_the_same_for_any_worker_count():
@@ -400,26 +311,72 @@ def test_orbit_sweep_is_the_same_for_any_worker_count():
     assert format_campaign_report(run_campaign(replace(cfg, workers=2))) == text
 
 
-def test_perturbation_errors_on_members_are_their_own(monkeypatch):
+def test_a_fault_on_the_representative_reaches_every_members_own_record(
+        monkeypatch):
     # Every representative of the symmetric grid holds only vectors above
-    # their negation; a perturbation search fails on any multiset that
-    # does not, which a member passes in its frame on the representative's
-    # chain.  So members, which rerun the targets the representative
-    # perturbed, record errors that the representative does not, at their
-    # own index.
+    # their negation, and the perturbation search is made to fail on
+    # exactly such multisets.  A target the representative raises on
+    # reruns on every member of its orbit, each on its own chain: so
+    # members with a vector below its negation pass, and the others
+    # record the error at their own index.
     perturb = reduction.Chain.perturb
 
-    def members_fail(chain, w, s, lam, u, q, k, frame, memo):
-        vectors = chain.scaled if frame is None else frame.vectors
-        if any(v < tuple(-c for c in v) for v in vectors):
-            raise PerturbationError("perturbation refused on a member")
-        return perturb(chain, w, s, lam, u, q, k, frame, memo)
-    monkeypatch.setattr(reduction.Chain, "perturb", members_fail)
-    for norm in (L1, POLY2):
-        text = format_campaign_report(
-            _same_as_reference(_sweep((norm,), 2, GRID, 3)))
-        assert "status = incomplete" in text
-        assert "message = perturbation refused on a member" in text
+    def representatives_fail(chain, *args):
+        if all(v >= tuple(-c for c in v) for v in chain.scaled):
+            raise PerturbationError("perturbation refused on a representative")
+        return perturb(chain, *args)
+    monkeypatch.setattr(reduction.Chain, "perturb", representatives_fail)
+    for norm, errors in ((L1, 17), (POLY2, 16)):
+        report = _same_as_reference(_sweep((norm,), 2, GRID, 3))
+        assert report.status == "incomplete"
+        assert len(report.errors) == errors
+        assert {message for _, message in report.errors} == {
+            "perturbation refused on a representative"}
+
+
+def test_the_image_of_a_certificate_certifies_each_member():
+    # For every member +-g v_i of an orbit and every target g u, g times
+    # the representative's witness at u, perturbed or not, passes the
+    # chain's certificate on the member's own vectors with the
+    # representative's scale and k, and both counts the sweep tallies
+    # for the member are its own, by brute force.
+    perturbed = moved = 0
+    for norm, d, grid, n_max in ([(nm, 2, GRID0, 3)
+                                  for nm in (L1, L2, LINF, POLY2)]
+                                 + [(POLY3D, 3, (F(-1), F(0), F(1)), 3)]):
+        for task in _build_tasks(_sweep((norm,), d, grid, n_max)):
+            rep, mirrored, images = task[2:]
+            chain = reduction.Chain(campaign._sweep_instance(norm, rep))
+            den, n = chain.den, len(rep)
+            located = []
+            for u, count in scaled_sums(chain.scaled):
+                proj, t, k, found = chain.locate(u)
+                sign = 1 if t == dot(u, proj.w) else -1
+                w = tuple(sign * c for c in proj.w)
+                located.append((u, count, w, proj.s, k, proj.count(t),
+                                found is not None))
+            for g, _, members in _sign_orbits(chain.scaled, mirrored,
+                                              images):
+                moved += g != tuple((j, 1) for j in range(d))
+                for member in members:
+                    vectors = _rational(member, den)
+                    assert campaign._sweep_instance(
+                        norm, vectors).scaled == member
+                    for u, count, w, s, k, projected, found in located:
+                        x, gw = act(g, u), act(g, w)
+                        coefficients = [dot(v, gw) for v in member]
+                        t = dot(x, gw)
+                        assert ceil_norm_over(norm, x, den) == k
+                        assert reduction.certificate_failure(
+                            s, chain.squared, coefficients, t, 1, k) is None, (
+                            norm, member, x)
+                        # in the member's integer units, den times its
+                        # own vectors, where the atom is the same
+                        assert count == enumerate_atom_nd(member, x) * 2 ** n
+                        assert projected == enumerate_atom_1d(
+                            coefficients, t) * 2 ** n
+                        perturbed += found
+    assert perturbed > 1000 and moved > 100
 
 
 def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
@@ -436,40 +393,6 @@ def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
             _same_as_reference(_sweep((norm,), 2, grid, 2)))
         assert "status = violations-found" in text
         assert "[violation 1]" in text and "chain_holds = false" in text
-
-
-def test_a_violation_on_a_group_image_has_its_own_index(monkeypatch):
-    # Along a tied linf witness a group image projects onto another axis
-    # than its representative.  Triple the coefficients of every
-    # projection with a coefficient 1/2 (|c| = s / 2): its atom then
-    # misses targets that the sign sum hits, so the chain fails wherever
-    # the projection shows a grid value 1/2, on some group images and not
-    # on their representative.  The records, index and instance, are
-    # those of the per-multiset sweep.
-    init = reduction.Projection.__init__
-
-    def tripled(proj, vectors, w, s, squared):
-        init(proj, vectors, w, s, squared)
-        if any(2 * abs(c) == s for c in proj.coefficients):
-            proj.coefficients = tuple(3 * c for c in proj.coefficients)
-    monkeypatch.setattr(reduction.Projection, "__init__", tripled)
-    cfg = _sweep((LINF,), 2, GRID0, 2)
-    report = _same_as_reference(cfg)
-    assert report.status == "violations-found"
-    failed = {(v.instance.vectors, v.instance.target)
-              for v in report.violations}
-    on_images = 0
-    for task in _build_tasks(cfg):
-        rep = task[2]
-        for g, member in _members(task)[1:]:
-            if g == tuple((j, 1) for j in range(2)):
-                continue
-            back = reduction.Frame(g, member).pull
-            for target in reachable_sums_nd(member):
-                if (member, target) in failed:
-                    mine = verify_instance(Instance(rep, back(target), LINF))
-                    on_images += mine.chain_holds
-    assert on_images > 0
 
 
 def test_failed_certificate_is_recorded_per_instance(monkeypatch):
@@ -725,6 +648,23 @@ def test_campaign_config_capacity_limits():
     with pytest.raises(CapacityError):
         CampaignConfig(mode="random", norms=(L1,), n_min=1, n_max=60,
                        budget=1)
+    # An exhaustive-grid sweep lists d len(grid)^d coordinates at its
+    # largest d, at most 2^20: d = 16 on two values, and one value at any
+    # d up to 2^20, whatever the power would be.
+    limit = campaign.GRID_COORDINATES
+    assert limit == 2 ** 20
+    for grid, d_max, fits in (((F(-1), F(1)), 16, True),
+                              ((F(-1), F(1)), 17, False),
+                              ((F(1),), limit, True),
+                              ((F(1),), limit + 1, False),
+                              (GRID0, 10 ** 100, False)):
+        make = lambda: CampaignConfig(mode="exhaustive-grid", norms=(L1,),
+                                      grid=grid, d_min=1, d_max=d_max)
+        if fits:
+            make()
+        else:
+            with pytest.raises(CapacityError, match=f"d = {d_max} exceeds"):
+                make()
 
 
 def test_violation_serialization_is_replayable():

@@ -224,6 +224,16 @@ def test_exit_code_3_on_capacity(tmp_path, capsys):
     assert "44" in err
 
 
+def test_exit_code_3_on_a_grid_too_large_to_list(tmp_path, capsys):
+    # 3^40 grid points at d = 40: refused before any is listed.
+    config = tmp_path / "deep.campaign"
+    config.write_text("mode = exhaustive-grid\nnorms = l1\nn = 1..1\n"
+                      "d = 1..40\ngrid = -1, 0, 1\n")
+    code, out, err = run_cli(capsys, "campaign", str(config))
+    assert code == 3 and not out
+    assert "which d = 40 exceeds" in err
+
+
 def test_campaign_with_only_errors_is_incomplete(tmp_path, capsys):
     # No configured norm fits d = 3, so every instance is an error.
     config = tmp_path / "mismatch.campaign"
