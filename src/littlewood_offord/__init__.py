@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("CapacityError", "CertificateError", "InputError",
-               "PerturbationError", "UnsupportedNormOperation"),
+               "UnsupportedNormOperation"),
     "exactnum": ("Rational", "binomial", "ceil_sqrt", "delta", "floor_sqrt",
                  "format_rational", "lo_bound", "parse_rational",
                  "rademacher_atom"),

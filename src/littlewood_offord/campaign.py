@@ -18,8 +18,8 @@ Reports depend only on the configuration: work is split into tasks
 whose partial results merge in task order, so the worker count changes
 scheduling but never the report bytes.  Wall time is kept in memory
 only and never serialized, for the same reason.  Per-instance failures
-(capacity, perturbation search, infeasible sampling, a failed
-certificate) are recorded in the report rather than aborting the stream.
+(capacity, infeasible sampling, a failed certificate) are recorded in
+the report rather than aborting the stream.
 
 The eps_i are symmetric, so negating some v_i leaves the law of the
 sign sum unchanged, and along any witness it only negates projected
@@ -58,8 +58,7 @@ from typing import Iterator, Sequence
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
                             reachable_sums_nd, scaled_sums)
-from .errors import (CapacityError, CertificateError, InputError,
-                     PerturbationError)
+from .errors import CapacityError, CertificateError, InputError
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
 from .norms import (L1, L2, LINF, NormSpec, RVector, act, ceil_norm_over,
@@ -290,15 +289,16 @@ def _negated(v: RVector) -> RVector:
     return tuple(-c for c in v)
 
 
-# Above d = 3 the group is the identity, and orbits are sign orbits:
-# testing the 2^d d! signed permutations on every universe vector, every
-# orbit against them, and, where a block has records, every multiset of
-# its stream (_StreamIndex.flush), costs more than the chains it saves.
-# With the group at d = 4 (384 candidates), the l1 and linf sweep of the
-# grid -1, 0, 1 at n <= 3 took 22-24 s, against 6.5-9.8 s with sign
-# orbits alone (2-core Xeon, CPython 3.11, one worker), most of it in
-# resolving the indices of linf's error records.
-_SYMMETRY_DIMENSIONS = 3
+# Above d = 4 the group is the identity, and orbits are sign orbits:
+# there G would test 2^d d! signed permutations (3,840 at d = 5) on every
+# universe vector and every orbit.  At d = 4 (384 candidates) the group
+# pays.  With it, against sign orbits alone (2-core Xeon, CPython 3.11,
+# one worker, the same reports): l1 and linf on the grid -1, 0, 1 at
+# n <= 3 took 0.3-0.5 s against 6.0-6.9 s; l1, l2 and linf at d = 4 on
+# -1, -1/2, 0, 1/2, 1 at n <= 2, 2.0-2.5 s against 8.8-9.7 s; l1, l2,
+# linf and poly:[e_1; ...; e_4; 1,1,1,1] at d = 1..4 on -1, 0, 1, n <= 3,
+# 0.5-0.8 s against 6.5-6.8 s.
+_SYMMETRY_DIMENSIONS = 4
 
 
 class _Classes:
@@ -468,8 +468,7 @@ def _tally_counts(res: _TaskResult, count: int, allowed: int,
         res.max_ratio = Fraction(count, allowed)
 
 
-_RECORDED_FAILURES = (InputError, CapacityError, PerturbationError,
-                      CertificateError)
+_RECORDED_FAILURES = (InputError, CapacityError, CertificateError)
 
 
 def _rational(scaled, den: int) -> tuple[RVector, ...]:

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 verified (or tight, as expected), 1 violation found,
-2 invalid input, 3 capacity exceeded, perturbation search exhausted, or
-a campaign left instances unverified, 4 an internal certificate failed.
+2 invalid input, 3 capacity exceeded or a campaign left instances
+unverified, 4 an internal certificate failed.
 File arguments accept "-" for stdin.
 """
 
@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from .concentration import atom_nd
-from .errors import (CapacityError, CertificateError, InputError,
-                     PerturbationError)
+from .errors import CapacityError, CertificateError, InputError
 from .exactnum import format_rational, lo_bound, parse_int, parse_rational
 from .norms import parse_norm
 from .reduction import (format_instance, format_report, parse_instance,
@@ -160,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, PerturbationError) as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CertificateError as exc:

@@ -13,10 +13,6 @@ class CapacityError(RuntimeError):
     """An enumeration would exceed the configured size limit."""
 
 
-class PerturbationError(RuntimeError):
-    """The witness perturbation schedule was exhausted without an acceptable candidate."""
-
-
 class CertificateError(RuntimeError):
     """An internal certificate of the projection chain failed: a defect in
     the program, not in the input."""

@@ -21,11 +21,11 @@ certificate is an integer comparison, and one Projection per (w, s),
 divided by their common gcd, serves every target along +-w: the sign
 sum is symmetric, so count_{-w}(t) = count_w(t), and the projected
 target t is taken along the signed w.  When some <v_i, w> is zero, a
-deterministic schedule on the same integers nudges w off the
-offending hyperplanes.  verify_instance is a chain with one
-target whose two atoms are concentration.probe_count calls, on the
-scaled vectors and on the projected coefficients; project() and
-perturb_witness are its exact rational views.
+deterministic schedule on the same integers, whose last pass cannot
+fail, nudges w off the offending hyperplanes.  verify_instance is a
+chain with one target whose two atoms are concentration.probe_count
+calls, on the scaled vectors and on the projected coefficients;
+project() and perturb_witness are its exact rational views.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from typing import NamedTuple
 
 # perfbench/tracer.py wraps reduction.atom_nd and reduction.atom_1d, so
@@ -40,7 +41,7 @@ from typing import NamedTuple
 # spans read 0 calls until the tracer wraps probe_count instead.
 from .concentration import (atom_1d, atom_nd, probe_count,  # noqa: F401
                             sign_counter, target_units)
-from .errors import CertificateError, InputError, PerturbationError
+from .errors import CertificateError, InputError
 from .exactnum import (ceil_sqrt, delta, floor_sqrt, format_rational,
                        lo_bound, lo_count, parse_int, parse_rational)
 from .norms import (L2, POLY, Frozen, NormSpec, NormValue, RVector, Witness,
@@ -189,20 +190,13 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     (in that order), the first w' = (1 - eta) w + eta z that passes
     certificate_failure at the scale s of w wins.
 
-    Only when that schedule is exhausted does a second pass run the same
-    eta sequence over +z(t), -z(t) for t = 1, ..., n(d-1)+1, with
-    z(t) = (1, t, ..., t^(d-1)).  From d = 3 on, w can lie on two
-    independent hyperplanes that no single direction of the first pass
-    leaves at once.  For v != 0, <v, z(t)> is a nonzero
-    polynomial in t of degree below d, so some t in that range keeps
-    every <v_i, z(t)> nonzero.
-
-    When both passes are exhausted and x = 0, k = 0 at every scale and
-    only the coefficients bind: w' is the first of +z(t), -z(t) for
-    t = 1, 2, ... whose coefficients are all nonzero, times the largest
-    2^-e (e >= 0) that puts every coefficient within the scale of w
-    (compared in squares for l2).  The search runs on integers, in
-    Chain.perturb.
+    From d = 3 on, w can lie on two hyperplanes that no single direction
+    leaves at once, so a last pass follows that cannot fail: z is
+    sum_j t^(j-1) a_j / sum_j t^(j-1) over a_j = e_j (l1, linf),
+    ||w||_inf e_j (l2) or the functionals f_j (poly), which lie in the
+    dual ball at scale s, for the least t >= 1 with every <v_i, z>
+    nonzero, and eta the first of 2^-3, 2^-6, ... that passes.  The
+    search runs on integers, in Chain.perturb.
     """
     chain = Chain(instance)
     u, q = chain.units(instance.target)
@@ -306,60 +300,66 @@ class Chain:
                 u: tuple[int, ...], q: int, k: int):
         """perturb_witness's search for w = lam * D at scale s and the
         target u / q: (c, s', m) for the first candidate c that passes at
-        its scale s', with c / m the w' that perturb_witness returns."""
+        its scale s', with c / m the w' that perturb_witness returns.  The
+        last pass always yields one; Chain.locate checks it."""
         den, squared, vectors = self.den, self.squared, self.scaled
-        # With lam a multiple of den, lam * z is integral for every z.
-        f = den // math.gcd(den, lam)
+        fden, rows = self.norm.integer_functionals or (1, ())
+        # With lam a multiple of den and fden, lam * z is integral for
+        # every z, and so is lam / fden times every functional row.
+        f = math.lcm(den, fden, lam) // lam
         lam *= f
         base = tuple(f * a for a in w)
         s = _times(s, f, squared)
         d, n = len(w), len(vectors)
-
-        def first(schedule, exponents=ETA_EXPONENTS):
-            for e in exponents:
-                # c = 2^e lam ((1 - eta) D + eta z), at scale 2^e s
-                keep, se = (1 << e) - 1, _times(s, 1 << e, squared)
-                for z in schedule:
-                    c = tuple(keep * a + b for a, b in zip(base, z))
-                    if certificate_failure(
-                            se, squared, [dot(v, c) for v in vectors],
-                            dot(u, c), q, k) is None:
-                        return c, se, lam << e
-            return None
-
         axes = [tuple(sign * (i == j) for i in range(d))
                 for j in range(d) for sign in (lam, -lam)]
-        found = first(axes, ETA_EXPONENTS[:1])
-        if found:
-            return found
-        # The v-directions, read only once the axes failed at the first
-        # eta.
         dirs = [tuple(lam // den * a for a in v) for v in vectors]
-        found = (first(dirs, ETA_EXPONENTS[:1])
-                 or first(axes + dirs, ETA_EXPONENTS[1:]))
-        if found:
-            return found
-        # The moment curve, read only once the first pass is exhausted.
-        curve = [tuple(sign * t ** j for j in range(d))
-                 for t in range(1, n * (d - 1) + 2) for sign in (lam, -lam)]
-        found = first(curve)
-        if found:
-            return found
-        if not any(u):
-            # x = 0 keeps k = 0 at every scale, so only the coefficients
-            # bind: the first +-z(t) that clears every hyperplane serves,
-            # halved until its coefficients lie within the scale.
-            for z in curve:
-                coefficients = [dot(v, z) for v in vectors]
-                if all(coefficients):
-                    while certificate_failure(s, squared, coefficients):
-                        s, lam = _times(s, 2, squared), 2 * lam
-                    return z, s, lam
-        tried = len(ETA_EXPONENTS) * (len(axes) + len(dirs) + len(curve))
-        raise PerturbationError(
-            f"no acceptable witness perturbation among {tried} candidates "
-            f"(eta floor 2^-{ETA_EXPONENTS[-1]}, n={n}, d={d}, "
-            f"norm={format_norm(self.norm)})")
+        for e in ETA_EXPONENTS:
+            # c = 2^e lam ((1 - eta) D + eta z), at scale 2^e s
+            keep, se = (1 << e) - 1, _times(s, 1 << e, squared)
+            for z in axes + dirs:
+                c = tuple(keep * a + b for a, b in zip(base, z))
+                if certificate_failure(
+                        se, squared, [dot(v, c) for v in vectors],
+                        dot(u, c), q, k) is None:
+                    return c, se, lam << e
+        # The last pass cannot fail.  The a_j span the space and lie in
+        # the dual ball at the scale of w: lam e_j for l1 and linf,
+        # max_j |w_j| e_j for l2 (||w||_inf <= ||w||_2), lam / fden f_j
+        # for poly.  By convexity so does z / W, with z = sum_j t^(j-1) a_j
+        # and W = sum_j t^(j-1), and each <v_i, z> is a nonzero polynomial
+        # in t of degree below m = len(span): some t <= n(m-1)+1 serves.
+        if rows:
+            span = [tuple(lam // fden * a for a in row) for row in rows]
+        else:
+            r = max(map(abs, base)) if squared else lam
+            span = [tuple(r * (i == j) for i in range(d)) for j in range(d)]
+        for t in range(1, n * (len(span) - 1) + 2):
+            z = [sum(t ** j * a[i] for j, a in enumerate(span))
+                 for i in range(d)]
+            moved = [dot(v, z) for v in vectors]
+            if all(moved):
+                break
+        weight = sum(t ** j for j in range(len(span)))
+        held, t0 = [dot(v, base) for v in vectors], dot(u, base)
+        for e in count(3, 3):
+            # c = 2^e W lam ((1 - eta) D + eta z / W), at scale 2^e W s.
+            # Two sufficient conditions bound e: (2^e - 1) W |<v_i, w>| >
+            # |<v_i, z>| keeps every nonzero <v_i, w> nonzero, and
+            # (1 - 2^(1-e)) ||x|| > k - 1 keeps ceil <x, w'> = k, since
+            # <x, w'> lies in [(1 - 2 eta) ||x||, ||x||] at scale 1.
+            keep = ((1 << e) - 1) * weight
+            c = tuple(keep * a + b for a, b in zip(base, z))
+            se = _times(s, weight << e, squared)
+            bound = (all(keep * abs(a) > abs(b)
+                         for a, b in zip(held, moved) if a)
+                     and ceil_ratio(((1 << e) - 2) * t0,
+                                    _times(s, q << e, squared),
+                                    squared) == k)
+            if bound or certificate_failure(
+                    se, squared, [keep * a + b for a, b in zip(held, moved)],
+                    dot(u, c), q, k) is None:
+                return c, se, lam * weight << e
 
     def counts(self, u: tuple[int, ...]) -> tuple[int, int]:
         """(projected, allowed) sign-pattern counts for the target u."""

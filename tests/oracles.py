@@ -16,14 +16,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 
 from littlewood_offord import (CampaignReport, InputError, Instance,
-                               PerturbationError, VerificationReport,
-                               Violation, Witness, ceil_norm, delta,
-                               format_norm, in_unit_ball, is_zero, lo_bound,
-                               reachable_sums_nd, sum_table_1d, sum_table_nd,
-                               verify_instance)
+                               VerificationReport, Violation, Witness,
+                               ceil_norm, delta, format_norm, in_unit_ball,
+                               is_zero, lo_bound, reachable_sums_nd,
+                               sum_table_1d, sum_table_nd, verify_instance)
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
                                         _TaskResult, _tally)
 from littlewood_offord.reduction import Chain
@@ -108,14 +107,26 @@ def reference_perturb_witness(instance, w):
     2^-3, 2^-6, ..., 2^-30 and z in +e_1, -e_1, ..., +e_d, -e_d, v_1,
     ..., v_n, the first w' = (1 - eta) w + eta z whose coefficients
     <v_i, w'> are nonzero and at most the scale s of w in absolute
-    value, and with ceil(<x, w'> / s) = ceil ||x||; when none passes,
-    the same over +z(t), -z(t), z(t) = (1, t, ..., t^(d-1)),
-    t = 1, ..., n(d-1)+1; when none passes either and x = 0, the first
-    of those z(t) whose coefficients are all nonzero, halved until they
-    lie within the scale."""
-    d, n = len(instance.target), len(instance.vectors)
+    value, and with ceil(<x, w'> / s) = ceil ||x||.  When none passes,
+    the last pass: a_j = e_j (l1, linf), ||w||_inf e_j (l2) or the
+    functionals f_j (poly), z = sum_j t^(j-1) a_j / sum_j t^(j-1) for
+    the least t = 1, 2, ... with every <v_i, z> nonzero, and the first
+    w' = (1 - eta) w + eta z that passes, for eta = 2^-3, 2^-6, ..."""
+    d = len(instance.target)
     x = instance.target
     k = ceil_norm(instance.norm, x)
+
+    def passes(cand):
+        coeffs = [sum(a * b for a, b in zip(v, cand))
+                  for v in instance.vectors]
+        t = sum(a * b for a, b in zip(x, cand))
+        return (all(coeffs)
+                and all(_within_scale(c, w.scale) for c in coeffs)
+                and _ceil_over_scale(t, w.scale) == k)
+
+    def step(eta, z):
+        return tuple((1 - eta) * a + eta * b for a, b in zip(w.direction, z))
+
     dirs = []
     for j in range(d):
         for sign in (1, -1):
@@ -123,36 +134,27 @@ def reference_perturb_witness(instance, w):
             z[j] = Fraction(sign)
             dirs.append(tuple(z))
     dirs.extend(instance.vectors)
-    curve = []
-    for t in range(1, n * (d - 1) + 2):
-        z = tuple(Fraction(t ** j) for j in range(d))
-        curve += [z, tuple(-c for c in z)]
-    tried = 0
-    for schedule in (dirs, curve):
-        for exp in range(3, 31, 3):
-            eta = Fraction(1, 2 ** exp)
-            for z in schedule:
-                tried += 1
-                cand = tuple((1 - eta) * a + eta * b
-                             for a, b in zip(w.direction, z))
-                coeffs = [sum(a * b for a, b in zip(v, cand))
-                          for v in instance.vectors]
-                t = sum(a * b for a, b in zip(x, cand))
-                if (all(coeffs)
-                        and all(_within_scale(c, w.scale) for c in coeffs)
-                        and _ceil_over_scale(t, w.scale) == k):
-                    return Witness(cand, w.scale)
-    if all(c == 0 for c in x):
-        for z in curve:
-            coeffs = [sum(a * b for a, b in zip(v, z))
-                      for v in instance.vectors]
-            if all(coeffs):
-                f = Fraction(1)
-                while not all(_within_scale(f * c, w.scale) for c in coeffs):
-                    f /= 2
-                return Witness(tuple(f * c for c in z), w.scale)
-    raise PerturbationError(
-        f"no acceptable witness perturbation among {tried} candidates")
+    for exp in range(3, 31, 3):
+        for z in dirs:
+            cand = step(Fraction(1, 2 ** exp), z)
+            if passes(cand):
+                return Witness(cand, w.scale)
+    if instance.norm.kind == "poly":
+        span = instance.norm.functionals
+    else:
+        r = max(map(abs, w.direction)) if instance.norm.kind == "l2" else 1
+        span = [tuple(Fraction(r * (i == j)) for i in range(d))
+                for j in range(d)]
+    for t in count(1):
+        weights = [Fraction(t ** j) for j in range(len(span))]
+        z = tuple(sum(c * a[i] for c, a in zip(weights, span)) / sum(weights)
+                  for i in range(d))
+        if all(sum(a * b for a, b in zip(v, z)) for v in instance.vectors):
+            break
+    for exp in count(3, 3):
+        cand = step(Fraction(1, 2 ** exp), z)
+        if passes(cand):
+            return Witness(cand, w.scale)
 
 
 def outcome(fn, *args):

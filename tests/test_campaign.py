@@ -11,9 +11,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
-                               InputError, Instance, NormSpec,
-                               PerturbationError, VerificationReport,
-                               Violation, ceil_norm, delta,
+                               CertificateError, InputError, Instance,
+                               NormSpec, VerificationReport, Violation,
+                               ceil_norm, delta,
                                format_campaign_config, format_campaign_report,
                                gen_extremal, gen_random, lo_bound, make_instance,
                                parse_campaign_config, project,
@@ -190,6 +190,20 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
                 _check_against_oracles(norm, combo)
 
 
+# On the grid -1, 0, 1 these sweeps reach targets whose witness lies on
+# two hyperplanes that no single axis or vector direction leaves at once:
+# only the last perturbation pass certifies them.
+@pytest.mark.parametrize("norm, d, n_max, instances, tight", [
+    (LINF, 3, 4, 338_660, 143_586),
+    (POLY3D, 3, 4, 82_066, 39_338),
+    (LINF, 4, 3, 700_680, 543_272)])
+def test_sweeps_needing_the_last_perturbation_pass_verify(
+        norm, d, n_max, instances, tight):
+    report = run_campaign(_sweep((norm,), d, (F(-1), F(0), F(1)), n_max))
+    assert report.status == "verified" and not report.errors
+    assert (report.instances, report.tight) == (instances, tight)
+
+
 # Orbits are whole on the symmetric grid and partial on the other two,
 # where a vector with a coordinate 1 (second grid) or 1/2 (third) has no
 # negation in the universe.
@@ -323,7 +337,7 @@ def test_a_fault_on_the_representative_reaches_every_members_own_record(
 
     def representatives_fail(chain, *args):
         if all(v >= tuple(-c for c in v) for v in chain.scaled):
-            raise PerturbationError("perturbation refused on a representative")
+            raise CertificateError("perturbation refused on a representative")
         return perturb(chain, *args)
     monkeypatch.setattr(reduction.Chain, "perturb", representatives_fail)
     for norm, errors in ((L1, 17), (POLY2, 16)):

@@ -5,15 +5,14 @@ import gc
 import math
 import pickle
 import random
-import re
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 from littlewood_offord import (InputError, Instance, NormSpec,
-                               PerturbationError, ProjectedInstance,
-                               VerificationReport, atom_1d, ceil_norm, dot,
+                               ProjectedInstance, VerificationReport,
+                               atom_1d, ceil_norm, dot,
                                dual_witness, format_instance, format_report,
                                gen_random, in_unit_ball, lo_bound,
                                make_instance, parse_norm, parse_instance,
@@ -238,7 +237,7 @@ def test_perturb_witness_checks_all_three_conditions():
 
 # w = x is orthogonal to (-1/2, 1/2, 0), (0, 0, 3/4) and (0, 0, -1).
 # No single +-e_j or v_i direction leaves both hyperplanes, so only the
-# moment-curve pass z(t) = (1, t, t^2) finds a witness.
+# last pass, along z(t) = ||w||_inf (1, t, t^2) / W(t), finds a witness.
 TWO_HYPERPLANES_D3 = (
     "dimension = 3\nnorm = l2\n"
     "vectors = 3/4,1/2,0; 3/4,1/4,0; -1/2,-1/4,0; -1/2,1/2,0; 0,0,3/4; "
@@ -259,10 +258,10 @@ def test_perturbation_clears_two_hyperplanes_in_d3():
                                                    proj.target_value)
 
 
-# At x = 0 the linf witness is e_1, and no candidate of either pass
-# keeps every coefficient within the scale 1.  k = 0 at every scale, so
-# z(2) = (1, 2, 4), with coefficients 2, -5, -4, 2, -6, 3, -1, -2, is
-# halved three times instead.
+# At x = 0 the linf witness is e_1, and no +-e_j or v_i direction keeps
+# every coefficient nonzero and within the scale.  The last pass takes
+# z(2) = (1, 2, 4) / 7, the first z(t) with coefficients 2, -5, -4, 2,
+# -6, 3, -1, -2 all nonzero, at eta = 1/8: w' = (50, 2, 4) / 56.
 ZERO_TARGET_LINF_D3 = (
     "dimension = 3\nnorm = linf\n"
     "vectors = 0,-1,1; -1,0,-1; 0,0,-1; 0,-1,1; 0,-1,-1; -1,0,1; 1,1,-1; "
@@ -270,12 +269,37 @@ ZERO_TARGET_LINF_D3 = (
     "target = 0,0,0\n")
 
 
-def test_zero_target_falls_back_to_the_moment_curve():
+def test_zero_target_takes_the_last_pass():
     inst = parse_instance(ZERO_TARGET_LINF_D3)
     proj = project(inst)
     assert proj.perturbed and proj.k == 0 and proj.target_value == 0
-    assert proj.coefficients == tuple(F(c, 8)
-                                      for c in (2, -5, -4, 2, -6, 3, -1, -2))
+    assert proj.coefficients == tuple(
+        F(c, 56) for c in (2, -54, -4, 2, -6, -46, 48, -2))
+    report = verify_instance(inst)
+    assert report.chain_holds and report.perturbed
+    assert report.p_exact == enumerate_atom_nd(inst.vectors, inst.target)
+    assert report.p_projected == enumerate_atom_1d(proj.coefficients,
+                                                   proj.target_value)
+
+
+# The linf witnesses of these targets, -e_1 and e_1, lie on two
+# hyperplanes <v_i, .> = 0 that no +-e_j or v_i direction leaves at once
+# within the scale: only the last pass certifies them.
+LAST_PASS_LINF = (
+    "dimension = 3\nnorm = linf\n"
+    "vectors = 0,0,1; 0,1,-1; 0,1,0; 1,-1,-1\n"
+    "target = -1,1,-1\n",
+    "dimension = 4\nnorm = linf\n"
+    "vectors = 0,0,0,1; 0,1,-1,0; 1,-1,0,1\n"
+    "target = 1,0,-1,0\n")
+
+
+@pytest.mark.parametrize("text", LAST_PASS_LINF, ids=("d3", "d4"))
+def test_two_hyperplanes_under_linf_take_the_last_pass(text):
+    inst = parse_instance(text)
+    proj = project(inst)
+    assert proj.perturbed and proj.k == 1
+    assert all(c != 0 and abs(c) <= 1 for c in proj.coefficients)
     report = verify_instance(inst)
     assert report.chain_holds and report.perturbed
     assert report.p_exact == enumerate_atom_nd(inst.vectors, inst.target)
@@ -285,7 +309,10 @@ def test_zero_target_falls_back_to_the_moment_curve():
 
 POLY_BY_D = {1: NormSpec.polyhedral([(F(3, 4),)]), 2: POLY3,
              3: NormSpec.polyhedral([(1, 0, 0), (0, 1, 0), (0, 0, 1),
-                                     (1, 1, 1)])}
+                                     (1, 1, 1)]),
+             4: NormSpec.polyhedral([(1, 0, 0, 0), (0, 1, 0, 0),
+                                     (0, 0, 1, 0), (0, 0, 0, 1),
+                                     (1, 1, 1, 1), (1, -1, 0, 0)])}
 
 
 # The linf witness of x = (-1, 0) is -e_1, orthogonal to (0, 1/2); the
@@ -312,26 +339,27 @@ def test_projection_is_shared_by_w_and_minus_w():
 
 
 def _perturbation_cases():
-    """Seeded instances at d = 1..3 under all four norm kinds, on grids
+    """Seeded instances at d = 1..4 under all four norm kinds, on grids
     with zero coordinates (so that witnesses often meet a hyperplane),
     with reachable or grid targets, off-lattice targets and x = 0."""
     rng = random.Random(2207)
-    for i in range(480):
-        d = i % 3 + 1
-        kind = ("l1", "l2", "linf", "poly")[i // 3 % 4]
+    for i in range(640):
+        d = i % 4 + 1
+        kind = ("l1", "l2", "linf", "poly")[i // 4 % 4]
         norm = POLY_BY_D[d] if kind == "poly" else NormSpec(kind)
         inst = gen_random(rng.getrandbits(32), rng.randint(1, 8), d, norm,
                           rng.choice((1, 2, 4)))
         target = inst.target
-        if i // 12 % 4 == 1:
+        if i // 16 % 4 == 1:
             target = tuple(F(rng.randint(-7, 7), rng.choice((3, 5, 7)))
                            for _ in range(d))
-        elif i // 12 % 4 == 2:
+        elif i // 16 % 4 == 2:
             target = (F(0),) * d
         yield Instance(inst.vectors, target, norm)
     yield parse_instance(TWO_HYPERPLANES_D3)
     yield parse_instance(ZERO_TARGET_LINF_D3)
     yield parse_instance(FLIPPED_KEY_LINF)
+    yield from map(parse_instance, LAST_PASS_LINF)
 
 
 def test_perturbation_matches_the_rational_reference():
@@ -341,12 +369,7 @@ def test_perturbation_matches_the_rational_reference():
     perturbed = 0
     for inst in _perturbation_cases():
         w = dual_witness(inst.norm, vector(witness_target(inst.target)))
-        try:
-            expected = reference_perturb_witness(inst, w)
-        except PerturbationError as exc:
-            with pytest.raises(PerturbationError, match=re.escape(str(exc))):
-                perturb_witness(inst, w)
-            continue
+        expected = reference_perturb_witness(inst, w)
         assert perturb_witness(inst, w) == expected, inst
         proj = project(inst)
         report = verify_instance(inst)
@@ -360,6 +383,47 @@ def test_perturbation_matches_the_rational_reference():
         assert report.p_projected == enumerate_atom_1d(proj.coefficients,
                                                        proj.target_value)
     assert perturbed >= 100
+
+
+def test_every_valid_instance_is_certified():
+    # Seeded instances at d = 1..4 under all four norm kinds, on grids
+    # with zero coordinates, at reachable, zero, grid and small
+    # off-lattice targets: none raises, and both counts of the chain
+    # equal brute-force enumeration, on integers (scaling both sides by
+    # a positive factor leaves the atom event unchanged).
+    rng = random.Random(1)
+    perturbed = 0
+    for i in range(2000):
+        d = rng.randint(1, 4)
+        kind = ("l1", "l2", "linf", "poly")[i % 4]
+        norm = POLY_BY_D[d] if kind == "poly" else NormSpec(kind)
+        g = rng.choice((1, 2, 3, 4))
+        vectors = gen_random(rng.getrandbits(32), rng.randint(1, 8), d, norm,
+                             g).vectors
+        which = i // 4 % 4
+        if which == 0:
+            target = tuple(sum(rng.choice((-1, 1)) * v[j] for v in vectors)
+                           for j in range(d))
+        elif which == 1:
+            target = (F(0),) * d
+        elif which == 2:
+            target = tuple(F(rng.randint(-2 * g, 2 * g), g) for _ in range(d))
+        else:
+            target = tuple(F(rng.randint(-1, 1), rng.randint(2, 7))
+                           for _ in range(d))
+        inst = Instance(vectors, target, norm)
+        report = verify_instance(inst)
+        proj = project(inst)
+        perturbed += proj.perturbed
+        assert report.chain_holds, inst
+        assert report.p_exact == enumerate_atom_nd(
+            [tuple(int(g * c) for c in v) for v in vectors],
+            tuple(g * c for c in target)), inst
+        m = math.lcm(*(c.denominator for c in proj.coefficients))
+        assert report.p_projected == enumerate_atom_1d(
+            [int(m * c) for c in proj.coefficients],
+            m * proj.target_value), inst
+    assert perturbed >= 500
 
 
 def test_batch_of_one_in_the_meet_in_the_middle_range():
