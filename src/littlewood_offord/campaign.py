@@ -33,12 +33,12 @@ verifies one orbit of G x signs, G the group of such g, on the chain of
 its representative alone: the least multiset of sign class
 representatives (each vector the larger of +-v when both lie in the
 universe).  A target where that chain holds counts for every multiset
-of the orbit.  Only where it fails or raises are the members
-enumerated, and each reruns g u through verify_instance for its own
-record.  The record then takes its multiset and the rank of g u among
-that multiset's sorted sums, so indices stay those of the per-multiset
-stream: the runner resolves a block's (norm, d, n) record indices from
-the targets of its orbits once the block has merged.
+of the orbit.  Every valid instance certifies, so a representative
+that fails or raises at any target means a program defect or a
+counterexample, and then the argument above is not trusted: the
+runner drops the orbit pass and reruns the sweep unreduced, every
+target of every multiset through verify_instance, indexed along the
+per-multiset stream.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import math
 import os
 import random
 import time
-from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -306,11 +305,11 @@ class _Classes:
     lie in it, else v alone, and the group G that permutes them.
 
     reps holds each class's representative (the larger of +-v), in
-    universe order, mirrored whether the class holds two vectors, and
-    index each universe vector's class.  G holds the signed coordinate
-    permutations (norms.act) that fix the norm and map the universe onto
-    itself, the identity first; perms holds, for each g in G, the
-    permutation of the classes it induces (g -v = -g v)."""
+    universe order, and mirrored whether the class holds two vectors.
+    G holds the signed coordinate permutations (norms.act) that fix the
+    norm and map the universe onto itself, the identity first; perms
+    holds, for each g in G, the permutation of the classes it induces
+    (g -v = -g v)."""
 
     def __init__(self, universe: list[RVector], d: int, norm: NormSpec):
         # In integer units, where a signed permutation costs no Fraction.
@@ -334,14 +333,9 @@ class _Classes:
         units = [scaled[v] for v in reps]
         self.reps = tuple(reps)
         self.mirrored = tuple(_negated(u) in inside for u in units)
-        self.index = {v: at[u] for v, u in scaled.items()}
         self.group = tuple(group)
         self.perms = tuple(tuple(at[act(g, u)] for u in units)
                            for g in group)
-
-    def least(self, combo: Sequence[int]) -> tuple:
-        """The least multiset of classes in the G-orbit of combo."""
-        return min(tuple(sorted([p[i] for i in combo])) for p in self.perms)
 
     def orbits(self, n: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
         """The G-orbits on the n-multisets of classes, in
@@ -371,64 +365,24 @@ class _Classes:
                         yield combo, tuple(images.values())[1:]
         return extend((), 0)
 
-    def count(self, n: int) -> int:
-        """The number of orbits, by Burnside's lemma: the mean over g of
-        the multisets g fixes, which hold each cycle of g's permutation
-        of the classes a whole number of times."""
-        total = 0
-        for p in self.perms:
-            ways, seen = [1] + [0] * n, set()
-            for start in range(len(p)):
-                if start in seen:
-                    continue
-                length, i = 0, start
-                while i not in seen:
-                    seen.add(i)
-                    i, length = p[i], length + 1
-                for m in range(length, n + 1):
-                    ways[m] += ways[m - length]
-            total += ways[n]
-        return total // len(self.perms)
 
-
-def _grid_blocks(config: CampaignConfig) -> Iterator[tuple]:
-    """The (norm, n, universe, classes) blocks of an exhaustive-grid
-    sweep, in report order."""
+def _grid_universes(config: CampaignConfig
+                    ) -> Iterator[tuple[NormSpec, int, list[RVector]]]:
+    """The (norm, d, universe) of an exhaustive-grid sweep, in report
+    order."""
     for norm in config.norms:
         for d in range(config.d_min, config.d_max + 1):
             # Fixed-dimension norms (facet form) only apply to matching d.
-            if norm.dimension not in (None, d):
-                continue
-            universe = _grid_universe(config.grid, d, norm)
-            classes = _Classes(universe, d, norm)
-            for n in range(config.n_min, config.n_max + 1):
-                yield norm, n, universe, classes
+            if norm.dimension in (None, d):
+                yield norm, d, _grid_universe(config.grid, d, norm)
 
 
-def _orbit(rep: tuple[RVector, ...], mirrored: tuple[bool, ...]
-           ) -> tuple[int, Iterator[tuple[RVector, ...]]]:
-    """The size of rep's sign orbit and its multisets, made as they are
-    read, each sorted as the stream lists it, rep's own first: every way
-    to negate some copies of each mirrored vector (one whose negation
-    lies in the universe).  Copies of a vector must be adjacent in rep."""
-    choices = []
-    for (v, flips), copies in groupby(zip(rep, mirrored)):
-        m = len(list(copies))
-        choices.append([(v,) * (m - j) + (_negated(v),) * j
-                        for j in range(m + 1 if flips else 1)])
-    return math.prod(map(len, choices)), (
-        tuple(sorted(chain.from_iterable(parts)))
-        for parts in product(*choices))
-
-
-def _sign_orbits(rep: tuple, mirrored: tuple[bool, ...], images: tuple
-                 ) -> Iterator[tuple]:
-    """rep's orbit under G x signs, one sign orbit at a time: (g, size,
-    multisets) as _orbit gives them for g rep, g the identity and then
-    each of images, so that the first multiset is rep (sorted)."""
-    identity = tuple((j, 1) for j in range(len(rep[0])))
-    for g in (identity,) + images:
-        yield (g, *_orbit(tuple(act(g, v) for v in rep), mirrored))
+def _orbit(rep: tuple[RVector, ...], mirrored: tuple[bool, ...]) -> int:
+    """The size of rep's sign orbit: every way to negate some copies of
+    each mirrored vector (one whose negation lies in the universe).
+    Copies of a vector must be adjacent in rep."""
+    return math.prod(len(list(copies)) + 1 if flips else 1
+                     for (_, flips), copies in groupby(zip(rep, mirrored)))
 
 
 @dataclass
@@ -438,9 +392,6 @@ class _TaskResult:
     max_ratio: Fraction = Fraction(0)
     violations: list = field(default_factory=list)  # (local, Instance, report)
     errors: list = field(default_factory=list)      # (local, message)
-    # Orbit tasks: the targets of each multiset; their locals are
-    # (multiset, local) pairs.
-    targets: int = 0
 
 
 def _tally(res: _TaskResult, local: int, instance: Instance,
@@ -471,78 +422,49 @@ def _tally_counts(res: _TaskResult, count: int, allowed: int,
 _RECORDED_FAILURES = (InputError, CapacityError, CertificateError)
 
 
-def _rational(scaled, den: int) -> tuple[RVector, ...]:
-    """Integer vectors over den as rational vectors."""
-    return tuple(tuple(Fraction(c, den) for c in v) for v in scaled)
-
-
 def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
     """One multiset of a sweep, validated as an instance with target 0."""
     return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
 
 
 def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
-                mirrored: tuple[bool, ...], images: tuple = ()
-                ) -> _TaskResult:
+                mirrored: tuple[bool, ...], images: tuple
+                ) -> _TaskResult | None:
     """Verify every reachable target of every multiset in the orbit of
     rep under G x signs (see the module docstring); images holds one g
     in G for each sign orbit of that orbit but rep's own.  rep's chain
     runs every target in pattern counts over 2^n, p_exact read off the
     sum table of its scaled vectors, which lives only as long as this
-    task, and a target where it holds is tallied once for the whole
-    orbit.  A target u where it fails or raises reruns on every member
-    at g u, each keyed by its multiset and the rank of g u among that
-    multiset's sorted sums."""
+    task, and each target is tallied once for the whole orbit.  None,
+    the task faulted, if rep is invalid or its chain fails or raises at
+    any target."""
     try:
-        instance = _sweep_instance(norm, rep)
-    except InputError:
-        # Only outside a sweep: the grid universe holds valid vectors.
-        # Norms are symmetric, so every member is invalid too, and each
-        # records every target with its own message.
-        res = _TaskResult(targets=len(reachable_sums_nd(rep)))
-        for _, _, members in _sign_orbits(rep, mirrored, images):
-            for member in members:
-                res.count += res.targets
-                try:
-                    _sweep_instance(norm, member)
-                except InputError as exc:
-                    res.errors += [((member, local), str(exc))
-                                   for local in range(res.targets)]
-        return res
-    chain = Chain(instance)
-    sums = scaled_sums(chain.scaled)
-    res = _TaskResult(targets=len(sums))
-    # Every sign orbit g rep has the size of rep's own.
-    total = (1 + len(images)) * _orbit(rep, mirrored)[0]
-    failed = []
-    for u, count in sums:
-        try:
+        chain = Chain(_sweep_instance(norm, rep))
+        res = _TaskResult()
+        # Every sign orbit g rep has the size of rep's own.
+        total = (1 + len(images)) * _orbit(rep, mirrored)
+        for u, count in scaled_sums(chain.scaled):
             projected, allowed = chain.counts(u)
-        except _RECORDED_FAILURES:
-            failed.append(u)
-            continue
-        if count <= projected <= allowed:
+            if not count <= projected <= allowed:
+                return None
             _tally_counts(res, count, allowed, total)
-        else:
-            failed.append(u)
-    if not failed:
-        return res
-    for g, _, members in _sign_orbits(chain.scaled, mirrored, images):
-        # A member's sums are g times rep's.
-        ranks = {x: j for j, x in enumerate(sorted(act(g, v)
-                                                    for v, _ in sums))}
-        for member in members:
-            vectors = _rational(member, chain.den)
-            for u in failed:
-                x = act(g, u)
-                key = (vectors, ranks[x])
-                res.count += 1
-                try:
-                    instance = Instance(vectors, _rational((x,), chain.den)[0],
-                                        norm)
-                    _tally(res, key, instance, verify_instance(instance))
-                except _RECORDED_FAILURES as exc:
-                    res.errors.append((key, str(exc)))
+    except _RECORDED_FAILURES:
+        return None
+    return res
+
+
+def _task_multiset(norm: NormSpec, vectors: tuple[RVector, ...]
+                   ) -> _TaskResult:
+    """verify_instance, a batch of one, on every reachable target of one
+    multiset of a sweep."""
+    res = _TaskResult()
+    for local, target in enumerate(reachable_sums_nd(vectors)):
+        res.count += 1
+        try:
+            instance = Instance(vectors, target, norm)
+            _tally(res, local, instance, verify_instance(instance))
+        except _RECORDED_FAILURES as exc:
+            res.errors.append((local, str(exc)))
     return res
 
 
@@ -604,7 +526,7 @@ def _task_uniform(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
     return res
 
 
-def _run_task(task: tuple) -> _TaskResult:
+def _run_task(task: tuple) -> _TaskResult | None:
     return task[0](*task[1:])
 
 
@@ -613,11 +535,13 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
     if config.mode == "exhaustive-grid":
         # One task per orbit of G x signs, its least multiset of sign
         # class representatives as representative.
-        for norm, n, _, classes in _grid_blocks(config):
-            for combo, images in classes.orbits(n):
-                yield (_task_orbit, norm,
-                       tuple(classes.reps[i] for i in combo),
-                       tuple(classes.mirrored[i] for i in combo), images)
+        for norm, d, universe in _grid_universes(config):
+            classes = _Classes(universe, d, norm)
+            for n in range(config.n_min, config.n_max + 1):
+                for combo, images in classes.orbits(n):
+                    yield (_task_orbit, norm,
+                           tuple(classes.reps[i] for i in combo),
+                           tuple(classes.mirrored[i] for i in combo), images)
     elif config.mode == "extremal":
         for norm in config.norms:
             for n in range(config.n_min, config.n_max + 1):
@@ -628,61 +552,13 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
             yield task, config, start, min(_BATCH, config.budget - start)
 
 
-class _StreamIndex:
-    """Record indices of an exhaustive-grid sweep, as the per-multiset
-    stream numbers them: every multiset of a (norm, d, n) block in
-    combinations_with_replacement order, each with its reachable targets.
-
-    Orbit tasks merge in the order of their least multisets, and every
-    multiset of an orbit has its representative's target count.  So the
-    runner keeps one target count per orbit of the current block, and
-    once the block's last orbit merged it walks that block's stream
-    once, if the block has records at all."""
-
-    def __init__(self, config: CampaignConfig):
-        self._blocks = _grid_blocks(config)
-        self._left = 0
-        self._violations: list = []
-        self._errors: list = []
-
-    def add(self, report: CampaignReport, part: _TaskResult,
-            offset: int) -> None:
-        """Merge the records of the orbit task part; offset counts the
-        instances merged before it."""
-        while not self._left:
-            self.flush(report)
-            self._block = next(self._blocks)
-            _, n, _, classes = self._block
-            self._left = classes.count(n)
-            self._start, self._targets = offset, array("q")
-        self._left -= 1
-        self._targets.append(part.targets)
-        self._violations += part.violations
-        self._errors += part.errors
-
-    def flush(self, report: CampaignReport) -> None:
-        """Append the current block's records with their stream indices."""
-        if not (self._violations or self._errors):
-            return
-        _, n, universe, classes = self._block
-        targets = dict(zip((combo for combo, _ in classes.orbits(n)),
-                           self._targets))
-        wanted = {key[0] for key, *_ in self._violations + self._errors}
-        starts, offset = {}, self._start
-        for combo in combinations_with_replacement(universe, n):
-            if combo in wanted:
-                starts[combo] = offset
-                if len(starts) == len(wanted):
-                    break
-            offset += targets[classes.least(
-                [classes.index[v] for v in combo])]
-        report.violations += sorted(
-            (Violation(starts[member] + local, instance, vrep)
-             for (member, local), instance, vrep in self._violations),
-            key=lambda violation: violation.index)
-        report.errors += sorted((starts[member] + local, message)
-                                for (member, local), message in self._errors)
-        self._violations, self._errors = [], []
+def _multiset_tasks(config: CampaignConfig) -> Iterator[tuple]:
+    """An exhaustive-grid sweep unreduced: one task per multiset of each
+    (norm, d, n) block, in combinations_with_replacement order."""
+    for norm, _, universe in _grid_universes(config):
+        for n in range(config.n_min, config.n_max + 1):
+            for combo in combinations_with_replacement(universe, n):
+                yield _task_multiset, norm, combo
 
 
 def _pool(processes: int):
@@ -695,45 +571,53 @@ def _pool(processes: int):
     return Pool(processes)
 
 
-def run_campaign(config: CampaignConfig) -> CampaignReport:
-    """Run the configured campaign and aggregate its report.
-
-    Tasks are generated as they run and merge in task order with
-    cumulative instance indexing (for exhaustive-grid, the indices of the
-    per-multiset stream), so the output is identical for any worker
-    count.  The pool never has more processes than tasks or cores.
-    """
-    started = time.perf_counter()
-    tasks = _build_tasks(config)
+def _merge(config: CampaignConfig, tasks: Iterator[tuple]
+           ) -> CampaignReport | None:
+    """The report of tasks, merged in task order with cumulative
+    instance indexing; None at the first task that faulted, once the
+    pool has ended.  The pool never has more processes than tasks or
+    cores."""
     # The first tasks, at most one per process, size the pool.
     head = list(islice(tasks, min(config.workers, os.cpu_count() or 1)))
     report = CampaignReport(mode=config.mode)
-    sweep = (_StreamIndex(config) if config.mode == "exhaustive-grid"
-             else None)
     # A random or uniform-kleitman task is already a batch of _BATCH
     # instances, so those go out one at a time and split evenly; the many
-    # small orbit and extremal tasks go out in chunks.
+    # small sweep and extremal tasks go out in chunks.
     chunksize = 1 if config.mode in ("random", "uniform-kleitman") else 8
     with _pool(len(head)) as pool:
         tasks = chain(head, tasks)
         partials = (pool.imap(_run_task, tasks, chunksize=chunksize) if pool
                     else map(_run_task, tasks))
         for part in partials:
+            if part is None:
+                return None
             offset = report.instances
             report.instances += part.count
             report.tight += part.tight
             if part.max_ratio > report.max_ratio:
                 report.max_ratio = part.max_ratio
-            if sweep:
-                sweep.add(report, part, offset)
-                continue
             for local, instance, vrep in part.violations:
                 report.violations.append(
                     Violation(offset + local, instance, vrep))
             for local, message in part.errors:
                 report.errors.append((offset + local, message))
-    if sweep:
-        sweep.flush(report)
+    return report
+
+
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """Run the configured campaign and aggregate its report.
+
+    Tasks are generated as they run and merge in task order with
+    cumulative instance indexing, so the output is identical for any
+    worker count.  An exhaustive-grid sweep runs one task per orbit; if
+    one faults, that pass stops and the sweep reruns unreduced, one task
+    per multiset, so that every instance of a faulted sweep is verified
+    and indexed on its own.
+    """
+    started = time.perf_counter()
+    report = _merge(config, _build_tasks(config))
+    if report is None:
+        report = _merge(config, _multiset_tasks(config))
     report.wall_time = time.perf_counter() - started
     return report
 

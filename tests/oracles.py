@@ -5,7 +5,10 @@ Pascal triangle via its additive recurrence) and share no code with
 the library's counting paths.  The perturbation search is kept in its
 rational form, as the reference for the library's integer search, and
 the exhaustive-grid sweep in its unreduced form, every target of every
-multiset verified alone, as the reference for the orbit sweep.  The
+multiset verified alone, as the reference for the orbit sweep; the
+members of an orbit are enumerated one by one (orbit_members), and the
+orbits of a block counted by Burnside's lemma (burnside_count), as
+references for the orbit sizes and the orderly search.  The
 single-instance chain is kept on full sum tables (reference_verify), as
 the reference for its half-table probes, and the random sampler in
 Fraction arithmetic (reference_gen_random), as the reference for its
@@ -16,7 +19,8 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, count, product
+from itertools import (chain, combinations_with_replacement, count, groupby,
+                       product)
 
 from littlewood_offord import (CampaignReport, InputError, Instance,
                                VerificationReport, Violation, Witness,
@@ -25,6 +29,7 @@ from littlewood_offord import (CampaignReport, InputError, Instance,
                                sum_table_1d, sum_table_nd, verify_instance)
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
                                         _TaskResult, _tally)
+from littlewood_offord.norms import act
 from littlewood_offord.reduction import Chain
 
 
@@ -206,6 +211,56 @@ def reference_sweep(config) -> CampaignReport:
                     report.errors += [(offset + local, message)
                                       for local, message in part.errors]
     return report
+
+
+def sign_orbit(rep, mirrored) -> list:
+    """The multisets of rep's sign orbit, each sorted, rep's own first:
+    every way to negate some copies of each mirrored vector (one whose
+    negation lies in the universe).  Copies of a vector must be adjacent
+    in rep."""
+    choices = []
+    for (v, flips), copies in groupby(zip(rep, mirrored)):
+        m = len(list(copies))
+        neg = tuple(-c for c in v)
+        choices.append([(v,) * (m - j) + (neg,) * j
+                        for j in range(m + 1 if flips else 1)])
+    return [tuple(sorted(chain.from_iterable(parts)))
+            for parts in product(*choices)]
+
+
+def orbit_members(rep, mirrored, images) -> list:
+    """rep's orbit under G x signs, one sign orbit at a time: (g, the
+    multisets of g rep's sign orbit), g the identity and then each of
+    images, so that the first multiset is rep (sorted)."""
+    identity = tuple((j, 1) for j in range(len(rep[0])))
+    return [(g, sign_orbit(tuple(act(g, v) for v in rep), mirrored))
+            for g in (identity,) + images]
+
+
+def rational_vectors(scaled, den) -> tuple:
+    """Integer vectors over den as rational vectors."""
+    return tuple(tuple(Fraction(c, den) for c in v) for v in scaled)
+
+
+def burnside_count(perms, n) -> int:
+    """The number of orbits of the group perms (each a permutation of
+    the points 0, 1, ..., as a tuple of images) on the n-multisets of
+    points, by Burnside's lemma: the mean over g of the multisets g
+    fixes, which hold each cycle of g a whole number of times."""
+    total = 0
+    for p in perms:
+        ways, seen = [1] + [0] * n, set()
+        for start in range(len(p)):
+            if start in seen:
+                continue
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i, length = p[i], length + 1
+            for m in range(length, n + 1):
+                ways[m] += ways[m - length]
+        total += ways[n]
+    return total // len(perms)
 
 
 def reference_verify(instance) -> VerificationReport:

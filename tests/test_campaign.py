@@ -22,10 +22,12 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
 from littlewood_offord import campaign, exactnum, reduction
 from littlewood_offord.concentration import scaled_sums
 from littlewood_offord.campaign import (_build_tasks, _Classes, _orbit,
-                                        _rational, _sign_orbits, _task_orbit)
+                                        _task_orbit)
 from littlewood_offord.norms import act, ceil_norm_over, dot
-from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
-                     reference_gen_random, reference_sweep)
+import oracles
+from oracles import (burnside_count, enumerate_atom_1d, enumerate_atom_nd,
+                     orbit_members, outcome, rational_vectors,
+                     reference_gen_random, reference_sweep, sign_orbit)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 GRID = (F(-1), F(-1, 2), F(1, 2), F(1))
@@ -230,20 +232,21 @@ def test_orbit_sweep_matches_the_per_multiset_sweep_where_witnesses_tie(
 
 
 def _members(task):
-    """Every multiset of an orbit task, with its g: the representative
-    first."""
-    return [(g, member) for g, _, members in _sign_orbits(*task[2:])
+    """Every multiset of an orbit task, with its g, enumerated by the
+    oracle: the representative first."""
+    return [(g, member) for g, members in orbit_members(*task[2:])
             for member in members]
 
 
 def test_orbit_members_are_every_sign_choice_in_the_universe():
     a, b = (F(1, 2), F(-1)), (F(1), F(1, 2))
-    size, members = _orbit((a, a, b), (True, True, False))
     neg = (F(-1, 2), F(1))
-    assert size == 3
-    assert list(members) == [(a, a, b), (neg, a, b), (neg, neg, b)]
+    assert _orbit((a, a, b), (True, True, False)) == 3
+    assert sign_orbit((a, a, b), (True, True, False)) == [
+        (a, a, b), (neg, a, b), (neg, neg, b)]
     # With the group, every multiset of the stream is in exactly one
-    # task, as g times a sign choice of its representative.
+    # task, as g times a sign choice of its representative, and each
+    # sign orbit has the size _orbit gives its representative.
     for grid in ORBIT_GRIDS:
         for norm in (LINF, POLY2):
             cfg = _sweep((norm,), 2, grid, 3)
@@ -253,9 +256,11 @@ def test_orbit_members_are_every_sign_choice_in_the_universe():
             tasks = list(_build_tasks(cfg))
             orbits = [m for task in tasks for _, m in _members(task)]
             assert sorted(orbits) == sorted(streamed)
-            assert len(set(orbits)) == len(orbits) == sum(
-                size for task in tasks
-                for _, size, _ in _sign_orbits(*task[2:]))
+            assert len(set(orbits)) == len(orbits)
+            for task in tasks:
+                sizes = {len(members)
+                         for _, members in orbit_members(*task[2:])}
+                assert sizes == {_orbit(*task[2:4])}, task
             # the representative comes first, and g maps it onto each
             # multiset up to signs
             for task in tasks:
@@ -294,7 +299,8 @@ def test_symmetry_groups_of_the_norms_and_grids():
                 assert tuple(act(g, act(h, e)) for e in _unit(d)) in columns
         # Burnside's count is the number of orbits the search yields.
         for n in range(1, 4):
-            assert classes.count(n) == len(list(classes.orbits(n)))
+            assert burnside_count(classes.perms, n) == len(
+                list(classes.orbits(n)))
 
 
 def _unit(d):
@@ -325,14 +331,13 @@ def test_orbit_sweep_is_the_same_for_any_worker_count():
     assert format_campaign_report(run_campaign(replace(cfg, workers=2))) == text
 
 
-def test_a_fault_on_the_representative_reaches_every_members_own_record(
-        monkeypatch):
+def test_a_fault_reruns_the_sweep_unreduced(monkeypatch):
     # Every representative of the symmetric grid holds only vectors above
     # their negation, and the perturbation search is made to fail on
-    # exactly such multisets.  A target the representative raises on
-    # reruns on every member of its orbit, each on its own chain: so
-    # members with a vector below its negation pass, and the others
-    # record the error at their own index.
+    # exactly such multisets.  The first orbit task that raises ends the
+    # orbit pass, and the sweep reruns every target of every multiset on
+    # its own chain: so multisets with a vector below its negation pass,
+    # and the others record the error at their own index.
     perturb = reduction.Chain.perturb
 
     def representatives_fail(chain, *args):
@@ -340,8 +345,19 @@ def test_a_fault_on_the_representative_reaches_every_members_own_record(
             raise CertificateError("perturbation refused on a representative")
         return perturb(chain, *args)
     monkeypatch.setattr(reduction.Chain, "perturb", representatives_fail)
-    for norm, errors in ((L1, 17), (POLY2, 16)):
-        report = _same_as_reference(_sweep((norm,), 2, GRID, 3))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _task_orbit(*args)
+    monkeypatch.setattr(campaign, "_task_orbit", counted)
+    for norm, errors, ran, tasks in ((L1, 17, 2, 5), (POLY2, 16, 22, 39)):
+        cfg = _sweep((norm,), 2, GRID, 3)
+        assert len(list(_build_tasks(cfg))) == tasks
+        calls.clear()
+        report = _same_as_reference(cfg)
+        # No orbit task runs after the first fault.
+        assert len(calls) == ran
         assert report.status == "incomplete"
         assert len(report.errors) == errors
         assert {message for _, message in report.errors} == {
@@ -369,11 +385,10 @@ def test_the_image_of_a_certificate_certifies_each_member():
                 w = tuple(sign * c for c in proj.w)
                 located.append((u, count, w, proj.s, k, proj.count(t),
                                 found is not None))
-            for g, _, members in _sign_orbits(chain.scaled, mirrored,
-                                              images):
+            for g, members in orbit_members(chain.scaled, mirrored, images):
                 moved += g != tuple((j, 1) for j in range(d))
                 for member in members:
-                    vectors = _rational(member, den)
+                    vectors = rational_vectors(member, den)
                     assert campaign._sweep_instance(
                         norm, vectors).scaled == member
                     for u, count, w, s, k, projected, found in located:
@@ -429,23 +444,27 @@ def test_failed_certificate_is_recorded_per_instance(monkeypatch):
     assert len(extremal.errors) == extremal.instances == 6
 
 
-def test_invalid_multiset_records_one_error_per_target():
-    # The grid filter keeps such multisets out of a sweep; a task given
-    # one still counts each reachable sum, (+-3, 0) and (+-1, 0), as an
-    # instance with an error, for each member of the orbit on its own
-    # chain.
-    one, big = (F(1), F(0)), (F(2), F(0))
-    res = _task_orbit(L2, (one, big), (False, False))
-    assert res.count == 4 and res.tight == 0 and not res.violations
-    assert res.errors == [(((one, big), local),
-                           "vector 1 lies outside the unit ball")
-                          for local in range(4)]
-    res = _task_orbit(L2, (one, big), (False, True))
-    assert res.count == 8 and res.targets == 4
-    flipped = ((F(-2), F(0)), one)
-    assert res.errors[4:] == [((flipped, local),
-                               "vector 0 lies outside the unit ball")
-                              for local in range(4)]
+def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
+    # The grid filter, made to keep vectors up to norm 3/2, runs in the
+    # parent process; each instance checks its own vectors, so those
+    # beyond norm 1 raise in the task, which at two workers runs in a
+    # pool process.  The sweep reruns unreduced and records one error
+    # per target of each multiset that holds one.
+    real = campaign.in_unit_ball
+
+    def wider(norm, v):
+        return real(norm, tuple(F(2, 3) * c for c in v))
+    monkeypatch.setattr(campaign, "in_unit_ball", wider)
+    monkeypatch.setattr(oracles, "in_unit_ball", wider)
+    for norm in (L1, L2, POLY2):
+        cfg = _sweep((norm,), 2, GRID, 2)
+        report = _same_as_reference(cfg)
+        assert report.status == "incomplete"
+        assert report.errors and all(
+            message.endswith("lies outside the unit ball")
+            for _, message in report.errors)
+        assert (format_campaign_report(run_campaign(replace(cfg, workers=2)))
+                == format_campaign_report(report))
 
 
 def test_extremal_campaign_max_ratio_counts_tight_instances():
