@@ -32,13 +32,14 @@ sign and the same projected target.  An exhaustive-grid task therefore
 verifies one orbit of G x signs, G the group of such g, on the chain of
 its representative alone: the least multiset of sign class
 representatives (each vector the larger of +-v when both lie in the
-universe).  A target where that chain holds counts for every multiset
-of the orbit.  Every valid instance certifies, so a representative
-that fails or raises at any target means a program defect or a
-counterexample, and then the argument above is not trusted: the
-runner drops the orbit pass and reruns the sweep unreduced, every
-target of every multiset through verify_instance, indexed along the
-per-multiset stream.
+universe).  The parent's orbit search counts the orbit's multisets, and
+the task carries that weight with the representative: a target where
+the chain holds counts for every multiset of the orbit.  Every valid
+instance certifies, so a representative that fails or raises at any
+target means a program defect or a counterexample, and then the
+argument above is not trusted: the runner drops the orbit pass and
+reruns the sweep unreduced, every target of every multiset through
+verify_instance, indexed along the per-multiset stream.
 """
 
 from __future__ import annotations
@@ -290,7 +291,8 @@ def _negated(v: RVector) -> RVector:
 
 # Above d = 4 the group is the identity, and orbits are sign orbits:
 # there G would test 2^d d! signed permutations (3,840 at d = 5) on every
-# universe vector and every orbit.  At d = 4 (384 candidates) the group
+# universe vector, and the orbit search each class permutation they
+# induce on every least prefix.  At d = 4 (384 candidates) the group
 # pays.  With it, against sign orbits alone (2-core Xeon, CPython 3.11,
 # one worker, the same reports): l1 and linf on the grid -1, 0, 1 at
 # n <= 3 took 0.3-0.5 s against 6.0-6.9 s; l1, l2 and linf at d = 4 on
@@ -306,10 +308,11 @@ class _Classes:
 
     reps holds each class's representative (the larger of +-v), in
     universe order, and mirrored whether the class holds two vectors.
-    G holds the signed coordinate permutations (norms.act) that fix the
-    norm and map the universe onto itself, the identity first; perms
-    holds, for each g in G, the permutation of the classes it induces
-    (g -v = -g v)."""
+    group holds G, the signed coordinate permutations (norms.act) that
+    fix the norm and map the universe onto itself, the identity first.
+    perms holds each permutation of the classes that some g in G induces
+    (g -v = -g v) once, the identity first: g and -g induce the same
+    one, and on the l1 grid -1, 0, 1 so do all 2^d sign flips."""
 
     def __init__(self, universe: list[RVector], d: int, norm: NormSpec):
         # In integer units, where a signed permutation costs no Fraction.
@@ -334,14 +337,17 @@ class _Classes:
         self.reps = tuple(reps)
         self.mirrored = tuple(_negated(u) in inside for u in units)
         self.group = tuple(group)
-        self.perms = tuple(tuple(at[act(g, u)] for u in units)
-                           for g in group)
+        self.perms = tuple(dict.fromkeys(
+            tuple(at[act(g, u)] for u in units) for g in group))
 
-    def orbits(self, n: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
-        """The G-orbits on the n-multisets of classes, in
-        combinations_with_replacement order of their least multiset: that
-        multiset, as class indices, with the g in G that map it onto each
-        other multiset of its orbit, one g each.
+    def orbits(self, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The orbits of G x signs on the n-multisets of the universe, in
+        combinations_with_replacement order of their least multiset of
+        classes: that multiset, as class indices, and the orbit's weight,
+        the number of multisets of the universe in it.  That is its
+        orbit's size under perms, len(perms) over the number of perms
+        that fix it, times its sign choices, m + 1 for each mirrored
+        class it holds m times, which every multiset of the orbit shares.
 
         A prefix of a least multiset is least in its own orbit: if
         sorted(g P) < P for a prefix P, then sorted(g C) < C, since the
@@ -352,17 +358,21 @@ class _Classes:
         def extend(prefix: tuple, start: int):
             for i in range(start, len(self.reps)):
                 combo = prefix + (i,)
-                images: dict = {}
-                for g, p in zip(self.group, self.perms):
+                stabilizer = 0
+                for p in self.perms:
                     image = tuple(sorted([p[j] for j in combo]))
                     if image < combo:
                         break
-                    images.setdefault(image, g)
+                    stabilizer += image == combo
                 else:
                     if len(combo) < n:
                         yield from extend(combo, i)
                     else:
-                        yield combo, tuple(images.values())[1:]
+                        signs = math.prod(
+                            len(list(copies)) + 1
+                            for j, copies in groupby(combo)
+                            if self.mirrored[j])
+                        yield combo, len(self.perms) // stabilizer * signs
         return extend((), 0)
 
 
@@ -375,14 +385,6 @@ def _grid_universes(config: CampaignConfig
             # Fixed-dimension norms (facet form) only apply to matching d.
             if norm.dimension in (None, d):
                 yield norm, d, _grid_universe(config.grid, d, norm)
-
-
-def _orbit(rep: tuple[RVector, ...], mirrored: tuple[bool, ...]) -> int:
-    """The size of rep's sign orbit: every way to negate some copies of
-    each mirrored vector (one whose negation lies in the universe).
-    Copies of a vector must be adjacent in rep."""
-    return math.prod(len(list(copies)) + 1 if flips else 1
-                     for (_, flips), copies in groupby(zip(rep, mirrored)))
 
 
 @dataclass
@@ -427,27 +429,23 @@ def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
     return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
 
 
-def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...],
-                mirrored: tuple[bool, ...], images: tuple
+def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...], weight: int
                 ) -> _TaskResult | None:
     """Verify every reachable target of every multiset in the orbit of
-    rep under G x signs (see the module docstring); images holds one g
-    in G for each sign orbit of that orbit but rep's own.  rep's chain
-    runs every target in pattern counts over 2^n, p_exact read off the
-    sum table of its scaled vectors, which lives only as long as this
-    task, and each target is tallied once for the whole orbit.  None,
-    the task faulted, if rep is invalid or its chain fails or raises at
-    any target."""
+    rep under G x signs (see the module docstring), weight multisets.
+    rep's chain runs every target in pattern counts over 2^n, p_exact
+    read off the sum table of its scaled vectors, which lives only as
+    long as this task, and each target is tallied once for the whole
+    orbit.  None, the task faulted, if rep is invalid or its chain fails
+    or raises at any target."""
     try:
         chain = Chain(_sweep_instance(norm, rep))
         res = _TaskResult()
-        # Every sign orbit g rep has the size of rep's own.
-        total = (1 + len(images)) * _orbit(rep, mirrored)
         for u, count in scaled_sums(chain.scaled):
             projected, allowed = chain.counts(u)
             if not count <= projected <= allowed:
                 return None
-            _tally_counts(res, count, allowed, total)
+            _tally_counts(res, count, allowed, weight)
     except _RECORDED_FAILURES:
         return None
     return res
@@ -538,10 +536,9 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
         for norm, d, universe in _grid_universes(config):
             classes = _Classes(universe, d, norm)
             for n in range(config.n_min, config.n_max + 1):
-                for combo, images in classes.orbits(n):
+                for combo, weight in classes.orbits(n):
                     yield (_task_orbit, norm,
-                           tuple(classes.reps[i] for i in combo),
-                           tuple(classes.mirrored[i] for i in combo), images)
+                           tuple(classes.reps[i] for i in combo), weight)
     elif config.mode == "extremal":
         for norm in config.norms:
             for n in range(config.n_min, config.n_max + 1):

@@ -290,36 +290,27 @@ def witness_target(x: Sequence) -> tuple:
     return tuple(x)
 
 
-def witness_direction(spec: NormSpec, x: Sequence) -> tuple:
-    """Unnormalized dual-optimal direction for x != 0: the one rule that
-    picks every witness.
+def integer_witness(spec: NormSpec, x: Sequence) -> tuple:
+    """(w, lam): the dual-optimal direction w / lam for x != 0, the one
+    rule that picks every witness; x may hold integers or rationals.
 
     l2 takes x itself; l1 the sign vector of x; linf the signed
     coordinate vector at the smallest index of maximal |x_j|; poly the
-    signed functional at the smallest index of maximal |<f_j, x>|;
-    sign(0) = +1 throughout.  Only signs and comparisons of x enter, so
-    for l1, linf and poly the direction is unchanged when x is scaled by
-    a positive factor, and x may hold integers as well as rationals.
+    signed row of integer_functionals at the smallest index of maximal
+    |<f_j, x>|, over lam the functionals' common denominator; sign(0) =
+    +1 throughout, and lam = 1 but for poly.  For l1, linf and poly only
+    signs and comparisons of x enter, so there w is an integer vector,
+    unchanged when x is scaled by a positive factor.
     """
     if spec.kind == L2:
-        return tuple(x)
+        return tuple(x), 1
     if spec.kind == L1:
-        return tuple(_sign(c) for c in x)
+        return tuple(_sign(c) for c in x), 1
     if spec.kind == LINF:
         best = max(range(len(x)), key=lambda i: abs(x[i]))  # first maximum
-        return tuple(_sign(x[best]) * (i == best) for i in range(len(x)))
-    w, den = integer_witness(spec, x)
-    return tuple(Fraction(c, den) for c in w)
-
-
-def integer_witness(spec: NormSpec, u: Sequence[int]) -> tuple:
-    """(w, lam): the integer vector w = lam * witness_direction(spec, u)
-    for u != 0, with lam = 1, or for poly the functionals' common
-    denominator (w is then a signed row of integer_functionals)."""
-    if spec.kind != POLY:
-        return witness_direction(spec, u), 1
+        return tuple(_sign(x[best]) * (i == best) for i in range(len(x))), 1
     den, rows = spec.integer_functionals
-    vals = [dot(f, u) for f in rows]
+    vals = [dot(f, x) for f in rows]
     best = max(range(len(vals)), key=lambda j: abs(vals[j]))  # first maximum
     return tuple(_sign(vals[best]) * c for c in rows[best]), den
 
@@ -353,7 +344,7 @@ def dual_witness(spec: NormSpec, x: RVector) -> Witness:
     (sup-norm 1); the linf witness is a signed coordinate vector (1-norm
     1); the polyhedral witness is a signed defining functional, which
     lies in the dual ball because the norm dominates |<f_j, .>| by
-    definition.  The direction comes from witness_direction.
+    definition.  The direction comes from integer_witness.
     """
     if spec.kind == POLY and len(x) != spec.dimension:
         raise InputError(
@@ -361,7 +352,8 @@ def dual_witness(spec: NormSpec, x: RVector) -> Witness:
             f"vector has {len(x)}")
     if is_zero(x):
         raise InputError("dual witness undefined for x = 0")
-    direction = vector(witness_direction(spec, x))
+    w, lam = integer_witness(spec, x)
+    direction = tuple(Fraction(c, lam) for c in w)
     if spec.kind == L2:
         return Witness(direction, NormValue.squared(dot(direction, direction)))
     return Witness(direction, NormValue.rational(1))

@@ -228,13 +228,16 @@ def sign_orbit(rep, mirrored) -> list:
             for parts in product(*choices)]
 
 
-def orbit_members(rep, mirrored, images) -> list:
-    """rep's orbit under G x signs, one sign orbit at a time: (g, the
-    multisets of g rep's sign orbit), g the identity and then each of
-    images, so that the first multiset is rep (sorted)."""
-    identity = tuple((j, 1) for j in range(len(rep[0])))
-    return [(g, sign_orbit(tuple(act(g, v) for v in rep), mirrored))
-            for g in (identity,) + images]
+def orbit_members(rep, mirrored, group) -> list:
+    """rep's orbit under G x signs, group holding G with the identity
+    first: (g, member) for each distinct multiset of the sign orbits of
+    the g rep, each sorted and with the first g that reaches it, so that
+    the first is (identity, rep sorted)."""
+    members = {}
+    for g in group:
+        for member in sign_orbit(tuple(act(g, v) for v in rep), mirrored):
+            members.setdefault(member, g)
+    return [(g, member) for member, g in members.items()]
 
 
 def rational_vectors(scaled, den) -> tuple:

@@ -1,9 +1,11 @@
 """Instance generators and campaign runs: determinism, aggregation,
 config parsing, and report serialization."""
 
+import math
 import multiprocessing
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
@@ -21,8 +23,7 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
 from littlewood_offord.concentration import scaled_sums
-from littlewood_offord.campaign import (_build_tasks, _Classes, _orbit,
-                                        _task_orbit)
+from littlewood_offord.campaign import _build_tasks, _Classes, _task_orbit
 from littlewood_offord.norms import act, ceil_norm_over, dot
 import oracles
 from oracles import (burnside_count, enumerate_atom_1d, enumerate_atom_nd,
@@ -231,43 +232,50 @@ def test_orbit_sweep_matches_the_per_multiset_sweep_where_witnesses_tie(
     _same_as_reference(_sweep((norm,), d, grid, n_max))
 
 
-def _members(task):
-    """Every multiset of an orbit task, with its g, enumerated by the
-    oracle: the representative first."""
-    return [(g, member) for g, members in orbit_members(*task[2:])
-            for member in members]
+def _mirrored(rep, universe):
+    """For each vector of rep, whether its negation lies in the
+    universe."""
+    return tuple(_neg(v) in universe for v in rep)
+
+
+def _members(task, universe, group):
+    """Every multiset of an orbit task, with the first g of group that
+    reaches it, enumerated by the oracle over all of group x sign
+    choices: the representative first."""
+    return orbit_members(task[2], _mirrored(task[2], universe), group)
 
 
 def test_orbit_members_are_every_sign_choice_in_the_universe():
     a, b = (F(1, 2), F(-1)), (F(1), F(1, 2))
     neg = (F(-1, 2), F(1))
-    assert _orbit((a, a, b), (True, True, False)) == 3
     assert sign_orbit((a, a, b), (True, True, False)) == [
         (a, a, b), (neg, a, b), (neg, neg, b)]
     # With the group, every multiset of the stream is in exactly one
-    # task, as g times a sign choice of its representative, and each
-    # sign orbit has the size _orbit gives its representative.
+    # task, as g times a sign choice of its representative, and each g
+    # reaches one whole sign orbit, of the size of the representative's
+    # own.
     for grid in ORBIT_GRIDS:
         for norm in (LINF, POLY2):
             cfg = _sweep((norm,), 2, grid, 3)
+            universe = campaign._grid_universe(grid, 2, norm)
+            group = _Classes(universe, 2, norm).group
             streamed = [combo for n in range(1, 4) for combo in
-                        combinations_with_replacement(
-                            campaign._grid_universe(grid, 2, norm), n)]
+                        combinations_with_replacement(universe, n)]
             tasks = list(_build_tasks(cfg))
-            orbits = [m for task in tasks for _, m in _members(task)]
+            orbits = [m for task in tasks
+                      for _, m in _members(task, universe, group)]
             assert sorted(orbits) == sorted(streamed)
             assert len(set(orbits)) == len(orbits)
             for task in tasks:
-                sizes = {len(members)
-                         for _, members in orbit_members(*task[2:])}
-                assert sizes == {_orbit(*task[2:4])}, task
-            # the representative comes first, and g maps it onto each
-            # multiset up to signs
-            for task in tasks:
                 rep = task[2]
-                assert _members(task)[0] == (
-                    tuple((j, 1) for j in range(2)), rep)
-                for g, member in _members(task):
+                members = _members(task, universe, group)
+                sizes = set(Counter(g for g, _ in members).values())
+                assert sizes == {len(sign_orbit(
+                    rep, _mirrored(rep, universe)))}, task
+                # the representative comes first, and g maps it onto
+                # each multiset up to signs
+                assert members[0] == (tuple((j, 1) for j in range(2)), rep)
+                for g, member in members:
                     assert sorted(map(max, member, map(_neg, member))) == \
                         sorted(max(act(g, v), _neg(act(g, v))) for v in rep)
 
@@ -305,6 +313,35 @@ def test_symmetry_groups_of_the_norms_and_grids():
 
 def _unit(d):
     return [tuple(int(i == j) for i in range(d)) for j in range(d)]
+
+
+def test_class_permutations_are_distinct_and_weights_count_orbits():
+    # G induces each class permutation in perms once, the identity
+    # first: g and -g permute the classes alike, and on the l1 grid
+    # -1, 0, 1 (the classes e_j) so do all 2^d sign flips.
+    ternary = (F(-1), F(0), F(1))
+    cases = [(L1, 4, ternary, 384, 24), (LINF, 4, ternary, 384, 192),
+             (L1, 2, GRID, 8, 2), (L2, 2, GRID, 8, 2), (LINF, 2, GRID, 8, 4),
+             (POLY2, 2, GRID, 4, 2)]
+    for norm, d, grid, group, size in cases:
+        classes = _Classes(campaign._grid_universe(grid, d, norm), d, norm)
+        assert len(classes.group) == group, (norm, d)
+        assert len(set(classes.perms)) == len(classes.perms) == size, (norm, d)
+        assert classes.perms[0] == tuple(range(len(classes.reps)))
+    # On every sweep the orbit tests run, a task's weight is the number
+    # of distinct multisets the oracle reaches from its representative
+    # over all of G x sign choices, and the weights add up to the stream.
+    for grid in ORBIT_GRIDS:
+        for d, n_max in ((1, 5), (2, 3), (3, 2)):
+            for norm in (L1, L2, LINF) + ((POLY2,) if d == 2 else ()):
+                universe = campaign._grid_universe(grid, d, norm)
+                group = _Classes(universe, d, norm).group
+                tasks = list(_build_tasks(_sweep((norm,), d, grid, n_max)))
+                for task in tasks:
+                    assert task[3] == len(_members(task, universe, group))
+                assert sum(task[3] for task in tasks) == sum(
+                    math.comb(len(universe) + n - 1, n)
+                    for n in range(1, n_max + 1)), (norm, d, grid)
 
 
 def test_sweep_work_is_pinned(monkeypatch):
@@ -374,8 +411,10 @@ def test_the_image_of_a_certificate_certifies_each_member():
     for norm, d, grid, n_max in ([(nm, 2, GRID0, 3)
                                   for nm in (L1, L2, LINF, POLY2)]
                                  + [(POLY3D, 3, (F(-1), F(0), F(1)), 3)]):
+        universe = campaign._grid_universe(grid, d, norm)
+        group = _Classes(universe, d, norm).group
         for task in _build_tasks(_sweep((norm,), d, grid, n_max)):
-            rep, mirrored, images = task[2:]
+            rep = task[2]
             chain = reduction.Chain(campaign._sweep_instance(norm, rep))
             den, n = chain.den, len(rep)
             located = []
@@ -385,26 +424,28 @@ def test_the_image_of_a_certificate_certifies_each_member():
                 w = tuple(sign * c for c in proj.w)
                 located.append((u, count, w, proj.s, k, proj.count(t),
                                 found is not None))
-            for g, members in orbit_members(chain.scaled, mirrored, images):
-                moved += g != tuple((j, 1) for j in range(d))
-                for member in members:
-                    vectors = rational_vectors(member, den)
-                    assert campaign._sweep_instance(
-                        norm, vectors).scaled == member
-                    for u, count, w, s, k, projected, found in located:
-                        x, gw = act(g, u), act(g, w)
-                        coefficients = [dot(v, gw) for v in member]
-                        t = dot(x, gw)
-                        assert ceil_norm_over(norm, x, den) == k
-                        assert reduction.certificate_failure(
-                            s, chain.squared, coefficients, t, 1, k) is None, (
-                            norm, member, x)
-                        # in the member's integer units, den times its
-                        # own vectors, where the atom is the same
-                        assert count == enumerate_atom_nd(member, x) * 2 ** n
-                        assert projected == enumerate_atom_1d(
-                            coefficients, t) * 2 ** n
-                        perturbed += found
+            members = orbit_members(chain.scaled, _mirrored(rep, universe),
+                                    group)
+            # one g for each sign orbit of the orbit
+            moved += len({g for g, _ in members}) - 1
+            for g, member in members:
+                vectors = rational_vectors(member, den)
+                assert campaign._sweep_instance(
+                    norm, vectors).scaled == member
+                for u, count, w, s, k, projected, found in located:
+                    x, gw = act(g, u), act(g, w)
+                    coefficients = [dot(v, gw) for v in member]
+                    t = dot(x, gw)
+                    assert ceil_norm_over(norm, x, den) == k
+                    assert reduction.certificate_failure(
+                        s, chain.squared, coefficients, t, 1, k) is None, (
+                        norm, member, x)
+                    # in the member's integer units, den times its own
+                    # vectors, where the atom is the same
+                    assert count == enumerate_atom_nd(member, x) * 2 ** n
+                    assert projected == enumerate_atom_1d(
+                        coefficients, t) * 2 ** n
+                    perturbed += found
     assert perturbed > 1000 and moved > 100
 
 
@@ -531,7 +572,8 @@ def test_campaign_tasks_are_generated_as_they_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first[:4] == (_task_orbit, LINF, ((F(1, 2), F(-1)),), (True,))
+    # (1/2, -1) reaches (+-1/2, +-1) and (+-1, +-1/2): 8 multisets
+    assert first == (_task_orbit, LINF, ((F(1, 2), F(-1)),), 8)
     assert peak < 2 ** 20
 
 

@@ -14,7 +14,7 @@ from littlewood_offord import (InputError, NormSpec, NormValue,
                                dual_witness, format_norm, holder_check,
                                norm_eval, parse_norm)
 from littlewood_offord.norms import (ceil_norm_over, integer_witness,
-                                     witness_direction, witness_target)
+                                     witness_target)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY_CROSS = NormSpec.polyhedral([(1, 0), (1, 1)])
@@ -273,18 +273,20 @@ def test_witness_and_ceiling_on_scaled_integers(spec, ints, den):
     assert ceil_norm_over(spec, ints, den) == ceil_norm(spec, x)
     if ints == (0, 0):
         return
-    direction = witness_direction(spec, ints)
     w, lam = integer_witness(spec, ints)
     assert all(type(c) is int for c in w)
-    assert tuple(F(c, lam) for c in w) == direction
     if spec.kind == "l2":
-        assert direction == ints
+        assert (w, lam) == (ints, 1)
+        assert integer_witness(spec, x) == (x, 1)
     else:
-        assert direction == dual_witness(spec, x).direction
+        assert tuple(F(c, lam) for c in w) == dual_witness(spec, x).direction
+        # only signs and comparisons enter: the rational target picks
+        # the same integer witness
+        assert integer_witness(spec, x) == (w, lam)
 
 
 def test_witness_target_takes_e1_at_zero():
     assert witness_target((0, 0, 0)) == (1, 0, 0)
     assert witness_target((F(0), F(-1))) == (F(0), F(-1))
     # sign(0) = +1: the l1 witness of e_1 is the all-ones vector.
-    assert witness_direction(L1, witness_target((0, 0))) == (1, 1)
+    assert integer_witness(L1, witness_target((0, 0))) == ((1, 1), 1)
