@@ -34,35 +34,40 @@ its representative alone: the least multiset of sign class
 representatives (each vector the larger of +-v when both lie in the
 universe).  The parent's orbit search counts the orbit's multisets, and
 the task carries that weight with the representative: a target where
-the chain holds counts for every multiset of the orbit.  Every valid
-instance certifies, so a representative that fails or raises at any
-target means a program defect or a counterexample, and then the
-argument above is not trusted: the runner drops the orbit pass and
-reruns the sweep unreduced, every target of every multiset through
+the chain holds counts for every multiset of the orbit.  The same holds
+for g = -I at the representative itself: its sum table is symmetric, and
+if w certifies x then -w certifies -x, with the same projected target
+<-x, -w> = <x, w>, projected count, p_exact and k.  So its chain runs
+only on the upper half of the table, 0 and the lexicographically
+positive sums, and each positive sum is tallied for its negation too.
+
+Every valid instance certifies, so a representative that fails or
+raises at any target means a program defect or a counterexample, and
+then the argument above is not trusted: the runner drops the orbit pass
+and reruns the sweep unreduced, every target of every multiset through
 verify_instance, indexed along the per-multiset stream.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import (chain, combinations_with_replacement, groupby, islice,
                        permutations, product)
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
                             reachable_sums_nd, scaled_sums)
 from .errors import CapacityError, CertificateError, InputError
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
-from .norms import (L1, L2, LINF, NormSpec, RVector, act, ceil_norm_over,
-                    fixes_norm, format_norm, is_zero, parse_norm)
+from .norms import (L1, L2, LINF, Frozen, NormSpec, RVector, act,
+                    ceil_norm_over, fixes_norm, format_norm, is_zero,
+                    parse_norm)
 from .reduction import (Chain, Instance, VerificationReport,
                         in_unit_ball, instance_lines, parse_keyvals,
                         report_lines, verify_instance)
@@ -80,21 +85,23 @@ CONFIG_HEADER = "# lo-campaign-config v1"
 CAMPAIGN_REPORT_HEADER = "# lo-campaign-report v1"
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    mode: str
-    norms: tuple[NormSpec, ...] = ()
-    n_min: int = 1
-    n_max: int = 4
-    d_min: int = 2
-    d_max: int = 2
-    grid: tuple[Fraction, ...] = ()
-    seed: int = 0
-    budget: int = 0
-    grid_denominator: int = 4
-    workers: int = 1
+class CampaignConfig(Frozen):
+    """A campaign's settings, validated on construction (and so again
+    when a worker unpickles one)."""
 
-    def __post_init__(self):
+    __slots__ = _args = (
+        "mode", "norms", "n_min", "n_max", "d_min", "d_max", "grid", "seed",
+        "budget", "grid_denominator", "workers")
+
+    def __init__(self, mode: str, norms: tuple[NormSpec, ...] = (),
+                 n_min: int = 1, n_max: int = 4, d_min: int = 2,
+                 d_max: int = 2, grid: tuple[Fraction, ...] = (),
+                 seed: int = 0, budget: int = 0, grid_denominator: int = 4,
+                 workers: int = 1):
+        for name, value in zip(self._args, (
+                mode, norms, n_min, n_max, d_min, d_max, grid, seed, budget,
+                grid_denominator, workers)):
+            object.__setattr__(self, name, value)
         if self.mode not in MODES:
             raise InputError(f"unknown campaign mode {self.mode!r}")
         if not 1 <= self.n_min <= self.n_max:
@@ -161,9 +168,13 @@ class CampaignConfig:
                 "uniform-kleitman mode always draws l2 instances and "
                 "takes no norms")
 
+    def replace(self, **changes) -> CampaignConfig:
+        """This config with the named fields changed, validated anew: the
+        --workers override."""
+        return CampaignConfig(**dict(zip(self._args, self._key()), **changes))
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(NamedTuple):
     """A chain failure, kept replayable: index in the instance stream,
     the instance itself, and its verification report."""
 
@@ -172,17 +183,26 @@ class Violation:
     report: VerificationReport
 
 
-@dataclass
 class CampaignReport:
-    mode: str
-    instances: int = 0
-    tight: int = 0
-    max_ratio: Fraction = Fraction(0)
-    violations: list[Violation] = field(default_factory=list)
-    errors: list[tuple[int, str]] = field(default_factory=list)
-    # In-memory diagnostics only; serialized reports must be
-    # byte-identical across runs and worker counts.
-    wall_time: float = 0.0
+    """A campaign's counters, violations and errors (index, message)."""
+
+    __slots__ = ("mode", "instances", "tight", "max_ratio", "violations",
+                 "errors", "wall_time")
+
+    def __init__(self, mode: str, instances: int = 0, tight: int = 0,
+                 max_ratio: Fraction = Fraction(0),
+                 violations: list[Violation] | None = None,
+                 errors: list[tuple[int, str]] | None = None,
+                 wall_time: float = 0.0):
+        self.mode = mode
+        self.instances = instances
+        self.tight = tight
+        self.max_ratio = max_ratio
+        self.violations = [] if violations is None else violations
+        self.errors = [] if errors is None else errors
+        # In-memory diagnostics only; serialized reports must be
+        # byte-identical across runs and worker counts.
+        self.wall_time = wall_time
 
     @property
     def verified(self) -> bool:
@@ -274,8 +294,10 @@ def gen_random(seed: int, n: int, d: int, norm: NormSpec,
 
 
 def _derive_seed(seed: int, index: int) -> int:
-    # Stable per-instance seed stream, independent of batching.
-    digest = hashlib.sha256(f"{seed}:{index}".encode()).digest()
+    # Stable per-instance seed stream, independent of batching.  Only the
+    # seeded modes load hashlib (_build_tasks).
+    from hashlib import sha256
+    digest = sha256(f"{seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -387,13 +409,21 @@ def _grid_universes(config: CampaignConfig
                 yield norm, d, _grid_universe(config.grid, d, norm)
 
 
-@dataclass
 class _TaskResult:
-    count: int = 0
-    tight: int = 0
-    max_ratio: Fraction = Fraction(0)
-    violations: list = field(default_factory=list)  # (local, Instance, report)
-    errors: list = field(default_factory=list)      # (local, message)
+    """One task's partial report: violations as (local, Instance,
+    report) and errors as (local, message), local the instance's index
+    within the task."""
+
+    __slots__ = ("count", "tight", "max_ratio", "violations", "errors")
+
+    def __init__(self, count: int = 0, tight: int = 0,
+                 max_ratio: Fraction = Fraction(0),
+                 violations: list | None = None, errors: list | None = None):
+        self.count = count
+        self.tight = tight
+        self.max_ratio = max_ratio
+        self.violations = [] if violations is None else violations
+        self.errors = [] if errors is None else errors
 
 
 def _tally(res: _TaskResult, local: int, instance: Instance,
@@ -433,19 +463,24 @@ def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...], weight: int
                 ) -> _TaskResult | None:
     """Verify every reachable target of every multiset in the orbit of
     rep under G x signs (see the module docstring), weight multisets.
-    rep's chain runs every target in pattern counts over 2^n, p_exact
-    read off the sum table of its scaled vectors, which lives only as
-    long as this task, and each target is tallied once for the whole
-    orbit.  None, the task faulted, if rep is invalid or its chain fails
-    or raises at any target."""
+    rep's chain runs in pattern counts over 2^n, p_exact read off the
+    sum table of its scaled vectors, which lives only as long as this
+    task, on the upper half of that table: 0, tallied once for the whole
+    orbit, and each positive sum u, tallied twice, since the certificate
+    of u, negated, certifies -u.  None, the task faulted, if rep is
+    invalid or its chain fails or raises at any target of that half."""
     try:
         chain = Chain(_sweep_instance(norm, rep))
         res = _TaskResult()
-        for u, count in scaled_sums(chain.scaled):
+        sums = scaled_sums(chain.scaled)
+        # The table is symmetric, so its upper half from the middle on is
+        # 0, where reachable, and the lexicographically positive sums.
+        for u, count in sums[len(sums) // 2:]:
             projected, allowed = chain.counts(u)
             if not count <= projected <= allowed:
                 return None
-            _tally_counts(res, count, allowed, weight)
+            _tally_counts(res, count, allowed,
+                          2 * weight if any(u) else weight)
     except _RECORDED_FAILURES:
         return None
     return res
@@ -544,6 +579,9 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
             for n in range(config.n_min, config.n_max + 1):
                 yield _task_extremal, norm, n
     else:
+        # Loaded here, in the parent before a pool forks, so that its
+        # workers inherit it: _derive_seed's import is then a lookup.
+        import hashlib  # noqa: F401
         task = _task_random if config.mode == "random" else _task_uniform
         for start in range(0, config.budget, _BATCH):
             yield task, config, start, min(_BATCH, config.budget - start)

@@ -95,12 +95,10 @@ def run_campaign(config):
 
 
 def _cmd_campaign(args) -> int:
-    from dataclasses import replace
-
     from .campaign import format_campaign_report, parse_campaign_config
     config = parse_campaign_config(_read_text(args.config))
     if args.workers is not None:
-        config = replace(config, workers=parse_int(args.workers))
+        config = config.replace(workers=parse_int(args.workers))
     if args.out:
         _check_writable(args.out)
     report = run_campaign(config)

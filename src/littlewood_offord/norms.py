@@ -81,11 +81,11 @@ def _rank(rows: Sequence[RVector]) -> int:
 
 class Frozen:
     """Base of the immutable records validated on construction (NormSpec,
-    reduction.Instance).  __init__ stores the constructor arguments named
-    in _args, and whatever it derives from them, through
-    object.__setattr__; only the _args take part in equality, hashing,
-    repr and pickling, and a pickle rebuilds the record through its
-    constructor."""
+    reduction.Instance, campaign.CampaignConfig).  __init__ stores the
+    constructor arguments named in _args, and whatever it derives from
+    them, through object.__setattr__; only the _args take part in
+    equality, hashing, repr and pickling, and a pickle rebuilds the
+    record through its constructor."""
 
     __slots__ = ()
     _args: tuple[str, ...] = ()

@@ -9,7 +9,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 from littlewood_offord import (
@@ -293,7 +292,7 @@ def test_10_campaign_reports_are_byte_identical():
         n_min=1, n_max=8, d_min=1, d_max=2, seed=99, budget=120)
     texts = []
     for workers in (1, 1, 8):
-        config = replace(base, workers=workers)
+        config = base.replace(workers=workers)
         texts.append(format_campaign_report(run_campaign(config)))
     failures = [] if len(set(texts)) == 1 else ["reports differ"]
     _finish(10, "identical configs give byte-identical reports, workers "

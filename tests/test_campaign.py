@@ -3,10 +3,10 @@ config parsing, and report serialization."""
 
 import math
 import multiprocessing
+import pickle
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -177,11 +177,14 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
         unreduced = len(perturbations)
         perturbations.clear()
         for task in _build_tasks(cfg):
-            for target in reachable_sums_nd(task[2]):
+            targets = reachable_sums_nd(task[2])
+            for target in targets[len(targets) // 2:]:
                 verify_instance(Instance(task[2], target, norm))
-        # Only representatives run, so the sweep perturbs exactly the
-        # targets that perturb on a representative alone, and fewer than
-        # the per-multiset sweep wherever any target perturbs.
+        # Only representatives run, on the upper half of their targets (0
+        # and the positive sums; -u is certified by u's mirror), so the
+        # sweep perturbs exactly the upper-half targets that perturb on a
+        # representative alone, and fewer than the per-multiset sweep
+        # wherever any target perturbs.
         assert swept == len(perturbations), (norm, d)
         assert report.verified and not report.errors
         assert report.max_ratio <= 1
@@ -359,13 +362,15 @@ def test_sweep_work_is_pinned(monkeypatch):
         monkeypatch.setattr(reduction.Chain, name, counted)
     report = run_campaign(_sweep((L1, L2, LINF, POLY2), 2, GRID0, 3))
     assert report.verified and not report.errors
-    assert calls == {"__init__": 337, "counts": 1983, "perturb": 719}
+    # A representative counts only the upper half of its targets, 0 and
+    # the positive sums, each for itself and its negation.
+    assert calls == {"__init__": 337, "counts": 1013, "perturb": 378}
 
 
 def test_orbit_sweep_is_the_same_for_any_worker_count():
     cfg = _sweep((L1, LINF), 2, ORBIT_GRIDS[1], 3)
     text = format_campaign_report(_same_as_reference(cfg))
-    assert format_campaign_report(run_campaign(replace(cfg, workers=2))) == text
+    assert format_campaign_report(run_campaign(cfg.replace(workers=2))) == text
 
 
 def test_a_fault_reruns_the_sweep_unreduced(monkeypatch):
@@ -449,6 +454,58 @@ def test_the_image_of_a_certificate_certifies_each_member():
     assert perturbed > 1000 and moved > 100
 
 
+def _mirror_cases():
+    """(norm, d, grid) of every sweep that the orbit and reference tests
+    run."""
+    for grid in ORBIT_GRIDS:
+        for d in (1, 2, 3):
+            for norm in (L1, L2, LINF) + ((POLY2,) if d == 2 else ()):
+                yield norm, d, grid
+    for norm, d, grid, _ in SWEEPS:
+        yield norm, d, grid
+
+
+def test_the_mirror_of_a_certificate_certifies_the_negated_target():
+    # The sweep runs a representative's chain on the upper half of its
+    # sum table alone, 0 and the positive sums, and tallies each u != 0
+    # for -u too.  At every such u, -w for u's witness w, perturbed or
+    # not, passes the chain's certificate at -u with u's projected target
+    # <-u, -w> = <u, w>, scale and k, and both counts at -u along it are
+    # its own, by brute force.  The chain's own witness at -u need not be
+    # -w where witnesses tie (l1 at (1, 0) takes (1, 1), and at (-1, 0)
+    # takes (-1, 1)), so only the count allowed at -u is u's; the chain
+    # holds there too.
+    mirrored = perturbed = 0
+    for norm, d, grid in _mirror_cases():
+        for task in _build_tasks(_sweep((norm,), d, grid, 3)):
+            chain = reduction.Chain(campaign._sweep_instance(norm, task[2]))
+            n = len(chain.scaled)
+            sums = scaled_sums(chain.scaled)
+            table = dict(sums)
+            for u, count in sums[len(sums) // 2:]:
+                if not any(u):
+                    continue
+                neg = _neg(u)
+                projected, allowed = chain.counts(neg)
+                assert count <= projected <= allowed == chain.counts(u)[1]
+                proj, t, k, found = chain.locate(u)
+                sign = 1 if t == dot(u, proj.w) else -1
+                mirror = tuple(-sign * c for c in proj.w)
+                coefficients = [dot(v, mirror) for v in chain.scaled]
+                assert dot(neg, mirror) == t
+                assert ceil_norm_over(norm, neg, chain.den) == k
+                assert reduction.certificate_failure(
+                    proj.s, chain.squared, coefficients, t, 1, k) is None, (
+                    norm, task[2], neg)
+                assert table[neg] == count == enumerate_atom_nd(
+                    chain.scaled, neg) * 2 ** n
+                assert proj.count(t) == enumerate_atom_1d(
+                    coefficients, t) * 2 ** n
+                mirrored += 1
+                perturbed += found is not None
+    assert mirrored > 10_000 and perturbed > 1000, (mirrored, perturbed)
+
+
 def test_exhaustive_violations_come_from_the_per_instance_path(monkeypatch):
     # Lower the bound the sweep's counts and lo_bound both read, so that
     # tight instances fail.
@@ -504,7 +561,7 @@ def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
         assert report.errors and all(
             message.endswith("lies outside the unit ball")
             for _, message in report.errors)
-        assert (format_campaign_report(run_campaign(replace(cfg, workers=2)))
+        assert (format_campaign_report(run_campaign(cfg.replace(workers=2)))
                 == format_campaign_report(report))
 
 
@@ -540,11 +597,11 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
     cfg = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
                          budget=5 * 64, workers=50)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
-    expected = format_campaign_report(run_campaign(replace(cfg, workers=1)))
+    expected = format_campaign_report(run_campaign(cfg.replace(workers=1)))
     assert sizes == []
     assert format_campaign_report(run_campaign(cfg)) == expected
     assert sizes == [3]                      # cores
-    run_campaign(replace(cfg, budget=2 * 64))
+    run_campaign(cfg.replace(budget=2 * 64))
     assert sizes == [3, 2]                   # tasks
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert format_campaign_report(run_campaign(cfg)) == expected
@@ -581,7 +638,7 @@ def test_campaign_reports_are_deterministic_across_workers():
     cfg = CampaignConfig(mode="random", norms=(L1, L2, LINF),
                          n_min=1, n_max=7, d_min=1, d_max=2,
                          seed=99, budget=90)
-    texts = {format_campaign_report(run_campaign(replace(cfg, workers=w)))
+    texts = {format_campaign_report(run_campaign(cfg.replace(workers=w)))
              for w in (1, 1, 3)}
     assert len(texts) == 1
 
@@ -596,7 +653,7 @@ def test_random_campaign_draws_only_dimension_compatible_norms():
     assert report.verified and not report.errors
     assert report.instances == 150
 
-    only_poly = replace(cfg, norms=(poly,), d_min=3, d_max=3, budget=5)
+    only_poly = cfg.replace(norms=(poly,), d_min=3, d_max=3, budget=5)
     report = run_campaign(only_poly)
     assert len(report.errors) == 5
     assert "fits dimension" in report.errors[0][1]
@@ -701,6 +758,27 @@ def test_campaign_config_parse_errors():
             parse_campaign_config(grid_config + bad + "\n")
     with pytest.raises(InputError, match="norms must be distinct"):
         parse_campaign_config("mode = random\nnorms = l2, l1, l2\n")
+
+
+def test_campaign_config_is_a_frozen_record_validated_on_construction():
+    cfg = CampaignConfig(mode="random", norms=(L1,), budget=3)
+    more = cfg.replace(workers=2)
+    assert more == CampaignConfig("random", (L1,), budget=3, workers=2)
+    assert (cfg.workers, more.workers) == (1, 2) and more != cfg
+    assert cfg.replace() == cfg and hash(cfg.replace()) == hash(cfg)
+    assert repr(cfg).startswith("CampaignConfig(mode='random', norms=(")
+    with pytest.raises(InputError, match="workers must be positive"):
+        cfg.replace(workers=0)
+    with pytest.raises(AttributeError):
+        cfg.workers = 2
+    # A worker receives its config pickled, and a pickle rebuilds it
+    # through the constructor, so an invalid one never runs there.
+    assert pickle.loads(pickle.dumps(more)) == more
+    bad = object.__new__(CampaignConfig)
+    for name, value in zip(CampaignConfig._args, (*cfg._key()[:-1], 0)):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(InputError, match="workers must be positive"):
+        pickle.loads(pickle.dumps(bad))
 
 
 def test_campaign_config_rejects_empty_list_entries():

@@ -200,6 +200,7 @@ def test_exit_code_2_on_invalid_input(tmp_path, capsys):
     assert run_cli(capsys, "campaign", str(config), "--workers", "1")[0] == 0
     assert run_cli(capsys, "campaign", str(config),
                    "--workers", "\u0662")[0] == 2
+    assert run_cli(capsys, "campaign", str(config), "--workers", "0")[0] == 2
 
 
 def test_exit_code_2_on_empty_list_entries(tmp_path, capsys):

@@ -12,22 +12,23 @@ import littlewood_offord
 
 SRC = Path(littlewood_offord.__file__).resolve().parent.parent
 
-# Modules that only a campaign needs: verifying one instance pays for
-# none of them at start-up.
-CAMPAIGN_ONLY = ("littlewood_offord.campaign", "dataclasses",
-                 "multiprocessing", "hashlib")
+# Modules that cost start-up time: verifying one instance loads none of
+# them, and a sweep only the campaign module.
+WATCHED = ("littlewood_offord.campaign", "dataclasses", "inspect",
+           "multiprocessing", "hashlib")
 
 
 def loaded_after(code: str, tmp_path: Path) -> set[str]:
-    """The CAMPAIGN_ONLY modules in sys.modules once code has run in a
-    fresh interpreter."""
+    """The WATCHED modules in sys.modules once code has run in a fresh
+    interpreter."""
     probe = (f"import sys\n{code}\n"
-             f"print(*(m for m in {CAMPAIGN_ONLY!r} if m in sys.modules), "
+             f"print(*(m for m in {WATCHED!r} if m in sys.modules), "
              f"file=sys.stderr)")
     err = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stderr
-    return set(err.split())
+    # The last line is the probe's; a campaign prints a summary before.
+    return set(err.splitlines()[-1].split())
 
 
 def test_single_instance_commands_load_no_campaign_modules(tmp_path):
@@ -40,13 +41,22 @@ def test_single_instance_commands_load_no_campaign_modules(tmp_path):
                  main + f"assert main(['verify', {str(instance)!r}]) == 0",
                  main + "assert main(['bound', '6', '2']) == 0"):
         assert loaded_after(code, tmp_path) == set(), code
-    config = tmp_path / "grid.campaign"
-    config.write_text("mode = exhaustive-grid\nnorms = l1\nn = 1..2\n"
-                      "d = 1..1\ngrid = -1, 1\n")
-    code = main + (f"assert main(['campaign', {str(config)!r}, "
-                   f"'--workers', '1']) == 0")
-    assert {"littlewood_offord.campaign", "dataclasses"} <= loaded_after(
-        code, tmp_path)
+
+
+def test_a_sweep_loads_neither_dataclasses_nor_hashlib(tmp_path):
+    # Only the seeded modes hash, and only a pool loads multiprocessing.
+    main = "from littlewood_offord.cli import main\n"
+    for name, text, loaded in (
+            ("grid", "mode = exhaustive-grid\nnorms = l1, l2\nn = 1..3\n"
+                     "d = 2..2\ngrid = -1, -1/2, 1/2, 1\n", set()),
+            ("random", "mode = random\nnorms = l1\nn = 1..3\nd = 1..2\n"
+                       "seed = 3\nbudget = 5\n", {"hashlib"})):
+        config = tmp_path / f"{name}.campaign"
+        config.write_text(text)
+        code = main + (f"assert main(['campaign', {str(config)!r}, "
+                       f"'--workers', '1']) == 0")
+        assert loaded_after(code, tmp_path) == {
+            "littlewood_offord.campaign"} | loaded, name
 
 
 def test_public_names_resolve_lazily_to_their_definitions():
