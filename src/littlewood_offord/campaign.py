@@ -41,6 +41,11 @@ if w certifies x then -w certifies -x, with the same projected target
 only on the upper half of the table, 0 and the lexicographically
 positive sums, and each positive sum is tallied for its negation too.
 
+A sweep stays in its grid's integer units, the grid times den, the lcm
+of its denominators, from the universe to each representative's chain:
+one positive scale of vectors and targets changes no count, no k and no
+certificate.  Only the unreduced rerun below makes Fractions again.
+
 Every valid instance certifies, so a representative that fails or
 raises at any target means a program defect or a counterexample, and
 then the argument above is not trusted: the runner drops the orbit pass
@@ -58,7 +63,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 from itertools import (chain, combinations_with_replacement, groupby, islice,
                        permutations, product)
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
                             reachable_sums_nd, scaled_sums)
@@ -66,11 +71,10 @@ from .errors import CapacityError, CertificateError, InputError
 from .exactnum import (delta, format_rational, lo_bound, parse_int,
                        parse_rational)
 from .norms import (L1, L2, LINF, Frozen, NormSpec, RVector, act,
-                    ceil_norm_over, fixes_norm, format_norm, is_zero,
-                    parse_norm)
-from .reduction import (Chain, Instance, VerificationReport,
-                        in_unit_ball, instance_lines, parse_keyvals,
-                        report_lines, verify_instance)
+                    ceil_norm_over, fixes_norm, format_norm, parse_norm)
+from .reduction import (Chain, Instance, VerificationReport, check_vectors,
+                        instance_lines, parse_keyvals, report_lines,
+                        verify_instance)
 
 MODES = ("exhaustive-grid", "random", "extremal", "uniform-kleitman")
 
@@ -301,14 +305,8 @@ def _derive_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _grid_universe(grid: Sequence[Fraction], d: int,
-                   norm: NormSpec) -> list[RVector]:
-    return [coords for coords in product(sorted(grid), repeat=d)
-            if not is_zero(coords) and in_unit_ball(norm, coords)]
-
-
-def _negated(v: RVector) -> RVector:
-    return tuple(-c for c in v)
+def _negated(u: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-c for c in u)
 
 
 # Above d = 4 the group is the identity, and orbits are sign orbits:
@@ -325,10 +323,11 @@ _SYMMETRY_DIMENSIONS = 4
 
 
 class _Classes:
-    """The sign classes of one (norm, d) grid universe, +-v when both
-    lie in it, else v alone, and the group G that permutes them.
+    """The sign classes of one (norm, d) grid universe of integer
+    vectors, +-u when both lie in it, else u alone, and the group G that
+    permutes them.
 
-    reps holds each class's representative (the larger of +-v), in
+    reps holds each class's representative (the larger of +-u), in
     universe order, and mirrored whether the class holds two vectors.
     group holds G, the signed coordinate permutations (norms.act) that
     fix the norm and map the universe onto itself, the identity first.
@@ -336,15 +335,11 @@ class _Classes:
     (g -v = -g v) once, the identity first: g and -g induce the same
     one, and on the l1 grid -1, 0, 1 so do all 2^d sign flips."""
 
-    def __init__(self, universe: list[RVector], d: int, norm: NormSpec):
-        # In integer units, where a signed permutation costs no Fraction.
-        den = math.lcm(*(c.denominator for v in universe for c in v))
-        scaled = {v: tuple(c.numerator * (den // c.denominator) for c in v)
-                  for v in universe}
-        inside = set(scaled.values())
-        reps = [v for v in universe if _negated(scaled[v]) not in inside
-                or scaled[v] > _negated(scaled[v])]
-        at = {scaled[v]: i for i, v in enumerate(reps)}
+    def __init__(self, universe: list[tuple], d: int, norm: NormSpec):
+        inside = set(universe)
+        reps = [u for u in universe
+                if _negated(u) not in inside or u > _negated(u)]
+        at = {u: i for i, u in enumerate(reps)}
         at.update([(_negated(u), i) for u, i in list(at.items())
                    if _negated(u) in inside])
         group = [tuple((j, 1) for j in range(d))]
@@ -355,12 +350,11 @@ class _Classes:
                     if (g != group[0] and fixes_norm(norm, g)
                             and all(act(g, u) in inside for u in inside)):
                         group.append(g)
-        units = [scaled[v] for v in reps]
         self.reps = tuple(reps)
-        self.mirrored = tuple(_negated(u) in inside for u in units)
+        self.mirrored = tuple(_negated(u) in inside for u in reps)
         self.group = tuple(group)
         self.perms = tuple(dict.fromkeys(
-            tuple(at[act(g, u)] for u in units) for g in group))
+            tuple(at[act(g, u)] for u in reps) for g in group))
 
     def orbits(self, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """The orbits of G x signs on the n-multisets of the universe, in
@@ -398,15 +392,21 @@ class _Classes:
         return extend((), 0)
 
 
-def _grid_universes(config: CampaignConfig
-                    ) -> Iterator[tuple[NormSpec, int, list[RVector]]]:
-    """The (norm, d, universe) of an exhaustive-grid sweep, in report
-    order."""
+def _grid_universes(config: CampaignConfig) -> Iterator[
+        tuple[NormSpec, int, int, list[tuple[int, ...]]]]:
+    """The (norm, d, den, universe) of an exhaustive-grid sweep, in
+    report order: den is the lcm of the grid's denominators, and universe
+    the integer vectors u != 0 with u / den in grid^d and
+    ceil(||u|| / den) <= 1, in product(sorted(grid)) order."""
+    den = math.lcm(*(c.denominator for c in config.grid))
+    coords = sorted(c.numerator * (den // c.denominator) for c in config.grid)
     for norm in config.norms:
         for d in range(config.d_min, config.d_max + 1):
             # Fixed-dimension norms (facet form) only apply to matching d.
             if norm.dimension in (None, d):
-                yield norm, d, _grid_universe(config.grid, d, norm)
+                yield norm, d, den, [
+                    u for u in product(coords, repeat=d)
+                    if any(u) and ceil_norm_over(norm, u, den) <= 1]
 
 
 class _TaskResult:
@@ -454,25 +454,22 @@ def _tally_counts(res: _TaskResult, count: int, allowed: int,
 _RECORDED_FAILURES = (InputError, CapacityError, CertificateError)
 
 
-def _sweep_instance(norm: NormSpec, vectors: tuple[RVector, ...]) -> Instance:
-    """One multiset of a sweep, validated as an instance with target 0."""
-    return Instance(vectors, (Fraction(0),) * len(vectors[0]), norm)
-
-
-def _task_orbit(norm: NormSpec, rep: tuple[RVector, ...], weight: int
-                ) -> _TaskResult | None:
+def _task_orbit(norm: NormSpec, den: int, rep: tuple[tuple[int, ...], ...],
+                weight: int) -> _TaskResult | None:
     """Verify every reachable target of every multiset in the orbit of
-    rep under G x signs (see the module docstring), weight multisets.
-    rep's chain runs in pattern counts over 2^n, p_exact read off the
-    sum table of its scaled vectors, which lives only as long as this
-    task, on the upper half of that table: 0, tallied once for the whole
-    orbit, and each positive sum u, tallied twice, since the certificate
-    of u, negated, certifies -u.  None, the task faulted, if rep is
-    invalid or its chain fails or raises at any target of that half."""
+    rep, integer vectors over den, under G x signs (see the module
+    docstring), weight multisets.  rep's chain runs in pattern counts
+    over 2^n, p_exact read off the sum table of rep, which lives only as
+    long as this task, on the upper half of that table: 0, tallied once
+    for the whole orbit, and each positive sum u, tallied twice, since
+    the certificate of u, negated, certifies -u.  None, the task
+    faulted, if check_vectors rejects rep, as it would an Instance's
+    vectors, or rep's chain fails or raises at any target of that half."""
     try:
-        chain = Chain(_sweep_instance(norm, rep))
+        check_vectors(norm, den, rep, len(rep[0]))
+        chain = Chain(norm, den, rep)
         res = _TaskResult()
-        sums = scaled_sums(chain.scaled)
+        sums = scaled_sums(rep)
         # The table is symmetric, so its upper half from the middle on is
         # 0, where reachable, and the lexicographically positive sums.
         for u, count in sums[len(sums) // 2:]:
@@ -568,11 +565,11 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
     if config.mode == "exhaustive-grid":
         # One task per orbit of G x signs, its least multiset of sign
         # class representatives as representative.
-        for norm, d, universe in _grid_universes(config):
+        for norm, d, den, universe in _grid_universes(config):
             classes = _Classes(universe, d, norm)
             for n in range(config.n_min, config.n_max + 1):
                 for combo, weight in classes.orbits(n):
-                    yield (_task_orbit, norm,
+                    yield (_task_orbit, norm, den,
                            tuple(classes.reps[i] for i in combo), weight)
     elif config.mode == "extremal":
         for norm in config.norms:
@@ -589,10 +586,12 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
 
 def _multiset_tasks(config: CampaignConfig) -> Iterator[tuple]:
     """An exhaustive-grid sweep unreduced: one task per multiset of each
-    (norm, d, n) block, in combinations_with_replacement order."""
-    for norm, _, universe in _grid_universes(config):
+    (norm, d, n) block, in combinations_with_replacement order, in
+    Fractions again for the instances that its records hold."""
+    for norm, _, den, universe in _grid_universes(config):
+        vectors = [tuple(Fraction(c, den) for c in u) for u in universe]
         for n in range(config.n_min, config.n_max + 1):
-            for combo in combinations_with_replacement(universe, n):
+            for combo in combinations_with_replacement(vectors, n):
                 yield _task_multiset, norm, combo
 
 

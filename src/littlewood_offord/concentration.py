@@ -12,10 +12,10 @@ injective on the box every signed sum lies in and that orders codes
 lexicographically.  At d = 1 the code is the scaled value itself.
 
 A target enters the same units by one rule, target_units, which the
-verification chain (reduction.Chain.units) shares: den * x as an
+verification chain's callers (reduction) share: den * x as an
 integer vector u over one denominator q.  The 1-d queries are
-one-column views: atom_1d is atom_nd and rho_max_1d is max_atom on
-the column of coefficients.
+one-column views: atom_1d is atom_nd, sum_table_1d is sum_table_nd and
+rho_max_1d is max_atom on the column of coefficients.
 
 Two ways to count:
 
@@ -182,12 +182,9 @@ def atom_1d(a: Sequence, t) -> Fraction:
 
 
 def sum_table_1d(a: Sequence) -> dict[Fraction, int]:
-    """Full distribution of sum_i eps_i a_i: sum value -> pattern count.
-
-    Counts total 2^n across the table."""
-    den, vectors = scaled_vectors(_as_column(a))
-    table, _ = _full_table(vectors, "full sum tables support")
-    return {Fraction(s, den): c for s, c in table.items()}
+    """Full distribution of sum_i eps_i a_i, sum value -> pattern count:
+    sum_table_nd on one column."""
+    return {t: c for (t,), c in sum_table_nd(_as_column(a)).items()}
 
 
 def sum_table_nd(v: Sequence[Sequence]) -> dict[RVector, int]:

@@ -12,8 +12,9 @@ the one-dimensional bound needs.
 
 An Instance enters integer units once: it keeps its vectors times den,
 the lcm of their denominators, and checks the unit ball on those
-integers.  A Chain runs the chain on them: a target as an
-integer vector over one extra denominator q, and a witness as an
+integers.  A Chain runs the chain on integer vectors over a den, an
+instance's or a sweep grid's: a target as an integer vector over one
+extra denominator q, and a witness as an
 integer vector w with an integer scale s, y = den * w / s (for l2 the
 chain holds s^2, an exact square).  The atom event is invariant under
 scaling both sides by a positive factor, so k, every sign and every
@@ -58,14 +59,27 @@ def in_unit_ball(norm: NormSpec, v: RVector) -> bool:
     return norm_eval(norm, v).le_rational(1)
 
 
+def check_vectors(norm: NormSpec, den: int,
+                  scaled: tuple[tuple[int, ...], ...], d: int) -> None:
+    """Reject the vectors u_i / den (a zero one or one outside the unit
+    ball would void the bound), in integers: each integer vector u_i
+    needs dimension d, a nonzero entry and ceil(||u_i|| / den) <= 1."""
+    for i, u in enumerate(scaled):
+        if len(u) != d:
+            raise InputError(
+                f"vector {i} has dimension {len(u)}, target has {d}")
+        if not any(u):
+            raise InputError(f"vector {i} is zero")
+        if ceil_norm_over(norm, u, den) > 1:
+            raise InputError(f"vector {i} lies outside the unit ball")
+
+
 class Instance(Frozen):
     """A verification instance: nonzero unit-ball vectors, target, norm.
 
-    Construction checks the hypotheses (a zero v_i or a vector outside
-    the unit ball would void the bound, so both are rejected up front),
-    in integers: scaled holds the vectors times den, the lcm of their
-    coordinate denominators (concentration.scaled_vectors), and a vector
-    lies in the unit ball when ceil(||scaled_i|| / den) <= 1.  den and
+    Construction checks the hypotheses up front, in integers
+    (check_vectors): scaled holds the vectors times den, the lcm of their
+    coordinate denominators (concentration.scaled_vectors).  den and
     scaled stay out of equality, hashing and repr.
     """
 
@@ -89,14 +103,7 @@ class Instance(Frozen):
                              "(int or Fraction)") from None
         scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in v)
                        for v in vectors)
-        for i, u in enumerate(scaled):
-            if len(u) != d:
-                raise InputError(
-                    f"vector {i} has dimension {len(u)}, target has {d}")
-            if not any(u):
-                raise InputError(f"vector {i} is zero")
-            if ceil_norm_over(norm, u, den) > 1:
-                raise InputError(f"vector {i} lies outside the unit ball")
+        check_vectors(norm, den, scaled, d)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "norm", norm)
@@ -198,8 +205,8 @@ def perturb_witness(instance: Instance, w: Witness) -> Witness:
     nonzero, and eta the first of 2^-3, 2^-6, ... that passes.  The
     search runs on integers, in Chain.perturb.
     """
-    chain = Chain(instance)
-    u, q = chain.units(instance.target)
+    chain = Chain(instance.norm, instance.den, instance.scaled)
+    u, q = target_units(instance.den, instance.target)
     scale = w.scale.value
     lam = math.lcm(scale.denominator, *(c.denominator for c in w.direction))
     ints = tuple(c.numerator * (lam // c.denominator) for c in w.direction)
@@ -228,22 +235,18 @@ class Projection:
 
 
 class Chain:
-    """The chain for the vector multiset and norm of a validated
-    instance (its target is not read), on the instance's scaled vectors
-    and den: a target is an integer vector u over q >= 1 in the same
-    units (q = 1 for the sums of scaled_sums).  Projections are cached
-    by direction and scale, for the many targets of a sweep."""
+    """The chain for a norm and the vectors scaled / den, integer vectors
+    that check_vectors accepts (an Instance's den and scaled, or a sweep
+    representative in its grid's units): a target is an integer vector u
+    over q >= 1 in the same units (q = 1 for the sums of scaled_sums).
+    Projections are cached by direction and scale, for many targets."""
 
-    def __init__(self, instance: Instance):
-        self.norm = instance.norm
-        self.squared = self.norm.kind == L2
-        self.den, self.scaled = instance.den, instance.scaled
+    def __init__(self, norm: NormSpec, den: int,
+                 scaled: tuple[tuple[int, ...], ...]):
+        self.norm, self.den, self.scaled = norm, den, scaled
+        self.squared = norm.kind == L2
         self._projections: dict = {}
         self._witnesses: dict = {}
-
-    def units(self, x: RVector) -> tuple[tuple[int, ...], int]:
-        """(u, q): the target x in chain units, u / q = den * x."""
-        return target_units(self.den, x)
 
     def _projection(self, w: tuple[int, ...], s: int
                     ) -> tuple[Projection, int]:
@@ -371,8 +374,8 @@ def project(instance: Instance) -> ProjectedInstance:
     """The chain's projection as exact rationals along the instance's
     witness: the dual witness of the target (of e_1 when x = 0, where
     k = 0 and any direction works), or its perturbation."""
-    chain = Chain(instance)
-    u, q = chain.units(instance.target)
+    chain = Chain(instance.norm, instance.den, instance.scaled)
+    u, q = target_units(instance.den, instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
     w = dual_witness(instance.norm, vector(witness_target(instance.target)))
     if perturbed is not None:
@@ -391,8 +394,8 @@ def verify_instance(instance: Instance) -> VerificationReport:
     """Run the full chain p_exact <= p_projected <= bound, all exact.
     Both atoms are single-target probes on half tables, in chain units:
     the scaled vectors at u / q, and the projected coefficients at t / q."""
-    chain = Chain(instance)
-    u, q = chain.units(instance.target)
+    chain = Chain(instance.norm, instance.den, instance.scaled)
+    u, q = target_units(instance.den, instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
     p_exact = Fraction(probe_count(chain.scaled, u, q), 2 ** instance.n)
     column = [(c,) for c in proj.coefficients]

@@ -29,6 +29,7 @@ from littlewood_offord import (CampaignReport, InputError, Instance,
                                sum_table_1d, sum_table_nd, verify_instance)
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
                                         _TaskResult, _tally)
+from littlewood_offord.concentration import target_units
 from littlewood_offord.norms import act
 from littlewood_offord.reduction import Chain
 
@@ -270,8 +271,8 @@ def reference_verify(instance) -> VerificationReport:
     """verify_instance on full tables: p_exact from the n-d sum table of
     the vectors and p_projected from the 1-d sum table of the projected
     coefficients, both read at the target."""
-    chain = Chain(instance)
-    u, q = chain.units(instance.target)
+    chain = Chain(instance.norm, instance.den, instance.scaled)
+    u, q = target_units(instance.den, instance.target)
     proj, t, k, perturbed = chain.locate(u, q)
     count = sum_table_nd(instance.vectors).get(instance.target, 0)
     p_exact = Fraction(count, 2 ** instance.n)

@@ -8,7 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -17,7 +17,8 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                NormSpec, VerificationReport, Violation,
                                ceil_norm, delta,
                                format_campaign_config, format_campaign_report,
-                               gen_extremal, gen_random, lo_bound, make_instance,
+                               gen_extremal, gen_random, in_unit_ball, is_zero,
+                               lo_bound, make_instance,
                                parse_campaign_config, project,
                                reachable_sums_nd, run_campaign,
                                verify_instance)
@@ -135,6 +136,14 @@ def _sweep(norms, d, grid, n_max, **kwargs):
                           n_max=n_max, d_min=d, d_max=d, grid=grid, **kwargs)
 
 
+def _universe(norm, d, grid):
+    """(den, universe) of the sweep of grid at d under norm, in the
+    grid's integer units."""
+    _, _, den, universe = next(campaign._grid_universes(
+        _sweep((norm,), d, grid, 1)))
+    return den, universe
+
+
 def _same_as_reference(cfg):
     """The orbit sweep's report, checked byte for byte against the
     unreduced per-multiset sweep."""
@@ -177,9 +186,10 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
         unreduced = len(perturbations)
         perturbations.clear()
         for task in _build_tasks(cfg):
-            targets = reachable_sums_nd(task[2])
+            vectors = rational_vectors(task[3], task[2])
+            targets = reachable_sums_nd(vectors)
             for target in targets[len(targets) // 2:]:
-                verify_instance(Instance(task[2], target, norm))
+                verify_instance(Instance(vectors, target, norm))
         # Only representatives run, on the upper half of their targets (0
         # and the positive sums; -u is certified by u's mirror), so the
         # sweep perturbs exactly the upper-half targets that perturb on a
@@ -190,9 +200,10 @@ def test_exhaustive_campaign_matches_direct_verification(monkeypatch):
         assert report.max_ratio <= 1
         # In one dimension no nonzero vector projects to zero.
         assert bool(swept) == (swept < unreduced) == (d > 1), (norm, d)
-        universe = campaign._grid_universe(grid, d, norm)
+        den, universe = _universe(norm, d, grid)
+        rational = rational_vectors(universe, den)
         for n in range(1, min(n_max, 3) + 1):
-            for combo in combinations_with_replacement(universe, n):
+            for combo in combinations_with_replacement(rational, n):
                 _check_against_oracles(norm, combo)
 
 
@@ -245,7 +256,7 @@ def _members(task, universe, group):
     """Every multiset of an orbit task, with the first g of group that
     reaches it, enumerated by the oracle over all of group x sign
     choices: the representative first."""
-    return orbit_members(task[2], _mirrored(task[2], universe), group)
+    return orbit_members(task[3], _mirrored(task[3], universe), group)
 
 
 def test_orbit_members_are_every_sign_choice_in_the_universe():
@@ -260,7 +271,7 @@ def test_orbit_members_are_every_sign_choice_in_the_universe():
     for grid in ORBIT_GRIDS:
         for norm in (LINF, POLY2):
             cfg = _sweep((norm,), 2, grid, 3)
-            universe = campaign._grid_universe(grid, 2, norm)
+            _, universe = _universe(norm, 2, grid)
             group = _Classes(universe, 2, norm).group
             streamed = [combo for n in range(1, 4) for combo in
                         combinations_with_replacement(universe, n)]
@@ -270,7 +281,7 @@ def test_orbit_members_are_every_sign_choice_in_the_universe():
             assert sorted(orbits) == sorted(streamed)
             assert len(set(orbits)) == len(orbits)
             for task in tasks:
-                rep = task[2]
+                rep = task[3]
                 members = _members(task, universe, group)
                 sizes = set(Counter(g for g, _ in members).values())
                 assert sizes == {len(sign_orbit(
@@ -287,17 +298,27 @@ def _neg(v):
     return tuple(-c for c in v)
 
 
+# (norm, d, grid, |G|): the symmetry groups pinned below.
+SYMMETRIC = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
+GROUP_CASES = (
+    [(nm, d, SYMMETRIC, size) for nm in (L1, L2, LINF)
+     for d, size in ((2, 8), (3, 48))]
+    + [(POLY2, 2, SYMMETRIC, 4), (POLY2, 2, GRID, 4),
+       (POLY3D, 3, (F(-1), F(0), F(1)), 12),
+       (LINF, 2, (F(-1), F(1, 2), F(1)), 2),
+       (L2, 1, (F(-1), F(1, 2), F(1)), 1)])
+TERNARY = (F(-1), F(0), F(1))
+# (norm, d, grid, |G|, number of class permutations)
+PERMUTATION_CASES = (
+    (L1, 4, TERNARY, 384, 24), (LINF, 4, TERNARY, 384, 192),
+    (L1, 2, GRID, 8, 2), (L2, 2, GRID, 8, 2), (LINF, 2, GRID, 8, 4),
+    (POLY2, 2, GRID, 4, 2))
+
+
 def test_symmetry_groups_of_the_norms_and_grids():
     # Signed coordinate permutations that fix the norm and the universe.
-    symmetric = (F(-1), F(-1, 2), F(0), F(1, 2), F(1))
-    cases = [(nm, d, symmetric, size) for nm in (L1, L2, LINF)
-             for d, size in ((2, 8), (3, 48))]
-    cases += [(POLY2, 2, symmetric, 4), (POLY2, 2, GRID, 4),
-              (POLY3D, 3, (F(-1), F(0), F(1)), 12),
-              (LINF, 2, (F(-1), F(1, 2), F(1)), 2),
-              (L2, 1, (F(-1), F(1, 2), F(1)), 1)]
-    for norm, d, grid, size in cases:
-        universe = campaign._grid_universe(grid, d, norm)
+    for norm, d, grid, size in GROUP_CASES:
+        _, universe = _universe(norm, d, grid)
         classes = _Classes(universe, d, norm)
         group = set(classes.group)
         assert len(group) == len(classes.group) == size, (norm, d, grid)
@@ -322,12 +343,8 @@ def test_class_permutations_are_distinct_and_weights_count_orbits():
     # G induces each class permutation in perms once, the identity
     # first: g and -g permute the classes alike, and on the l1 grid
     # -1, 0, 1 (the classes e_j) so do all 2^d sign flips.
-    ternary = (F(-1), F(0), F(1))
-    cases = [(L1, 4, ternary, 384, 24), (LINF, 4, ternary, 384, 192),
-             (L1, 2, GRID, 8, 2), (L2, 2, GRID, 8, 2), (LINF, 2, GRID, 8, 4),
-             (POLY2, 2, GRID, 4, 2)]
-    for norm, d, grid, group, size in cases:
-        classes = _Classes(campaign._grid_universe(grid, d, norm), d, norm)
+    for norm, d, grid, group, size in PERMUTATION_CASES:
+        classes = _Classes(_universe(norm, d, grid)[1], d, norm)
         assert len(classes.group) == group, (norm, d)
         assert len(set(classes.perms)) == len(classes.perms) == size, (norm, d)
         assert classes.perms[0] == tuple(range(len(classes.reps)))
@@ -337,12 +354,12 @@ def test_class_permutations_are_distinct_and_weights_count_orbits():
     for grid in ORBIT_GRIDS:
         for d, n_max in ((1, 5), (2, 3), (3, 2)):
             for norm in (L1, L2, LINF) + ((POLY2,) if d == 2 else ()):
-                universe = campaign._grid_universe(grid, d, norm)
+                _, universe = _universe(norm, d, grid)
                 group = _Classes(universe, d, norm).group
                 tasks = list(_build_tasks(_sweep((norm,), d, grid, n_max)))
                 for task in tasks:
-                    assert task[3] == len(_members(task, universe, group))
-                assert sum(task[3] for task in tasks) == sum(
+                    assert task[4] == len(_members(task, universe, group))
+                assert sum(task[4] for task in tasks) == sum(
                     math.comb(len(universe) + n - 1, n)
                     for n in range(1, n_max + 1)), (norm, d, grid)
 
@@ -416,12 +433,12 @@ def test_the_image_of_a_certificate_certifies_each_member():
     for norm, d, grid, n_max in ([(nm, 2, GRID0, 3)
                                   for nm in (L1, L2, LINF, POLY2)]
                                  + [(POLY3D, 3, (F(-1), F(0), F(1)), 3)]):
-        universe = campaign._grid_universe(grid, d, norm)
+        _, universe = _universe(norm, d, grid)
         group = _Classes(universe, d, norm).group
         for task in _build_tasks(_sweep((norm,), d, grid, n_max)):
-            rep = task[2]
-            chain = reduction.Chain(campaign._sweep_instance(norm, rep))
-            den, n = chain.den, len(rep)
+            _, _, den, rep, _ = task
+            chain = reduction.Chain(norm, den, rep)
+            n = len(rep)
             located = []
             for u, count in scaled_sums(chain.scaled):
                 proj, t, k, found = chain.locate(u)
@@ -434,9 +451,12 @@ def test_the_image_of_a_certificate_certifies_each_member():
             # one g for each sign orbit of the orbit
             moved += len({g for g, _ in members}) - 1
             for g, member in members:
-                vectors = rational_vectors(member, den)
-                assert campaign._sweep_instance(
-                    norm, vectors).scaled == member
+                # each member is a valid instance, whose own integer form
+                # is member over den, divided by their common factor
+                own = Instance(rational_vectors(member, den), (F(0),) * d,
+                               norm)
+                assert tuple(tuple(den // own.den * c for c in v)
+                             for v in own.scaled) == member
                 for u, count, w, s, k, projected, found in located:
                     x, gw = act(g, u), act(g, w)
                     coefficients = [dot(v, gw) for v in member]
@@ -465,6 +485,69 @@ def _mirror_cases():
         yield norm, d, grid
 
 
+def test_the_integer_universe_is_the_rational_filter():
+    # A sweep filters grid^d in the grid's integer units; divided by den,
+    # its universe is the in_unit_ball filter of grid^d, in its order,
+    # on every sweep the orbit, reference and group tests run.
+    cases = list(_mirror_cases()) + [
+        case[:3] for case in GROUP_CASES + list(PERMUTATION_CASES)]
+    for norm, d, grid in cases:
+        den, universe = _universe(norm, d, grid)
+        assert rational_vectors(universe, den) == tuple(
+            p for p in product(sorted(grid), repeat=d)
+            if not is_zero(p) and in_unit_ball(norm, p)), (norm, d, grid)
+
+
+def test_a_representative_chain_is_its_instance_chain_scaled():
+    # A representative's chain runs over the grid's den, a multiple r of
+    # the den its Instance would take, so its vectors and targets are r
+    # times the instance's.  At every upper-half target both chains give
+    # the same counts, perturb alike, and project along one direction:
+    # on the orbit tests' sweeps at n <= 3, and on the zero grids of the
+    # reference sweeps, where most perturbations run.
+    scaled = perturbed = 0
+    mixed = (F(-1), F(-1, 2), F(0), F(1, 3), F(1))
+    for norm, d, grid in list(_mirror_cases()) + [
+            (nm, 2, mixed) for nm in (L1, L2, LINF, POLY2)]:
+        for _, _, den, rep, _ in _build_tasks(_sweep((norm,), d, grid, 3)):
+            chain = reduction.Chain(norm, den, rep)
+            inst = Instance(rational_vectors(rep, den), (F(0),) * d, norm)
+            own = reduction.Chain(inst.norm, inst.den, inst.scaled)
+            r = den // inst.den
+            sums = scaled_sums(rep)
+            for u, _ in sums[len(sums) // 2:]:
+                assert all(c % r == 0 for c in u)
+                x = tuple(c // r for c in u)
+                assert chain.counts(u) == own.counts(x), (norm, rep, u)
+                (a, _, _, found), (b, _, _, own_found) = (
+                    chain.locate(u), own.locate(x))
+                assert (found is None) == (own_found is None), (norm, rep, u)
+                j = next(j for j, c in enumerate(a.w) if c)
+                assert [F(c, a.w[j]) for c in a.w] == [
+                    F(c, b.w[j]) for c in b.w], (norm, rep, u)
+                scaled += r > 1
+                perturbed += r > 1 and found is not None
+    assert scaled > 2000 and perturbed > 500, (scaled, perturbed)
+
+
+def test_a_fault_free_sweep_builds_no_instance(monkeypatch):
+    # The orbit pass stays in integers: the planar sweep builds no
+    # Instance, and the campaign module has no rational ball test.
+    built = []
+    init = Instance.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(Instance, "__init__", counted)
+    report = run_campaign(_sweep((L1, L2, LINF, POLY2), 2, GRID, 4))
+    assert report.status == "verified" and report.instances == 63_422
+    assert built == []
+    assert not hasattr(campaign, "in_unit_ball")
+    make_instance([(1, 0)], (0, 0), L1)
+    assert len(built) == 1
+
+
 def test_the_mirror_of_a_certificate_certifies_the_negated_target():
     # The sweep runs a representative's chain on the upper half of its
     # sum table alone, 0 and the positive sums, and tallies each u != 0
@@ -478,7 +561,7 @@ def test_the_mirror_of_a_certificate_certifies_the_negated_target():
     mirrored = perturbed = 0
     for norm, d, grid in _mirror_cases():
         for task in _build_tasks(_sweep((norm,), d, grid, 3)):
-            chain = reduction.Chain(campaign._sweep_instance(norm, task[2]))
+            chain = reduction.Chain(norm, *task[2:4])
             n = len(chain.scaled)
             sums = scaled_sums(chain.scaled)
             table = dict(sums)
@@ -496,7 +579,7 @@ def test_the_mirror_of_a_certificate_certifies_the_negated_target():
                 assert ceil_norm_over(norm, neg, chain.den) == k
                 assert reduction.certificate_failure(
                     proj.s, chain.squared, coefficients, t, 1, k) is None, (
-                    norm, task[2], neg)
+                    norm, task[3], neg)
                 assert table[neg] == count == enumerate_atom_nd(
                     chain.scaled, neg) * 2 ** n
                 assert proj.count(t) == enumerate_atom_1d(
@@ -543,20 +626,35 @@ def test_failed_certificate_is_recorded_per_instance(monkeypatch):
 
 
 def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
-    # The grid filter, made to keep vectors up to norm 3/2, runs in the
-    # parent process; each instance checks its own vectors, so those
-    # beyond norm 1 raise in the task, which at two workers runs in a
-    # pool process.  The sweep reruns unreduced and records one error
-    # per target of each multiset that holds one.
-    real = campaign.in_unit_ball
+    # The sweep's universe filter, made to keep vectors up to norm 3/2,
+    # runs in the parent process; each orbit task re-checks its
+    # representative in integers, so one beyond norm 1 faults the orbit
+    # pass in the task, which at two workers runs in a pool process.
+    # The sweep reruns unreduced, where each instance checks its own
+    # vectors, and records one error per target of each multiset that
+    # holds one.
+    ceil_over = campaign.ceil_norm_over
 
-    def wider(norm, v):
-        return real(norm, tuple(F(2, 3) * c for c in v))
-    monkeypatch.setattr(campaign, "in_unit_ball", wider)
-    monkeypatch.setattr(oracles, "in_unit_ball", wider)
+    def wider(norm, u, den):
+        return ceil_over(norm, tuple(2 * c for c in u), 3 * den)
+    monkeypatch.setattr(campaign, "ceil_norm_over", wider)
+    monkeypatch.setattr(oracles, "in_unit_ball", lambda norm, v: in_unit_ball(
+        norm, tuple(F(2, 3) * c for c in v)))
     for norm in (L1, L2, POLY2):
         cfg = _sweep((norm,), 2, GRID, 2)
-        report = _same_as_reference(cfg)
+        ran = []
+
+        def recorded(*task):
+            ran.append((task, _task_orbit(*task)))
+            return ran[-1][1]
+        with monkeypatch.context() as m:
+            m.setattr(campaign, "_task_orbit", recorded)
+            report = _same_as_reference(cfg)
+        # The orbit pass ends at the first representative that holds a
+        # vector outside the ball, and only there.
+        (_, den, rep, _), res = ran[-1]
+        assert res is None and any(ceil_over(norm, u, den) > 1 for u in rep)
+        assert all(res is not None for _, res in ran[:-1])
         assert report.status == "incomplete"
         assert report.errors and all(
             message.endswith("lies outside the unit ball")
@@ -629,8 +727,9 @@ def test_campaign_tasks_are_generated_as_they_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # (1/2, -1) reaches (+-1/2, +-1) and (+-1, +-1/2): 8 multisets
-    assert first == (_task_orbit, LINF, ((F(1, 2), F(-1)),), 8)
+    # (1, -2) over den 2, the vector (1/2, -1), reaches (+-1/2, +-1) and
+    # (+-1, +-1/2): 8 multisets
+    assert first == (_task_orbit, LINF, 2, ((1, -2),), 8)
     assert peak < 2 ** 20
 
 

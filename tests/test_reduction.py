@@ -325,7 +325,8 @@ FLIPPED_KEY_LINF = (
 
 
 def test_projection_is_shared_by_w_and_minus_w():
-    chain = Chain(parse_instance(FLIPPED_KEY_LINF))
+    inst = parse_instance(FLIPPED_KEY_LINF)
+    chain = Chain(inst.norm, inst.den, inst.scaled)
     for w, s in (((-7, 1), 8), ((2, -4), 6), ((0, 3), 3)):
         proj, sign = chain._projection(w, s)
         assert chain._projection(tuple(-c for c in w), s) == (proj, -sign)
