@@ -8,7 +8,9 @@ one, and aggregates a deterministic report:
                       reduction.Chain per orbit of the norm's symmetry
                       group (below);
 * random            - seeded random instances on a rational grid, each
-                      verified as a batch of one (verify_instance);
+                      verified at its one target (reduction.Chain.probe)
+                      in the grid's integer units; only a violation
+                      becomes an Instance, for its record;
 * extremal          - the tightness construction (n aligned copies of
                       x / (k + delta)), swept over k;
 * uniform-kleitman  - seeded random l2 instances checked against the
@@ -16,10 +18,13 @@ one, and aggregates a deterministic report:
 
 Reports depend only on the configuration: work is split into tasks
 whose partial results merge in task order, so the worker count changes
-scheduling but never the report bytes.  Wall time is kept in memory
-only and never serialized, for the same reason.  Per-instance failures
-(capacity, infeasible sampling, a failed certificate) are recorded in
-the report rather than aborting the stream.
+scheduling but never the report bytes.  At W workers, W forked
+processes each generate the whole task stream and run every W-th task,
+and the parent reads their results back in task order.  Wall time is
+kept in memory only and never serialized, for the same reason.
+Per-instance failures (capacity, infeasible sampling, a failed
+certificate) are recorded in the report rather than aborting the
+stream.
 
 The eps_i are symmetric, so negating some v_i leaves the law of the
 sign sum unchanged, and along any witness it only negates projected
@@ -59,16 +64,15 @@ import math
 import os
 import random
 import time
-from contextlib import nullcontext
 from fractions import Fraction
-from itertools import (chain, combinations_with_replacement, groupby, islice,
-                       permutations, product)
+from itertools import (chain, combinations_with_replacement, cycle, groupby,
+                       islice, permutations, product)
 from typing import Iterator, NamedTuple
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
                             reachable_sums_nd, scaled_sums)
 from .errors import CapacityError, CertificateError, InputError
-from .exactnum import (delta, format_rational, lo_bound, parse_int,
+from .exactnum import (delta, format_rational, lo_bound, lo_count, parse_int,
                        parse_rational)
 from .norms import (L1, L2, LINF, Frozen, NormSpec, RVector, act,
                     ceil_norm_over, fixes_norm, format_norm, parse_norm)
@@ -253,32 +257,25 @@ def gen_extremal(n: int, norm: NormSpec, norm_value) -> Instance:
 _VECTOR_RETRIES = 1000
 
 
-def gen_random(seed: int, n: int, d: int, norm: NormSpec,
-               grid_denominator: int) -> Instance:
-    """Seeded random instance on the grid {-g, ..., g} / g.
-
-    Vectors are rejection-sampled with the exact ball membership test
-    until nonzero and inside the unit ball (bounded retries, then an
-    error: the grid is too coarse for the ball).  With probability 1/2
-    the target is the sum of a uniform sign assignment, which is a
-    reachable sum and stresses the equality event; otherwise it is an
-    independent grid point.
-    """
+def _draw(seed: int, n: int, d: int, norm: NormSpec,
+          g: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """gen_random's draw in integer units: the numerators over g of its
+    vectors and its target."""
     if n < 1 or d < 1:
         raise InputError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    g = grid_denominator
     if g < 1:
         raise InputError(f"grid_denominator must be positive, got {g}")
     if norm.dimension not in (None, d):
         raise InputError(f"dimension mismatch: norm is on {norm.dimension} "
                          f"coordinates, vector has {d}")
-    # Drawn as the integer numerators over g; ||a / g|| <= 1 exactly
-    # when ceil(||a|| / g) <= 1.
+    # ||a / g|| <= 1 exactly when ceil(||a|| / g) <= 1.  choice on the
+    # range makes the one _randbelow(2g + 1) call of randint(-g, g).
     rng = random.Random(seed)
+    coords = range(-g, g + 1)
     draws: list[tuple[int, ...]] = []
     for _ in range(n):
         for _ in range(_VECTOR_RETRIES):
-            a = tuple(rng.randint(-g, g) for _ in range(d))
+            a = tuple(rng.choice(coords) for _ in range(d))
             if any(a) and ceil_norm_over(norm, a, g) <= 1:
                 draws.append(a)
                 break
@@ -292,9 +289,30 @@ def gen_random(seed: int, n: int, d: int, norm: NormSpec,
         target = tuple(sum(s * a[j] for s, a in zip(signs, draws))
                        for j in range(d))
     else:
-        target = tuple(rng.randint(-g, g) for _ in range(d))
-    return Instance(tuple(tuple(Fraction(c, g) for c in a) for a in draws),
+        target = tuple(rng.choice(coords) for _ in range(d))
+    return tuple(draws), target
+
+
+def _instance(vectors: tuple[tuple[int, ...], ...], target: tuple[int, ...],
+              g: int, norm: NormSpec) -> Instance:
+    """The Instance of integer vectors and target over g, in Fractions."""
+    return Instance(tuple(tuple(Fraction(c, g) for c in a) for a in vectors),
                     tuple(Fraction(c, g) for c in target), norm)
+
+
+def gen_random(seed: int, n: int, d: int, norm: NormSpec,
+               grid_denominator: int) -> Instance:
+    """Seeded random instance on the grid {-g, ..., g} / g.
+
+    Vectors are rejection-sampled with the exact ball membership test
+    until nonzero and inside the unit ball (bounded retries, then an
+    error: the grid is too coarse for the ball).  With probability 1/2
+    the target is the sum of a uniform sign assignment, which is a
+    reachable sum and stresses the equality event; otherwise it is an
+    independent grid point.
+    """
+    return _instance(*_draw(seed, n, d, norm, grid_denominator),
+                     grid_denominator, norm)
 
 
 def _derive_seed(seed: int, index: int) -> int:
@@ -440,13 +458,13 @@ def _tally(res: _TaskResult, local: int, instance: Instance,
 
 def _tally_counts(res: _TaskResult, count: int, allowed: int,
                   weight: int) -> None:
-    """Tally a target whose chain held, in pattern counts over 2^n, for
-    weight multisets."""
-    res.count += weight
+    """Tally the tight count and max_ratio of a target whose chain held,
+    in pattern counts over 2^n, for weight instances (which the caller
+    counts)."""
     if count == allowed:
         res.tight += weight
     best = res.max_ratio
-    # count / allowed > best, cross-multiplied (allowed >= count >= 1)
+    # count / allowed > best, cross-multiplied (allowed >= count >= 0)
     if count * best.denominator > best.numerator * allowed:
         res.max_ratio = Fraction(count, allowed)
 
@@ -476,8 +494,9 @@ def _task_orbit(norm: NormSpec, den: int, rep: tuple[tuple[int, ...], ...],
             projected, allowed = chain.counts(u)
             if not count <= projected <= allowed:
                 return None
-            _tally_counts(res, count, allowed,
-                          2 * weight if any(u) else weight)
+            members = 2 * weight if any(u) else weight
+            res.count += members
+            _tally_counts(res, count, allowed, members)
     except _RECORDED_FAILURES:
         return None
     return res
@@ -499,6 +518,10 @@ def _task_multiset(norm: NormSpec, vectors: tuple[RVector, ...]
 
 
 def _task_random(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
+    """count random instances from start on, each verified by
+    Chain.probe in its grid's integer units; only a violation builds the
+    Instance and the verify_instance report of its record."""
+    g = cfg.grid_denominator
     res = _TaskResult()
     for local in range(count):
         rng = random.Random(_derive_seed(cfg.seed, start + local))
@@ -512,8 +535,15 @@ def _task_random(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
         try:
             if norm is None:
                 raise InputError(f"no configured norm fits dimension {d}")
-            instance = gen_random(sub_seed, n, d, norm, cfg.grid_denominator)
-            _tally(res, local, instance, verify_instance(instance))
+            vectors, target = _draw(sub_seed, n, d, norm, g)
+            check_vectors(norm, g, vectors, d)
+            exact, projected, allowed, _, _ = Chain(
+                norm, g, vectors).probe(target)
+            if exact <= projected <= allowed:
+                _tally_counts(res, exact, allowed, 1)
+            else:
+                instance = _instance(vectors, target, g, norm)
+                _tally(res, local, instance, verify_instance(instance))
         except _RECORDED_FAILURES as exc:
             res.errors.append((local, str(exc)))
     return res
@@ -534,7 +564,11 @@ def _task_extremal(norm: NormSpec, n: int) -> _TaskResult:
 
 
 def _task_uniform(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
+    """count seeded l2 draws from start on, each checked at its most
+    probable sum against the k = 0 bound, in pattern counts over 2^n;
+    only a violation builds the Instance of its record."""
     l2 = NormSpec.l2()
+    g = cfg.grid_denominator
     res = _TaskResult()
     for local in range(count):
         rng = random.Random(_derive_seed(cfg.seed, start + local))
@@ -543,14 +577,19 @@ def _task_uniform(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
         sub_seed = rng.getrandbits(64)
         res.count += 1
         try:
-            drawn = gen_random(sub_seed, n, d, l2, cfg.grid_denominator)
-            target, p = max_atom(drawn.vectors)
-            bound = lo_bound(n, 0)
-            report = VerificationReport(
-                p_exact=p, p_projected=p, bound=bound, k=0,
-                delta=delta(n, 0), chain_holds=p <= bound,
-                tight=p == bound, perturbed=False)
-            _tally(res, local, Instance(drawn.vectors, target, l2), report)
+            vectors, _ = _draw(sub_seed, n, d, l2, g)
+            # On the integer draws, the most probable sum is u / g.
+            u, p = max_atom(vectors)
+            exact = p.numerator * 2 ** n // p.denominator
+            allowed = lo_count(n, 0)
+            if exact <= allowed:
+                _tally_counts(res, exact, allowed, 1)
+            else:
+                report = VerificationReport(
+                    p_exact=p, p_projected=p, bound=lo_bound(n, 0), k=0,
+                    delta=delta(n, 0), chain_holds=False, tight=False,
+                    perturbed=False)
+                _tally(res, local, _instance(vectors, u, g, l2), report)
         except _RECORDED_FAILURES as exc:
             res.errors.append((local, str(exc)))
     return res
@@ -576,7 +615,7 @@ def _build_tasks(config: CampaignConfig) -> Iterator[tuple]:
             for n in range(config.n_min, config.n_max + 1):
                 yield _task_extremal, norm, n
     else:
-        # Loaded here, in the parent before a pool forks, so that its
+        # Loaded here, in the parent before _merge forks, so that its
         # workers inherit it: _derive_seed's import is then a lookup.
         import hashlib  # noqa: F401
         task = _task_random if config.mode == "random" else _task_uniform
@@ -595,34 +634,106 @@ def _multiset_tasks(config: CampaignConfig) -> Iterator[tuple]:
                 yield _task_multiset, norm, combo
 
 
-def _pool(processes: int):
-    """A pool of processes, or a null context for one process.
-    multiprocessing is imported only here, so that a process that runs
-    no pool does not load it."""
-    if processes < 2:
-        return nullcontext()
-    from multiprocessing import Pool
-    return Pool(processes)
+# A shard's last message: every task of its residue class has run.
+_END = "end of shard"
 
 
-def _merge(config: CampaignConfig, tasks: Iterator[tuple]
-           ) -> CampaignReport | None:
-    """The report of tasks, merged in task order with cumulative
-    instance indexing; None at the first task that faulted, once the
-    pool has ended.  The pool never has more processes than tasks or
-    cores."""
-    # The first tasks, at most one per process, size the pool.
+def _shard(build, workers: int, j: int, fd: int,
+           inherited: list[int]) -> None:
+    """A forked worker's whole life: close the inherited read ends of the
+    pipes, its own among them, so that a write fails once the parent is
+    gone; run the tasks i = j (mod workers) of build(), and write each
+    result, or the exception a task raised, pickled to the pipe fd, then
+    _END.  It stops after a faulted task or an exception, since the
+    parent stops reading there, and it always leaves by os._exit: it
+    must not run on in the parent's stack."""
+    status = 1
+    try:
+        import pickle
+        for other in inherited:
+            os.close(other)
+        with os.fdopen(fd, "wb") as out:
+            for task in islice(build(), j, None, workers):
+                try:
+                    part = _run_task(task)
+                except Exception as exc:
+                    out.write(pickle.dumps(exc))
+                    break
+                out.write(pickle.dumps(part))
+                out.flush()
+                if part is None:
+                    break
+            else:
+                out.write(pickle.dumps(_END))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _shards(build, workers: int) -> Iterator[_TaskResult | None]:
+    """The results of build()'s tasks in task order, from workers forked
+    processes: task i runs in shard i mod workers (_shard), on that
+    shard's own build().  An exception a task raised is raised here.  A
+    pipe that ends before its _END means a killed worker, a
+    CapacityError.  However the generator ends, its children are
+    killed, if still running, and reaped."""
+    import pickle
+    import signal
+    pids: list[int] = []
+    pipes: list = []
+    try:
+        for j in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _shard(build, workers, j, write,
+                       [read] + [pipe.fileno() for pipe in pipes])
+            pids.append(pid)
+            os.close(write)
+            pipes.append(os.fdopen(read, "rb"))
+        for j in cycle(range(workers)):
+            try:
+                part = pickle.load(pipes[j])
+            except (EOFError, pickle.UnpicklingError):
+                _, status = os.waitpid(pids[j], 0)
+                pids[j] = 0
+                code = os.waitstatus_to_exitcode(status)
+                raise CapacityError(
+                    f"campaign worker {j} ended before its tasks did "
+                    + (f"(killed by signal {-code})" if code < 0
+                       else f"(exit status {code})")) from None
+            if part == _END:
+                return
+            if isinstance(part, BaseException):
+                raise part
+            yield part
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in filter(None, pids):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _merge(config: CampaignConfig, build) -> CampaignReport | None:
+    """The report of the tasks of build(), merged in task order with
+    cumulative instance indexing; None at the first task that faulted,
+    once every worker has ended.  The tasks run in this process, or in
+    as many forked workers (_shards) as workers asks, but never more
+    than there are tasks or cores, and none where os.fork is missing."""
+    tasks = build()
+    # The first tasks, at most one per process, size the shards.
     head = list(islice(tasks, min(config.workers, os.cpu_count() or 1)))
+    if len(head) > 1 and hasattr(os, "fork"):
+        parts = _shards(build, len(head))
+    else:
+        parts = (_run_task(task) for task in chain(head, tasks))
     report = CampaignReport(mode=config.mode)
-    # A random or uniform-kleitman task is already a batch of _BATCH
-    # instances, so those go out one at a time and split evenly; the many
-    # small sweep and extremal tasks go out in chunks.
-    chunksize = 1 if config.mode in ("random", "uniform-kleitman") else 8
-    with _pool(len(head)) as pool:
-        tasks = chain(head, tasks)
-        partials = (pool.imap(_run_task, tasks, chunksize=chunksize) if pool
-                    else map(_run_task, tasks))
-        for part in partials:
+    try:
+        for part in parts:
             if part is None:
                 return None
             offset = report.instances
@@ -635,6 +746,8 @@ def _merge(config: CampaignConfig, tasks: Iterator[tuple]
                     Violation(offset + local, instance, vrep))
             for local, message in part.errors:
                 report.errors.append((offset + local, message))
+    finally:
+        parts.close()
     return report
 
 
@@ -649,9 +762,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
     and indexed on its own.
     """
     started = time.perf_counter()
-    report = _merge(config, _build_tasks(config))
+    report = _merge(config, lambda: _build_tasks(config))
     if report is None:
-        report = _merge(config, _multiset_tasks(config))
+        report = _merge(config, lambda: _multiset_tasks(config))
     report.wall_time = time.perf_counter() - started
     return report
 

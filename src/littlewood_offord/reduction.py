@@ -23,10 +23,11 @@ divided by their common gcd, serves every target along +-w: the sign
 sum is symmetric, so count_{-w}(t) = count_w(t), and the projected
 target t is taken along the signed w.  When some <v_i, w> is zero, a
 deterministic schedule on the same integers, whose last pass cannot
-fail, nudges w off the offending hyperplanes.  verify_instance is a
-chain with one target whose two atoms are concentration.probe_count
-calls, on the scaled vectors and on the projected coefficients;
-project() and perturb_witness are its exact rational views.
+fail, nudges w off the offending hyperplanes.  Chain.probe is a chain
+at one target whose two atoms are concentration.probe_count calls, on
+the scaled vectors and on the projected coefficients; verify_instance
+is Chain.probe over 2^n, and project() and perturb_witness are its
+exact rational views.
 """
 
 from __future__ import annotations
@@ -369,6 +370,17 @@ class Chain:
         proj, t, k, _ = self.locate(u)
         return proj.count(t), lo_count(len(self.scaled), k)
 
+    def probe(self, u: tuple[int, ...], q: int = 1):
+        """The chain at the one target u / q, in sign-pattern counts over
+        2^n: (count, projected, allowed, k, perturbed), count and
+        projected the two atoms as single-target probes on half tables,
+        of the scaled vectors at u / q and of the projected coefficients
+        at t / q, allowed = lo_count(n, k), and perturbed as in locate."""
+        proj, t, k, perturbed = self.locate(u, q)
+        column = [(c,) for c in proj.coefficients]
+        return (probe_count(self.scaled, u, q), probe_count(column, (t,), q),
+                lo_count(len(self.scaled), k), k, perturbed)
+
 
 def project(instance: Instance) -> ProjectedInstance:
     """The chain's projection as exact rationals along the instance's
@@ -391,15 +403,13 @@ def project(instance: Instance) -> ProjectedInstance:
 
 
 def verify_instance(instance: Instance) -> VerificationReport:
-    """Run the full chain p_exact <= p_projected <= bound, all exact.
-    Both atoms are single-target probes on half tables, in chain units:
-    the scaled vectors at u / q, and the projected coefficients at t / q."""
+    """Run the full chain p_exact <= p_projected <= bound, all exact:
+    Chain.probe at the instance's target, over 2^n."""
     chain = Chain(instance.norm, instance.den, instance.scaled)
-    u, q = target_units(instance.den, instance.target)
-    proj, t, k, perturbed = chain.locate(u, q)
-    p_exact = Fraction(probe_count(chain.scaled, u, q), 2 ** instance.n)
-    column = [(c,) for c in proj.coefficients]
-    p_projected = Fraction(probe_count(column, (t,), q), 2 ** instance.n)
+    count, projected, _, k, perturbed = chain.probe(
+        *target_units(instance.den, instance.target))
+    p_exact = Fraction(count, 2 ** instance.n)
+    p_projected = Fraction(projected, 2 ** instance.n)
     bound = lo_bound(instance.n, k)
     return VerificationReport(
         p_exact=p_exact,

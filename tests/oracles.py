@@ -11,8 +11,9 @@ orbits of a block counted by Burnside's lemma (burnside_count), as
 references for the orbit sizes and the orderly search.  The
 single-instance chain is kept on full sum tables (reference_verify), as
 the reference for its half-table probes, and the random sampler in
-Fraction arithmetic (reference_gen_random), as the reference for its
-integer draws.
+Fraction arithmetic (reference_gen_random), with random campaign tasks
+verified one Instance at a time on it (reference_random_task), as the
+reference for their integer draws and probes.
 """
 
 import math
@@ -28,7 +29,7 @@ from littlewood_offord import (CampaignReport, InputError, Instance,
                                is_zero, lo_bound, reachable_sums_nd,
                                sum_table_1d, sum_table_nd, verify_instance)
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
-                                        _TaskResult, _tally)
+                                        _TaskResult, _derive_seed, _tally)
 from littlewood_offord.concentration import target_units
 from littlewood_offord.norms import act
 from littlewood_offord.reduction import Chain
@@ -289,6 +290,30 @@ def reference_verify(instance) -> VerificationReport:
         tight=p_exact == bound,
         perturbed=perturbed is not None,
     )
+
+
+def reference_random_task(cfg, start, count):
+    """A random campaign task on the slow path: each instance drawn in
+    Fractions (reference_gen_random) and verified alone
+    (verify_instance)."""
+    res = _TaskResult()
+    for local in range(count):
+        rng = random.Random(_derive_seed(cfg.seed, start + local))
+        n = rng.randint(cfg.n_min, cfg.n_max)
+        d = rng.randint(cfg.d_min, cfg.d_max)
+        fits = [nm for nm in cfg.norms if nm.dimension in (None, d)]
+        norm = fits[rng.randrange(len(fits))] if fits else None
+        sub_seed = rng.getrandbits(64)
+        res.count += 1
+        try:
+            if norm is None:
+                raise InputError(f"no configured norm fits dimension {d}")
+            instance = reference_gen_random(sub_seed, n, d, norm,
+                                            cfg.grid_denominator)
+            _tally(res, local, instance, verify_instance(instance))
+        except _RECORDED_FAILURES as exc:
+            res.errors.append((local, str(exc)))
+    return res
 
 
 def reference_gen_random(seed, n, d, norm, grid_denominator) -> Instance:

@@ -2,9 +2,11 @@
 config parsing, and report serialization."""
 
 import math
-import multiprocessing
+import os
 import pickle
+import signal
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -23,7 +25,8 @@ from littlewood_offord import (CampaignConfig, CampaignReport, CapacityError,
                                reachable_sums_nd, run_campaign,
                                verify_instance)
 from littlewood_offord import campaign, exactnum, reduction
-from littlewood_offord.concentration import scaled_sums
+from littlewood_offord.cli import main as cli_main
+from littlewood_offord.concentration import max_atom, scaled_sums
 from littlewood_offord.campaign import _build_tasks, _Classes, _task_orbit
 from littlewood_offord.norms import act, ceil_norm_over, dot
 import oracles
@@ -116,6 +119,112 @@ def test_gen_random_matches_fraction_sampler():
                             == outcome(reference_gen_random, *args)), args
     message = outcome(gen_random, 7, 2, 2, tiny_ball, 1)[1]
     assert message.startswith("could not sample a nonzero unit-ball vector")
+
+
+def test_gen_random_draws_are_pinned():
+    # The draw stream itself, so that it cannot drift between Python
+    # versions: a sign-sum target and an independent one, on each norm.
+    for args, vectors, target in (
+            ((1, 3, 1, L1, 4), ("-1/2", "-3/4", "-3/4"), "-2"),
+            ((2, 4, 2, L2, 4), ("-3/4,1/4", "-1/2,0", "0,-1/4", "1/2,1/2"),
+             "1,1/4"),
+            ((3, 3, 3, LINF, 4), ("-1/4,1,-1/2", "1/4,3/4,-3/4", "-1,3/4,0"),
+             "-1/4,3/4,1"),
+            ((4, 4, 2, POLY2, 3), ("-2/3,-1/3", "-1,2/3", "0,1/3", "-1/3,1"),
+             "-1,-2/3")):
+        assert gen_random(*args) == make_instance(
+            [v.split(",") for v in vectors], target.split(","), args[3])
+
+
+def _draws():
+    """Seeded draws over l1, l2, linf and the planar facet norm, d = 1..3
+    and n = 1..12, on the 1/4 grid, with their gen_random instances;
+    the facet norm off d = 2 raises."""
+    for norm in (L1, L2, LINF, POLY2):
+        for d in (1, 2, 3):
+            for n in range(1, 13):
+                args = (97 * n + d, n, d, norm, 4)
+                yield args, outcome(campaign._draw, *args), outcome(
+                    gen_random, *args)
+
+
+def test_integer_draws_are_the_fraction_sampler_in_units_of_the_grid():
+    for args, drawn, instance in _draws():
+        assert instance == outcome(reference_gen_random, *args), args
+        if isinstance(instance, Instance):
+            vectors, target = drawn
+            assert instance.vectors == tuple(
+                tuple(F(c, 4) for c in v) for v in vectors)
+            assert instance.target == tuple(F(c, 4) for c in target)
+        else:
+            assert drawn == instance
+
+
+def test_the_integer_probe_is_verify_instance_times_2_to_the_n():
+    # Chain.probe in the grid's units against verify_instance on the
+    # Instance, and its exact count against brute-force enumeration.
+    for (_, n, _, norm, g), drawn, instance in _draws():
+        if not isinstance(instance, Instance):
+            continue
+        vectors, target = drawn
+        exact, projected, allowed, k, perturbed = reduction.Chain(
+            norm, g, vectors).probe(target)
+        report = verify_instance(instance)
+        assert (F(exact, 2 ** n), F(projected, 2 ** n), F(allowed, 2 ** n),
+                k, perturbed is not None) == (
+            report.p_exact, report.p_projected, report.bound, report.k,
+            report.perturbed)
+        assert F(exact, 2 ** n) == enumerate_atom_nd(vectors, target)
+
+
+def test_random_tasks_match_the_per_instance_path():
+    # Whole tasks, draws, tallies and error records, against instances
+    # drawn in Fractions and verified one at a time.
+    tiny_ball = NormSpec.polyhedral([(100, 0), (0, 100)])
+    for cfg in (
+            CampaignConfig(mode="random", norms=(L1, L2, LINF, POLY2),
+                           n_min=1, n_max=12, d_min=1, d_max=3, seed=5),
+            CampaignConfig(mode="random", norms=(tiny_ball, L2), n_min=1,
+                           n_max=6, d_min=1, d_max=2, seed=6,
+                           grid_denominator=1)):
+        for start in (0, 64):
+            got = campaign._task_random(cfg, start, 64)
+            want = oracles.reference_random_task(cfg, start, 64)
+            assert (got.count, got.tight, got.max_ratio, got.errors) == (
+                want.count, want.tight, want.max_ratio, want.errors)
+            assert not got.violations and not want.violations
+
+
+def test_random_violations_come_from_the_per_instance_path(monkeypatch):
+    # Lower the bound that the probes and lo_bound both read, so that
+    # tight instances fail: only those build an Instance, whose record is
+    # the one verify_instance gives.
+    real = exactnum.lo_count
+
+    def lowered(n, k):
+        return real(n, k) - 1
+    for module in (exactnum, reduction, campaign):
+        monkeypatch.setattr(module, "lo_count", lowered)
+    cfg = CampaignConfig(mode="random", norms=(L1, L2, LINF), n_min=1,
+                         n_max=8, d_min=1, d_max=2, seed=5,
+                         grid_denominator=2)
+    got = campaign._task_random(cfg, 0, 64)
+    want = oracles.reference_random_task(cfg, 0, 64)
+    assert got.violations and got.violations == want.violations
+    assert (got.count, got.tight, got.max_ratio, got.errors) == (
+        want.count, want.tight, want.max_ratio, want.errors)
+    # uniform-kleitman: each record is the draw at its most probable sum.
+    uniform = campaign._task_uniform(
+        CampaignConfig(mode="uniform-kleitman", n_min=1, n_max=6, d_min=1,
+                       d_max=2, seed=5, grid_denominator=2), 0, 64)
+    assert uniform.violations and not uniform.errors
+    for _, instance, report in uniform.violations:
+        target, p = max_atom(instance.vectors)
+        assert instance.target == target and instance.norm == L2
+        assert report == VerificationReport(
+            p_exact=p, p_projected=p, bound=lo_bound(instance.n, 0), k=0,
+            delta=delta(instance.n, 0), chain_holds=False, tight=False,
+            perturbed=False)
 
 
 # Zero coordinates put targets on witness hyperplanes of other vectors,
@@ -625,11 +734,16 @@ def test_failed_certificate_is_recorded_per_instance(monkeypatch):
     assert len(extremal.errors) == extremal.instances == 6
 
 
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
     # The sweep's universe filter, made to keep vectors up to norm 3/2,
     # runs in the parent process; each orbit task re-checks its
     # representative in integers, so one beyond norm 1 faults the orbit
-    # pass in the task, which at two workers runs in a pool process.
+    # pass in the task, which at two workers runs in a forked worker.
     # The sweep reruns unreduced, where each instance checks its own
     # vectors, and records one error per target of each multiset that
     # holds one.
@@ -659,8 +773,11 @@ def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
         assert report.errors and all(
             message.endswith("lies outside the unit ball")
             for _, message in report.errors)
+        # Each pass forks two workers, which end with it.
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
         assert (format_campaign_report(run_campaign(cfg.replace(workers=2)))
                 == format_campaign_report(report))
+        _no_child_is_left()
 
 
 def test_extremal_campaign_max_ratio_counts_tight_instances():
@@ -671,27 +788,15 @@ def test_extremal_campaign_max_ratio_counts_tight_instances():
     assert "max_ratio = 1\n" in format_campaign_report(report)
 
 
-def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
-    sizes, chunks = [], []
+def test_campaign_shards_are_clamped_to_tasks_and_cores(monkeypatch):
+    sizes = []
 
-    class FakePool:
-        """Runs the tasks in this process and records the pool size and
-        the chunk size of its task stream."""
+    def in_process(build, workers):
+        """Runs the tasks in this process and records the shard count."""
+        sizes.append(workers)
+        return (campaign._run_task(task) for task in build())
 
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=1):
-            chunks.append(chunksize)
-            return map(fn, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(campaign, "_shards", in_process)
     cfg = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
                          budget=5 * 64, workers=50)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
@@ -703,17 +808,59 @@ def test_campaign_pool_is_clamped_to_tasks_and_cores(monkeypatch):
     assert sizes == [3, 2]                   # tasks
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert format_campaign_report(run_campaign(cfg)) == expected
-    assert sizes == [3, 2]                   # unknown core count: no pool
-    # Batched tasks go out one at a time, so that the processes share
-    # them evenly; orbit and extremal tasks go out eight at a time.
+    assert sizes == [3, 2]                   # unknown core count: no fork
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
+    monkeypatch.delattr(campaign.os, "fork")
+    assert format_campaign_report(run_campaign(cfg)) == expected
+    assert sizes == [3, 2]                   # no os.fork: one process
+
+
+# Five tasks of 64 instances: at two workers, tasks 0, 2 and 4 run in
+# worker 0, tasks 1 and 3 in worker 1.
+FORKED = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
+                        budget=5 * 64, workers=2)
+
+
+def _patched_task(monkeypatch, actions):
+    """Two workers whatever the core count, and actions[start]() run
+    first in the random task from start on."""
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
-    run_campaign(CampaignConfig(mode="uniform-kleitman", n_max=3, seed=4,
-                                budget=2 * 64, workers=2))
-    run_campaign(CampaignConfig(mode="exhaustive-grid", norms=(L1,),
-                                n_max=2, grid=GRID, workers=2))
-    run_campaign(CampaignConfig(mode="extremal", norms=(L1,), n_max=2,
-                                workers=2))
-    assert chunks == [1, 1, 1, 8, 8]
+    task = campaign._task_random
+
+    def patched(cfg, start, count):
+        actions.get(start, lambda: None)()
+        return task(cfg, start, count)
+    monkeypatch.setattr(campaign, "_task_random", patched)
+
+
+def test_an_exception_in_a_worker_task_reaches_the_caller(monkeypatch):
+    def refuse():
+        raise ValueError("task 3 refused")
+    _patched_task(monkeypatch, {3 * 64: refuse})
+    with pytest.raises(ValueError, match="task 3 refused"):
+        run_campaign(FORKED)
+    _no_child_is_left()
+
+
+def test_a_killed_worker_is_a_capacity_error(monkeypatch, tmp_path, capsys):
+    # Worker 1 kills itself at task 1, while worker 0 sleeps in task 2:
+    # the parent reports the dead worker at once, without waiting for
+    # the live one, and ends it.
+    def die():
+        os.kill(os.getpid(), signal.SIGKILL)
+    _patched_task(monkeypatch, {64: die, 2 * 64: lambda: time.sleep(60)})
+    started = time.perf_counter()
+    with pytest.raises(CapacityError, match=(
+            r"campaign worker 1 ended before its tasks did "
+            r"\(killed by signal 9\)")):
+        run_campaign(FORKED)
+    assert time.perf_counter() - started < 30
+    _no_child_is_left()
+    config = tmp_path / "forked.campaign"
+    config.write_text(format_campaign_config(FORKED))
+    assert cli_main(["campaign", str(config)]) == 3
+    assert "campaign worker 1 ended" in capsys.readouterr().err
+    _no_child_is_left()
 
 
 def test_campaign_tasks_are_generated_as_they_run():
@@ -733,13 +880,16 @@ def test_campaign_tasks_are_generated_as_they_run():
     assert peak < 2 ** 20
 
 
-def test_campaign_reports_are_deterministic_across_workers():
+def test_campaign_reports_are_deterministic_across_workers(monkeypatch):
+    # Two tasks: at workers 3, two forked workers, which end with the run.
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 4)
     cfg = CampaignConfig(mode="random", norms=(L1, L2, LINF),
                          n_min=1, n_max=7, d_min=1, d_max=2,
                          seed=99, budget=90)
     texts = {format_campaign_report(run_campaign(cfg.replace(workers=w)))
              for w in (1, 1, 3)}
     assert len(texts) == 1
+    _no_child_is_left()
 
 
 def test_random_campaign_draws_only_dimension_compatible_norms():

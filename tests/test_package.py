@@ -44,19 +44,37 @@ def test_single_instance_commands_load_no_campaign_modules(tmp_path):
 
 
 def test_a_sweep_loads_neither_dataclasses_nor_hashlib(tmp_path):
-    # Only the seeded modes hash, and only a pool loads multiprocessing.
+    # Only the seeded modes hash, and no campaign loads multiprocessing:
+    # at two workers, the random one forks them itself.
     main = "from littlewood_offord.cli import main\n"
-    for name, text, loaded in (
+    for name, text, workers, loaded in (
             ("grid", "mode = exhaustive-grid\nnorms = l1, l2\nn = 1..3\n"
-                     "d = 2..2\ngrid = -1, -1/2, 1/2, 1\n", set()),
+                     "d = 2..2\ngrid = -1, -1/2, 1/2, 1\n", 1, set()),
             ("random", "mode = random\nnorms = l1\nn = 1..3\nd = 1..2\n"
-                       "seed = 3\nbudget = 5\n", {"hashlib"})):
+                       "seed = 3\nbudget = 5\n", 1, {"hashlib"}),
+            ("forked", "mode = random\nnorms = l1\nn = 1..3\nd = 1..2\n"
+                       "seed = 3\nbudget = 130\n", 2, {"hashlib"})):
         config = tmp_path / f"{name}.campaign"
         config.write_text(text)
         code = main + (f"assert main(['campaign', {str(config)!r}, "
-                       f"'--workers', '1']) == 0")
+                       f"'--workers', '{workers}']) == 0")
         assert loaded_after(code, tmp_path) == {
             "littlewood_offord.campaign"} | loaded, name
+
+
+def test_a_forked_campaign_leaves_no_process_in_its_session(tmp_path):
+    config = tmp_path / "forked.campaign"
+    config.write_text("mode = random\nnorms = l1, l2\nn = 1..8\nd = 1..2\n"
+                      "seed = 3\nbudget = 256\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "littlewood_offord.cli", "campaign",
+         str(config), "--workers", "2", "--out", str(tmp_path / "report")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(SRC)},
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    assert proc.wait(timeout=120) == 0
+    # The session and its process group carry the campaign's pid.
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 def test_public_names_resolve_lazily_to_their_definitions():

@@ -115,7 +115,7 @@ def test_instance_stores_its_integer_form():
     assert same == inst and hash(same) == hash(inst)
     assert "scaled" not in repr(inst) and "den" not in repr(inst)
     assert inst != make_instance(inst.vectors, (0, 0), L1)
-    # Violations cross the campaign's process pool pickled.
+    # Violations cross from the campaign's forked workers pickled.
     back = pickle.loads(pickle.dumps(inst))
     assert back == inst and hash(back) == hash(inst)
     assert (back.den, back.scaled) == (inst.den, inst.scaled)
