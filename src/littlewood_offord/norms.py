@@ -33,9 +33,18 @@ _CLOSED_DUAL_KINDS = (L1, L2, LINF)
 _DUAL_KIND = {L1: LINF, L2: L2, LINF: L1}
 
 
+def _exact(c) -> Fraction:
+    # Fraction(0.1) is the float's binary fraction, not 1/10.
+    if isinstance(c, float):
+        raise InputError("vector coordinates must be exact rationals "
+                         f"(int or Fraction), not the float {c!r}")
+    return Fraction(c)
+
+
 def vector(coords: Iterable) -> RVector:
-    """Build an RVector (tuple of Fractions) from an iterable of rationals."""
-    v = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+    """Build an RVector (tuple of Fractions) from an iterable of exact
+    rationals: ints, Fractions or their strings, never a float."""
+    v = tuple(c if type(c) is Fraction else _exact(c) for c in coords)
     if not v:
         raise InputError("empty vector")
     return v

@@ -18,10 +18,9 @@ extra denominator q, and a witness as an
 integer vector w with an integer scale s, y = den * w / s (for l2 the
 chain holds s^2, an exact square).  The atom event is invariant under
 scaling both sides by a positive factor, so k, every sign and every
-certificate is an integer comparison, and one Projection per (w, s),
-divided by their common gcd, serves every target along +-w: the sign
-sum is symmetric, so count_{-w}(t) = count_w(t), and the projected
-target t is taken along the signed w.  When some <v_i, w> is zero, a
+certificate is an integer comparison, and a Chain builds one
+Projection per (w, s) it is asked for, which serves every target that
+asks for the same witness.  When some <v_i, w> is zero, a
 deterministic schedule on the same integers, whose last pass cannot
 fail, nudges w off the offending hyperplanes.  Chain.probe is a chain
 at one target whose two atoms are concentration.probe_count calls, on
@@ -240,60 +239,41 @@ class Chain:
     that check_vectors accepts (an Instance's den and scaled, or a sweep
     representative in its grid's units): a target is an integer vector u
     over q >= 1 in the same units (q = 1 for the sums of scaled_sums).
-    Projections are cached by direction and scale, for many targets."""
+    A projection is cached under the (w, s) it was asked for, for many
+    targets."""
 
     def __init__(self, norm: NormSpec, den: int,
                  scaled: tuple[tuple[int, ...], ...]):
         self.norm, self.den, self.scaled = norm, den, scaled
         self.squared = norm.kind == L2
         self._projections: dict = {}
-        self._witnesses: dict = {}
 
-    def _projection(self, w: tuple[int, ...], s: int
-                    ) -> tuple[Projection, int]:
-        """The cached projection along +-w at scale s, both divided by
-        their common gcd (for l2, by the gcd of w if its square divides
-        s), and the sign that takes its direction to w.  Since
-        count_{-w}(t) = count_w(-t) = count_w(t) and the certificate reads
-        only |coefficients|, w and -w share the projection whose direction
-        has a positive first nonzero coordinate.  The pair is also cached
-        by (w, s) itself, so that a hit costs no gcd."""
-        hit = self._witnesses.get((w, s))
-        if hit is not None:
-            return hit
-        g = math.gcd(*w)
-        if not self.squared:
-            g = math.gcd(g, s)
-        elif s % (g * g):
-            g = 1
-        sign = 1 if next(filter(None, w)) > 0 else -1
-        key = (tuple(sign * c // g for c in w),
-               s // _times(1, g, self.squared))
-        proj = self._projections.get(key)
+    def _projection(self, w: tuple[int, ...], s: int) -> Projection:
+        """The projection along w at scale s, built on first use."""
+        proj = self._projections.get((w, s))
         if proj is None:
-            proj = self._projections[key] = Projection(
-                self.scaled, *key, self.squared)
-        self._witnesses[w, s] = proj, sign
-        return proj, sign
+            proj = self._projections[w, s] = Projection(
+                self.scaled, w, s, self.squared)
+        return proj
 
     def locate(self, u: tuple[int, ...], q: int = 1):
         """(projection, t, k, perturbed) for the target u / q: the
-        projected target is t / q along the signed direction, and
+        projected target is t / q along the projection's w, and
         perturbed is None or (c, m), the perturbed witness direction c / m
         in the vectors' own units."""
         # w = lam * D for the direction D of dual_witness; its scale is
         # den lam (dual unit vectors), or the square den^2 <w, w> for l2.
         w, lam = integer_witness(self.norm, witness_target(u))
         s = self.den ** 2 * dot(w, w) if self.squared else self.den * lam
-        proj, sign = self._projection(w, s)
+        proj = self._projection(w, s)
         k = ceil_norm_over(self.norm, u, q * self.den)
         perturbed = None
         if proj.failure == ZERO_COEFFICIENT:
             if self.squared and not is_zero(u):
                 lam = q * self.den  # D = x = u / (q den)
             c, s, m = self.perturb(w, s, lam, u, q, k)
-            (proj, sign), perturbed = self._projection(c, s), (c, m)
-        t = sign * dot(u, proj.w)
+            proj, perturbed = self._projection(c, s), (c, m)
+        t = dot(u, proj.w)
         failure = proj.failure or certificate_failure(
             proj.s, self.squared, (), t, q, k)
         if failure is not None:
@@ -393,12 +373,12 @@ def project(instance: Instance) -> ProjectedInstance:
     if perturbed is not None:
         c, m = perturbed
         w = Witness(tuple(Fraction(a, m) for a in c), w.scale)
-    # The projection's direction is a multiple of w.direction, negative
-    # when it is keyed by -w; t is along w itself.
+    # proj.w is a positive multiple of w.direction, so the chain's
+    # coefficients and t / q are unit > 0 times their rational values.
     j = next(j for j, a in enumerate(w.direction) if a)
     unit = chain.den * proj.w[j] / w.direction[j]
     return ProjectedInstance(tuple(c / unit for c in proj.coefficients),
-                             t / (q * abs(unit)), w.scale, k,
+                             t / (q * unit), w.scale, k,
                              perturbed is not None)
 
 

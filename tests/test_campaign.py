@@ -477,20 +477,25 @@ def test_sweep_work_is_pinned(monkeypatch):
     # The chains a sweep builds, the targets they count and the
     # perturbation searches they run: a change that adds reruns or
     # chains, or shares fewer targets, fails here even where the timings
-    # hide it.
-    calls = {"__init__": 0, "counts": 0, "perturb": 0}
-    for name in calls:
-        method = getattr(reduction.Chain, name)
+    # hide it.  Projections count the builds a chain's cache misses.
+    methods = ((reduction.Chain, "__init__"), (reduction.Chain, "counts"),
+               (reduction.Chain, "perturb"),
+               (reduction.Projection, "__init__"))
+    calls = {}
+    for owner, name in methods:
+        key, method = f"{owner.__name__}.{name}", getattr(owner, name)
+        calls[key] = 0
 
-        def counted(*args, _name=name, _method=method):
-            calls[_name] += 1
+        def counted(*args, _key=key, _method=method):
+            calls[_key] += 1
             return _method(*args)
-        monkeypatch.setattr(reduction.Chain, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     report = run_campaign(_sweep((L1, L2, LINF, POLY2), 2, GRID0, 3))
     assert report.verified and not report.errors
     # A representative counts only the upper half of its targets, 0 and
     # the positive sums, each for itself and its negation.
-    assert calls == {"__init__": 337, "counts": 1013, "perturb": 378}
+    assert calls == {"Chain.__init__": 337, "Chain.counts": 1013,
+                     "Chain.perturb": 378, "Projection.__init__": 980}
 
 
 def test_orbit_sweep_is_the_same_for_any_worker_count():

@@ -9,10 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from littlewood_offord import (InputError, NormSpec, NormValue,
-                               UnsupportedNormOperation, Witness, ceil_norm,
-                               dot, double_dual_check, dual_eval, dual_spec,
-                               dual_witness, format_norm, holder_check,
-                               norm_eval, parse_norm)
+                               UnsupportedNormOperation, Witness, atom_1d,
+                               atom_nd, ceil_norm, dot, double_dual_check,
+                               dual_eval, dual_spec, dual_witness,
+                               format_norm, holder_check, make_instance,
+                               max_atom, norm_eval, parse_norm,
+                               reachable_sums_nd, rho_max_1d, sum_table_1d,
+                               sum_table_nd, vector)
 from littlewood_offord.norms import (ceil_norm_over, integer_witness,
                                      witness_target)
 
@@ -20,6 +23,36 @@ L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 POLY_CROSS = NormSpec.polyhedral([(1, 0), (1, 1)])
 
 coords = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+# Every public entry point that builds rational vectors, each fed one
+# float coordinate; 0.5 is refused although its binary fraction is 1/2.
+FLOAT_ENTRY_POINTS = {
+    "make_instance vectors": lambda x: make_instance([(x, 0)], (0, 0), L1),
+    "make_instance target": lambda x: make_instance([(1, 0)], (x, 0), L1),
+    "atom_nd vectors": lambda x: atom_nd([(x,)], (0,)),
+    "atom_nd target": lambda x: atom_nd([(1,)], (x,)),
+    "atom_1d coefficients": lambda x: atom_1d([x], 0),
+    "atom_1d target": lambda x: atom_1d([1], x),
+    "sum_table_1d": lambda x: sum_table_1d([x]),
+    "sum_table_nd": lambda x: sum_table_nd([(x, 0)]),
+    "max_atom": lambda x: max_atom([(x,)]),
+    "rho_max_1d": lambda x: rho_max_1d([x]),
+    "reachable_sums_nd": lambda x: reachable_sums_nd([(x,)]),
+    "NormSpec.polyhedral": lambda x: NormSpec.polyhedral([(x,)]),
+}
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5])
+@pytest.mark.parametrize("entry", list(FLOAT_ENTRY_POINTS))
+def test_float_coordinates_are_refused(entry, x):
+    with pytest.raises(InputError, match="exact rationals"):
+        FLOAT_ENTRY_POINTS[entry](x)
+
+
+def test_vector_takes_ints_fractions_and_their_strings():
+    assert vector((1, F(1, 2), "-3/4", "2")) == (1, F(1, 2), F(-3, 4), 2)
+    assert all(type(c) is F for c in vector((1, "2")))
 
 
 @st.composite

@@ -20,7 +20,6 @@ from littlewood_offord import (InputError, Instance, NormSpec,
                                verify_instance)
 from littlewood_offord.concentration import scaled_vectors
 from littlewood_offord.norms import witness_target
-from littlewood_offord.reduction import Chain
 from oracles import (enumerate_atom_1d, enumerate_atom_nd, outcome,
                      pascal_binomial, reference_perturb_witness,
                      reference_verify)
@@ -317,22 +316,16 @@ POLY_BY_D = {1: NormSpec.polyhedral([(F(3, 4),)]), 2: POLY3,
 
 # The linf witness of x = (-1, 0) is -e_1, orthogonal to (0, 1/2); the
 # schedule's first acceptable candidate is w' = (-7/8, 1/8), whose first
-# nonzero coordinate is negative, so its projection is keyed by -w'.
+# nonzero coordinate is negative.
 FLIPPED_KEY_LINF = (
     "dimension = 2\nnorm = linf\n"
     "vectors = 0,1/2; 1/2,1/2; 1/2,0\n"
     "target = -1,0\n")
 
 
-def test_projection_is_shared_by_w_and_minus_w():
-    inst = parse_instance(FLIPPED_KEY_LINF)
-    chain = Chain(inst.norm, inst.den, inst.scaled)
-    for w, s in (((-7, 1), 8), ((2, -4), 6), ((0, 3), 3)):
-        proj, sign = chain._projection(w, s)
-        assert chain._projection(tuple(-c for c in w), s) == (proj, -sign)
-        assert proj.w[next(j for j, c in enumerate(proj.w) if c)] > 0
-        assert tuple(sign * c for c in proj.coefficients) == tuple(
-            dot(v, w) // (math.gcd(*w, s)) for v in chain.scaled)
+def test_project_reads_a_witness_with_a_negative_lead():
+    # project() divides the chain's integers by a positive unit, so the
+    # coefficients and the target are <v_i, w'> and <x, w'> themselves.
     proj = project(parse_instance(FLIPPED_KEY_LINF))
     assert proj.perturbed and proj.k == 1
     assert proj.coefficients == (F(1, 16), F(-3, 8), F(-7, 16))
