@@ -18,10 +18,12 @@ one, and aggregates a deterministic report:
 
 Reports depend only on the configuration: work is split into tasks
 whose partial results merge in task order, so the worker count changes
-scheduling but never the report bytes.  At W workers, W forked
-processes each generate the whole task stream and run every W-th task,
-and the parent reads their results back in task order.  Wall time is
-kept in memory only and never serialized, for the same reason.
+scheduling but never the report bytes.  W workers are the parent and
+W - 1 forked processes, and W = 1 forks nothing: each generates the
+whole task stream and runs every W-th task, the parent tasks 0, W, 2W,
+..., and the parent merges its own results and the ones it reads back
+in task order.  Wall time is kept in memory only and never serialized,
+for the same reason.
 Per-instance failures (capacity, infeasible sampling, a failed
 certificate) are recorded in the report rather than aborting the
 stream.
@@ -65,8 +67,8 @@ import os
 import random
 import time
 from fractions import Fraction
-from itertools import (chain, combinations_with_replacement, cycle, groupby,
-                       islice, permutations, product)
+from itertools import (chain, combinations_with_replacement, groupby, islice,
+                       permutations, product)
 from typing import Iterator, NamedTuple
 
 from .concentration import (EXHAUSTIVE_LIMIT, PROBE_LIMIT, max_atom,
@@ -427,45 +429,27 @@ def _grid_universes(config: CampaignConfig) -> Iterator[
                     if any(u) and ceil_norm_over(norm, u, den) <= 1]
 
 
-class _TaskResult:
-    """One task's partial report: violations as (local, Instance,
-    report) and errors as (local, message), local the instance's index
-    within the task."""
-
-    __slots__ = ("count", "tight", "max_ratio", "violations", "errors")
-
-    def __init__(self, count: int = 0, tight: int = 0,
-                 max_ratio: Fraction = Fraction(0),
-                 violations: list | None = None, errors: list | None = None):
-        self.count = count
-        self.tight = tight
-        self.max_ratio = max_ratio
-        self.violations = [] if violations is None else violations
-        self.errors = [] if errors is None else errors
-
-
-def _tally(res: _TaskResult, local: int, instance: Instance,
+def _tally(res: CampaignReport, local: int, instance: Instance,
            report: VerificationReport) -> None:
+    """Record a failed chain at local, then tally the instance in pattern
+    counts over 2^n (_tally_counts)."""
     if not report.chain_holds:
-        res.violations.append((local, instance, report))
-    if report.tight:
-        res.tight += 1
-    if report.bound > 0:
-        ratio = report.p_exact / report.bound
-        if ratio > res.max_ratio:
-            res.max_ratio = ratio
+        res.violations.append(Violation(local, instance, report))
+    scale = 2 ** instance.n
+    count, allowed = int(report.p_exact * scale), int(report.bound * scale)
+    _tally_counts(res, count, allowed, 1)
 
 
-def _tally_counts(res: _TaskResult, count: int, allowed: int,
+def _tally_counts(res: CampaignReport, count: int, allowed: int,
                   weight: int) -> None:
-    """Tally the tight count and max_ratio of a target whose chain held,
-    in pattern counts over 2^n, for weight instances (which the caller
-    counts)."""
+    """Tally the tight count and max_ratio of a target, in pattern counts
+    over 2^n, for weight instances (which the caller counts).  A zero
+    allowed count (k > n) has no ratio."""
     if count == allowed:
         res.tight += weight
     best = res.max_ratio
-    # count / allowed > best, cross-multiplied (allowed >= count >= 0)
-    if count * best.denominator > best.numerator * allowed:
+    # count / allowed > best, cross-multiplied (allowed > 0)
+    if allowed > 0 and count * best.denominator > best.numerator * allowed:
         res.max_ratio = Fraction(count, allowed)
 
 
@@ -473,7 +457,7 @@ _RECORDED_FAILURES = (InputError, CapacityError, CertificateError)
 
 
 def _task_orbit(norm: NormSpec, den: int, rep: tuple[tuple[int, ...], ...],
-                weight: int) -> _TaskResult | None:
+                weight: int) -> CampaignReport | None:
     """Verify every reachable target of every multiset in the orbit of
     rep, integer vectors over den, under G x signs (see the module
     docstring), weight multisets.  rep's chain runs in pattern counts
@@ -486,7 +470,7 @@ def _task_orbit(norm: NormSpec, den: int, rep: tuple[tuple[int, ...], ...],
     try:
         check_vectors(norm, den, rep, len(rep[0]))
         chain = Chain(norm, den, rep)
-        res = _TaskResult()
+        res = CampaignReport("exhaustive-grid")
         sums = scaled_sums(rep)
         # The table is symmetric, so its upper half from the middle on is
         # 0, where reachable, and the lexicographically positive sums.
@@ -495,7 +479,7 @@ def _task_orbit(norm: NormSpec, den: int, rep: tuple[tuple[int, ...], ...],
             if not count <= projected <= allowed:
                 return None
             members = 2 * weight if any(u) else weight
-            res.count += members
+            res.instances += members
             _tally_counts(res, count, allowed, members)
     except _RECORDED_FAILURES:
         return None
@@ -503,12 +487,12 @@ def _task_orbit(norm: NormSpec, den: int, rep: tuple[tuple[int, ...], ...],
 
 
 def _task_multiset(norm: NormSpec, vectors: tuple[RVector, ...]
-                   ) -> _TaskResult:
+                   ) -> CampaignReport:
     """verify_instance, a batch of one, on every reachable target of one
     multiset of a sweep."""
-    res = _TaskResult()
+    res = CampaignReport("exhaustive-grid")
     for local, target in enumerate(reachable_sums_nd(vectors)):
-        res.count += 1
+        res.instances += 1
         try:
             instance = Instance(vectors, target, norm)
             _tally(res, local, instance, verify_instance(instance))
@@ -517,12 +501,13 @@ def _task_multiset(norm: NormSpec, vectors: tuple[RVector, ...]
     return res
 
 
-def _task_random(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
+def _task_random(cfg: CampaignConfig, start: int,
+                 count: int) -> CampaignReport:
     """count random instances from start on, each verified by
     Chain.probe in its grid's integer units; only a violation builds the
     Instance and the verify_instance report of its record."""
     g = cfg.grid_denominator
-    res = _TaskResult()
+    res = CampaignReport(cfg.mode)
     for local in range(count):
         rng = random.Random(_derive_seed(cfg.seed, start + local))
         n = rng.randint(cfg.n_min, cfg.n_max)
@@ -531,7 +516,7 @@ def _task_random(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
         fits = [nm for nm in cfg.norms if nm.dimension in (None, d)]
         norm = fits[rng.randrange(len(fits))] if fits else None
         sub_seed = rng.getrandbits(64)
-        res.count += 1
+        res.instances += 1
         try:
             if norm is None:
                 raise InputError(f"no configured norm fits dimension {d}")
@@ -549,12 +534,12 @@ def _task_random(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
     return res
 
 
-def _task_extremal(norm: NormSpec, n: int) -> _TaskResult:
-    res = _TaskResult()
+def _task_extremal(norm: NormSpec, n: int) -> CampaignReport:
+    res = CampaignReport("extremal")
     for k in range(1, n + 1):
         for value in (Fraction(k), Fraction(k) - Fraction(1, 2)):
-            local = res.count
-            res.count += 1
+            local = res.instances
+            res.instances += 1
             try:
                 instance = gen_extremal(n, norm, value)
                 _tally(res, local, instance, verify_instance(instance))
@@ -563,39 +548,39 @@ def _task_extremal(norm: NormSpec, n: int) -> _TaskResult:
     return res
 
 
-def _task_uniform(cfg: CampaignConfig, start: int, count: int) -> _TaskResult:
+def _task_uniform(cfg: CampaignConfig, start: int,
+                  count: int) -> CampaignReport:
     """count seeded l2 draws from start on, each checked at its most
     probable sum against the k = 0 bound, in pattern counts over 2^n;
     only a violation builds the Instance of its record."""
     l2 = NormSpec.l2()
     g = cfg.grid_denominator
-    res = _TaskResult()
+    res = CampaignReport(cfg.mode)
     for local in range(count):
         rng = random.Random(_derive_seed(cfg.seed, start + local))
         n = rng.randint(cfg.n_min, cfg.n_max)
         d = rng.randint(cfg.d_min, cfg.d_max)
         sub_seed = rng.getrandbits(64)
-        res.count += 1
+        res.instances += 1
         try:
             vectors, _ = _draw(sub_seed, n, d, l2, g)
             # On the integer draws, the most probable sum is u / g.
             u, p = max_atom(vectors)
             exact = p.numerator * 2 ** n // p.denominator
             allowed = lo_count(n, 0)
-            if exact <= allowed:
-                _tally_counts(res, exact, allowed, 1)
-            else:
-                report = VerificationReport(
-                    p_exact=p, p_projected=p, bound=lo_bound(n, 0), k=0,
-                    delta=delta(n, 0), chain_holds=False, tight=False,
-                    perturbed=False)
-                _tally(res, local, _instance(vectors, u, g, l2), report)
+            if exact > allowed:
+                res.violations.append(Violation(
+                    local, _instance(vectors, u, g, l2), VerificationReport(
+                        p_exact=p, p_projected=p, bound=lo_bound(n, 0), k=0,
+                        delta=delta(n, 0), chain_holds=False, tight=False,
+                        perturbed=False)))
+            _tally_counts(res, exact, allowed, 1)
         except _RECORDED_FAILURES as exc:
             res.errors.append((local, str(exc)))
     return res
 
 
-def _run_task(task: tuple) -> _TaskResult | None:
+def _run_task(task: tuple) -> CampaignReport | None:
     return task[0](*task[1:])
 
 
@@ -634,19 +619,15 @@ def _multiset_tasks(config: CampaignConfig) -> Iterator[tuple]:
                 yield _task_multiset, norm, combo
 
 
-# A shard's last message: every task of its residue class has run.
-_END = "end of shard"
-
-
 def _shard(build, workers: int, j: int, fd: int,
            inherited: list[int]) -> None:
     """A forked worker's whole life: close the inherited read ends of the
     pipes, its own among them, so that a write fails once the parent is
     gone; run the tasks i = j (mod workers) of build(), and write each
-    result, or the exception a task raised, pickled to the pipe fd, then
-    _END.  It stops after a faulted task or an exception, since the
-    parent stops reading there, and it always leaves by os._exit: it
-    must not run on in the parent's stack."""
+    result, or the exception a task raised, pickled to the pipe fd.  It
+    stops after a faulted task or an exception, since the parent stops
+    reading there, and it always leaves by os._exit: it must not run on
+    in the parent's stack."""
     status = 1
     try:
         import pickle
@@ -663,26 +644,27 @@ def _shard(build, workers: int, j: int, fd: int,
                 out.flush()
                 if part is None:
                     break
-            else:
-                out.write(pickle.dumps(_END))
         status = 0
     finally:
         os._exit(status)
 
 
-def _shards(build, workers: int) -> Iterator[_TaskResult | None]:
-    """The results of build()'s tasks in task order, from workers forked
-    processes: task i runs in shard i mod workers (_shard), on that
-    shard's own build().  An exception a task raised is raised here.  A
-    pipe that ends before its _END means a killed worker, a
-    CapacityError.  However the generator ends, its children are
-    killed, if still running, and reaped."""
-    import pickle
-    import signal
+def _shards(build, tasks: Iterator[tuple],
+            workers: int) -> Iterator[CampaignReport | None]:
+    """The results of tasks, build()'s stream, in task order, from this
+    process and workers - 1 forked ones: task i runs here when i = 0
+    (mod workers), else in shard i mod workers (_shard), on that shard's
+    own build(), and workers = 1 forks nothing.  An exception a task
+    raised is raised here.  A pipe that ends before a result it owes
+    means a killed worker, a CapacityError.  However the generator ends,
+    its children are killed, if still running, and reaped."""
+    if workers > 1:
+        import pickle
+        import signal
     pids: list[int] = []
     pipes: list = []
     try:
-        for j in range(workers):
+        for j in range(1, workers):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -691,19 +673,21 @@ def _shards(build, workers: int) -> Iterator[_TaskResult | None]:
             pids.append(pid)
             os.close(write)
             pipes.append(os.fdopen(read, "rb"))
-        for j in cycle(range(workers)):
+        for i, task in enumerate(tasks):
+            j = i % workers
+            if j == 0:
+                yield _run_task(task)
+                continue
             try:
-                part = pickle.load(pipes[j])
+                part = pickle.load(pipes[j - 1])
             except (EOFError, pickle.UnpicklingError):
-                _, status = os.waitpid(pids[j], 0)
-                pids[j] = 0
+                _, status = os.waitpid(pids[j - 1], 0)
+                pids[j - 1] = 0
                 code = os.waitstatus_to_exitcode(status)
                 raise CapacityError(
                     f"campaign worker {j} ended before its tasks did "
                     + (f"(killed by signal {-code})" if code < 0
                        else f"(exit status {code})")) from None
-            if part == _END:
-                return
             if isinstance(part, BaseException):
                 raise part
             yield part
@@ -719,33 +703,29 @@ def _shards(build, workers: int) -> Iterator[_TaskResult | None]:
 
 
 def _merge(config: CampaignConfig, build) -> CampaignReport | None:
-    """The report of the tasks of build(), merged in task order with
-    cumulative instance indexing; None at the first task that faulted,
-    once every worker has ended.  The tasks run in this process, or in
-    as many forked workers (_shards) as workers asks, but never more
-    than there are tasks or cores, and none where os.fork is missing."""
+    """The report of the tasks of build(), each part merged in task order
+    with its indices shifted by the instances before it; None at the
+    first task that faulted, once every worker has ended.  The tasks run
+    on W workers (_shards), as many as workers asks, but never more than
+    there are tasks or cores, and W = 1 where os.fork is missing."""
     tasks = build()
     # The first tasks, at most one per process, size the shards.
     head = list(islice(tasks, min(config.workers, os.cpu_count() or 1)))
-    if len(head) > 1 and hasattr(os, "fork"):
-        parts = _shards(build, len(head))
-    else:
-        parts = (_run_task(task) for task in chain(head, tasks))
+    workers = max(len(head), 1) if hasattr(os, "fork") else 1
+    parts = _shards(build, chain(head, tasks), workers)
     report = CampaignReport(mode=config.mode)
     try:
         for part in parts:
             if part is None:
                 return None
             offset = report.instances
-            report.instances += part.count
+            report.instances += part.instances
             report.tight += part.tight
-            if part.max_ratio > report.max_ratio:
-                report.max_ratio = part.max_ratio
-            for local, instance, vrep in part.violations:
-                report.violations.append(
-                    Violation(offset + local, instance, vrep))
-            for local, message in part.errors:
-                report.errors.append((offset + local, message))
+            report.max_ratio = max(report.max_ratio, part.max_ratio)
+            report.violations += [v._replace(index=offset + v.index)
+                                  for v in part.violations]
+            report.errors += [(offset + local, message)
+                              for local, message in part.errors]
     finally:
         parts.close()
     return report

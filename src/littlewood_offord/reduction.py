@@ -104,6 +104,9 @@ class Instance(Frozen):
         scaled = tuple(tuple(c.numerator * (den // c.denominator) for c in v)
                        for v in vectors)
         check_vectors(norm, den, scaled, d)
+        if not all(hasattr(c, "denominator") for c in target):
+            raise InputError("target coordinates must be exact rationals "
+                             "(int or Fraction)")
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "norm", norm)

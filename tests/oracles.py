@@ -24,12 +24,12 @@ from itertools import (chain, combinations_with_replacement, count, groupby,
                        product)
 
 from littlewood_offord import (CampaignReport, InputError, Instance,
-                               VerificationReport, Violation, Witness,
-                               ceil_norm, delta, format_norm, in_unit_ball,
-                               is_zero, lo_bound, reachable_sums_nd,
-                               sum_table_1d, sum_table_nd, verify_instance)
+                               VerificationReport, Witness, ceil_norm, delta,
+                               format_norm, in_unit_ball, is_zero, lo_bound,
+                               reachable_sums_nd, sum_table_1d, sum_table_nd,
+                               verify_instance)
 from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
-                                        _TaskResult, _derive_seed, _tally)
+                                        _derive_seed, _tally)
 from littlewood_offord.concentration import target_units
 from littlewood_offord.norms import act
 from littlewood_offord.reduction import Chain
@@ -176,10 +176,10 @@ def outcome(fn, *args):
 def per_instance_task(norm, vectors):
     """verify_instance, a batch of one, over every reachable target of
     one multiset."""
-    res = _TaskResult()
+    res = CampaignReport("exhaustive-grid")
     for target in reachable_sums_nd(vectors):
-        local = res.count
-        res.count += 1
+        local = res.instances
+        res.instances += 1
         try:
             instance = Instance(vectors, target, norm)
             _tally(res, local, instance, verify_instance(instance))
@@ -204,12 +204,12 @@ def reference_sweep(config) -> CampaignReport:
                 for combo in combinations_with_replacement(universe, n):
                     part = per_instance_task(norm, combo)
                     offset = report.instances
-                    report.instances += part.count
+                    report.instances += part.instances
                     report.tight += part.tight
                     report.max_ratio = max(report.max_ratio, part.max_ratio)
                     report.violations += [
-                        Violation(offset + local, instance, vrep)
-                        for local, instance, vrep in part.violations]
+                        violation._replace(index=offset + violation.index)
+                        for violation in part.violations]
                     report.errors += [(offset + local, message)
                                       for local, message in part.errors]
     return report
@@ -296,7 +296,7 @@ def reference_random_task(cfg, start, count):
     """A random campaign task on the slow path: each instance drawn in
     Fractions (reference_gen_random) and verified alone
     (verify_instance)."""
-    res = _TaskResult()
+    res = CampaignReport(cfg.mode)
     for local in range(count):
         rng = random.Random(_derive_seed(cfg.seed, start + local))
         n = rng.randint(cfg.n_min, cfg.n_max)
@@ -304,7 +304,7 @@ def reference_random_task(cfg, start, count):
         fits = [nm for nm in cfg.norms if nm.dimension in (None, d)]
         norm = fits[rng.randrange(len(fits))] if fits else None
         sub_seed = rng.getrandbits(64)
-        res.count += 1
+        res.instances += 1
         try:
             if norm is None:
                 raise InputError(f"no configured norm fits dimension {d}")

@@ -190,8 +190,9 @@ def test_random_tasks_match_the_per_instance_path():
         for start in (0, 64):
             got = campaign._task_random(cfg, start, 64)
             want = oracles.reference_random_task(cfg, start, 64)
-            assert (got.count, got.tight, got.max_ratio, got.errors) == (
-                want.count, want.tight, want.max_ratio, want.errors)
+            assert (got.instances, got.tight, got.max_ratio,
+                    got.errors) == (want.instances, want.tight,
+                                    want.max_ratio, want.errors)
             assert not got.violations and not want.violations
 
 
@@ -211,8 +212,8 @@ def test_random_violations_come_from_the_per_instance_path(monkeypatch):
     got = campaign._task_random(cfg, 0, 64)
     want = oracles.reference_random_task(cfg, 0, 64)
     assert got.violations and got.violations == want.violations
-    assert (got.count, got.tight, got.max_ratio, got.errors) == (
-        want.count, want.tight, want.max_ratio, want.errors)
+    assert (got.instances, got.tight, got.max_ratio, got.errors) == (
+        want.instances, want.tight, want.max_ratio, want.errors)
     # uniform-kleitman: each record is the draw at its most probable sum.
     uniform = campaign._task_uniform(
         CampaignConfig(mode="uniform-kleitman", n_min=1, n_max=6, d_min=1,
@@ -748,7 +749,8 @@ def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
     # The sweep's universe filter, made to keep vectors up to norm 3/2,
     # runs in the parent process; each orbit task re-checks its
     # representative in integers, so one beyond norm 1 faults the orbit
-    # pass in the task, which at two workers runs in a forked worker.
+    # pass in the task, which at two workers runs in this process or in
+    # its one forked worker.
     # The sweep reruns unreduced, where each instance checks its own
     # vectors, and records one error per target of each multiset that
     # holds one.
@@ -778,7 +780,7 @@ def test_vectors_outside_the_unit_ball_fault_in_a_worker(monkeypatch):
         assert report.errors and all(
             message.endswith("lies outside the unit ball")
             for _, message in report.errors)
-        # Each pass forks two workers, which end with it.
+        # Each pass forks one worker, which ends with it.
         monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
         assert (format_campaign_report(run_campaign(cfg.replace(workers=2)))
                 == format_campaign_report(report))
@@ -793,49 +795,81 @@ def test_extremal_campaign_max_ratio_counts_tight_instances():
     assert "max_ratio = 1\n" in format_campaign_report(report)
 
 
+def test_a_zero_allowed_count_has_no_ratio():
+    # k > n: the bound is 0, and a violating count exceeds it.
+    res = CampaignReport("random")
+    instance = make_instance([(1, 0)], (3, 0), L2)
+    report = VerificationReport(
+        p_exact=F(1, 2), p_projected=F(1, 2), bound=F(0), k=3, delta=0,
+        chain_holds=False, tight=False, perturbed=False)
+    campaign._tally(res, 0, instance, report)
+    campaign._tally_counts(res, 1, 0, 1)
+    assert res.violations == [(0, instance, report)]
+    assert (res.tight, res.max_ratio) == (0, 0)
+
+
 def test_campaign_shards_are_clamped_to_tasks_and_cores(monkeypatch):
     sizes = []
 
-    def in_process(build, workers):
+    def in_process(build, tasks, workers):
         """Runs the tasks in this process and records the shard count."""
         sizes.append(workers)
-        return (campaign._run_task(task) for task in build())
+        return (campaign._run_task(task) for task in tasks)
 
     monkeypatch.setattr(campaign, "_shards", in_process)
     cfg = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
                          budget=5 * 64, workers=50)
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
     expected = format_campaign_report(run_campaign(cfg.replace(workers=1)))
-    assert sizes == []
+    assert sizes == [1]
     assert format_campaign_report(run_campaign(cfg)) == expected
-    assert sizes == [3]                      # cores
+    assert sizes == [1, 3]                   # cores
     run_campaign(cfg.replace(budget=2 * 64))
-    assert sizes == [3, 2]                   # tasks
+    assert sizes == [1, 3, 2]                # tasks
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
     assert format_campaign_report(run_campaign(cfg)) == expected
-    assert sizes == [3, 2]                   # unknown core count: no fork
+    assert sizes == [1, 3, 2, 1]             # unknown core count: no fork
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 3)
     monkeypatch.delattr(campaign.os, "fork")
     assert format_campaign_report(run_campaign(cfg)) == expected
-    assert sizes == [3, 2]                   # no os.fork: one process
+    assert sizes == [1, 3, 2, 1, 1]          # no os.fork: one process
 
 
 # Five tasks of 64 instances: at two workers, tasks 0, 2 and 4 run in
-# worker 0, tasks 1 and 3 in worker 1.
+# the calling process, tasks 1 and 3 in its one forked worker, worker 1.
 FORKED = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
                         budget=5 * 64, workers=2)
 
 
-def _patched_task(monkeypatch, actions):
+def _patched_task(monkeypatch, actions) -> list:
     """Two workers whatever the core count, and actions[start]() run
-    first in the random task from start on."""
+    first in the random task from start on.  The list returned gets
+    (task number, pid) for each task that runs in this process."""
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
     task = campaign._task_random
+    ran: list = []
 
     def patched(cfg, start, count):
+        ran.append((start // 64, os.getpid()))
         actions.get(start, lambda: None)()
         return task(cfg, start, count)
     monkeypatch.setattr(campaign, "_task_random", patched)
+    return ran
+
+
+def test_the_caller_runs_every_other_task_and_forks_once(monkeypatch):
+    ran = _patched_task(monkeypatch, {})
+    fork = os.fork
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(campaign.os, "fork", counted)
+    assert run_campaign(FORKED).instances == 5 * 64
+    assert forks == [os.getpid()]
+    assert ran == [(0, os.getpid()), (2, os.getpid()), (4, os.getpid())]
+    _no_child_is_left()
 
 
 def test_an_exception_in_a_worker_task_reaches_the_caller(monkeypatch):
@@ -848,9 +882,9 @@ def test_an_exception_in_a_worker_task_reaches_the_caller(monkeypatch):
 
 
 def test_a_killed_worker_is_a_capacity_error(monkeypatch, tmp_path, capsys):
-    # Worker 1 kills itself at task 1, while worker 0 sleeps in task 2:
-    # the parent reports the dead worker at once, without waiting for
-    # the live one, and ends it.
+    # Worker 1 kills itself at task 1, and task 2 would sleep: the
+    # calling process, which runs task 2 itself, reports the dead worker
+    # when it reads task 1's result, before it gets there.
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
     _patched_task(monkeypatch, {64: die, 2 * 64: lambda: time.sleep(60)})
@@ -886,7 +920,8 @@ def test_campaign_tasks_are_generated_as_they_run():
 
 
 def test_campaign_reports_are_deterministic_across_workers(monkeypatch):
-    # Two tasks: at workers 3, two forked workers, which end with the run.
+    # Two tasks: at workers 3, this process and one forked worker, which
+    # ends with the run.
     monkeypatch.setattr(campaign.os, "cpu_count", lambda: 4)
     cfg = CampaignConfig(mode="random", norms=(L1, L2, LINF),
                          n_min=1, n_max=7, d_min=1, d_max=2,

@@ -45,6 +45,10 @@ def test_instance_validation():
         make_instance([(F(1, 2),)], (0,), POLY3)         # norm dimension
     with pytest.raises(InputError, match="exact rationals"):
         Instance(((0.5, 0),), (F(1, 2), F(0)), L2)       # a float coordinate
+    with pytest.raises(InputError, match="target coordinates"):
+        Instance(((F(1, 2), F(0)),), (0.1, 0), L2)       # a float target
+    with pytest.raises(InputError, match="target coordinates"):
+        Instance(((F(1, 2), F(0)),), ("1/2", 0), L2)     # a str target
 
 
 def test_instance_accepts_exact_boundary():
