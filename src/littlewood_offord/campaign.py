@@ -524,11 +524,11 @@ def _task_random(cfg: CampaignConfig, start: int,
             check_vectors(norm, g, vectors, d)
             exact, projected, allowed, _, _ = Chain(
                 norm, g, vectors).probe(target)
-            if exact <= projected <= allowed:
-                _tally_counts(res, exact, allowed, 1)
-            else:
+            if not exact <= projected <= allowed:
                 instance = _instance(vectors, target, g, norm)
-                _tally(res, local, instance, verify_instance(instance))
+                res.violations.append(Violation(
+                    local, instance, verify_instance(instance)))
+            _tally_counts(res, exact, allowed, 1)
         except _RECORDED_FAILURES as exc:
             res.errors.append((local, str(exc)))
     return res

@@ -841,11 +841,11 @@ FORKED = CampaignConfig(mode="random", norms=(L2,), n_max=3, seed=4,
                         budget=5 * 64, workers=2)
 
 
-def _patched_task(monkeypatch, actions) -> list:
-    """Two workers whatever the core count, and actions[start]() run
-    first in the random task from start on.  The list returned gets
-    (task number, pid) for each task that runs in this process."""
-    monkeypatch.setattr(campaign.os, "cpu_count", lambda: 2)
+def _patched_task(monkeypatch, actions, cores=2) -> list:
+    """cores cores whatever the host has, and actions[start]() run first
+    in the random task from start on.  The list returned gets (task
+    number, pid) for each task that runs in this process."""
+    monkeypatch.setattr(campaign.os, "cpu_count", lambda: cores)
     task = campaign._task_random
     ran: list = []
 
@@ -882,21 +882,23 @@ def test_an_exception_in_a_worker_task_reaches_the_caller(monkeypatch):
 
 
 def test_a_killed_worker_is_a_capacity_error(monkeypatch, tmp_path, capsys):
-    # Worker 1 kills itself at task 1, and task 2 would sleep: the
-    # calling process, which runs task 2 itself, reports the dead worker
-    # when it reads task 1's result, before it gets there.
+    # At three workers, worker 1 kills itself at task 1 while worker 2
+    # sleeps in task 2: the calling process reports the dead worker
+    # without waiting for its live sibling, and leaves no child.
     def die():
         os.kill(os.getpid(), signal.SIGKILL)
-    _patched_task(monkeypatch, {64: die, 2 * 64: lambda: time.sleep(60)})
+    _patched_task(monkeypatch, {64: die, 2 * 64: lambda: time.sleep(60)},
+                  cores=3)
+    three = FORKED.replace(workers=3)
     started = time.perf_counter()
     with pytest.raises(CapacityError, match=(
             r"campaign worker 1 ended before its tasks did "
             r"\(killed by signal 9\)")):
-        run_campaign(FORKED)
+        run_campaign(three)
     assert time.perf_counter() - started < 30
     _no_child_is_left()
     config = tmp_path / "forked.campaign"
-    config.write_text(format_campaign_config(FORKED))
+    config.write_text(format_campaign_config(three))
     assert cli_main(["campaign", str(config)]) == 3
     assert "campaign worker 1 ended" in capsys.readouterr().err
     _no_child_is_left()
