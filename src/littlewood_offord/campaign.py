@@ -31,13 +31,15 @@ stream.
 The eps_i are symmetric, so negating some v_i leaves the law of the
 sign sum unchanged, and along any witness it only negates projected
 coefficients.  A signed permutation g of the coordinates that fixes the
-norm and the grid universe maps (V, x) to (gV, gx) with the same
-p_exact and k, and it fixes the dual unit ball: so if w (perturbed or
-not) certifies the chain for (V, x), g w certifies it for every
-multiset +-g v_i at g x, with the same projected coefficients up to
-sign and the same projected target.  An exhaustive-grid task therefore
-verifies one orbit of G x signs, G the group of such g, on the chain of
-its representative alone: the least multiset of sign class
+norm maps (V, x) to (gV, gx) with the same p_exact and k, and it fixes
+the dual unit ball: so if w (perturbed or not) certifies the chain for
+(V, x), g w certifies it for every multiset +-g v_i at g x, with the
+same projected coefficients up to sign and the same projected target.
+G holds every such g, with sign flips only when the grid universe's
+coordinate values are their own negation: then g keeps each coordinate
+among them, u != 0 and the norm, so it maps the universe onto itself.
+An exhaustive-grid task therefore verifies one orbit of G x signs on
+the chain of its representative alone: the least multiset of sign class
 representatives (each vector the larger of +-v when both lie in the
 universe).  The parent's orbit search counts the orbit's multisets, and
 the task carries that weight with the representative: a target where
@@ -329,16 +331,19 @@ def _negated(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in u)
 
 
-# Above d = 4 the group is the identity, and orbits are sign orbits:
-# there G would test 2^d d! signed permutations (3,840 at d = 5) on every
-# universe vector, and the orbit search each class permutation they
-# induce on every least prefix.  At d = 4 (384 candidates) the group
-# pays.  With it, against sign orbits alone (2-core Xeon, CPython 3.11,
-# one worker, the same reports): l1 and linf on the grid -1, 0, 1 at
-# n <= 3 took 0.3-0.5 s against 6.0-6.9 s; l1, l2 and linf at d = 4 on
-# -1, -1/2, 0, 1/2, 1 at n <= 2, 2.0-2.5 s against 8.8-9.7 s; l1, l2,
-# linf and poly:[e_1; ...; e_4; 1,1,1,1] at d = 1..4 on -1, 0, 1, n <= 3,
-# 0.5-0.8 s against 6.5-6.8 s.
+# Above d = 4 the group is the identity, and orbits are sign orbits.  G
+# is read off the norm and the universe's coordinate values, so its build
+# tries no g on the universe; it costs perms, |G| act calls per class,
+# and the orbit search, which tests each class permutation on every
+# least prefix.  At d = 4 (384 candidates) the group pays: against sign
+# orbits alone (2-core Xeon, CPython 3.11, one worker, whole lo campaign
+# processes, the same reports), l1 and linf on -1, 0, 1 at n <= 3 took
+# 0.15-0.16 s against 2.0-2.2 s, and l1, l2 and linf on -1, -1/2, 0,
+# 1/2, 1 at n <= 2 took 0.35-0.39 s against 3.5-3.6 s.  At d = 5 (3,840
+# candidates) it pays on some sweeps only: with the cap at 5, l1 and
+# linf on -1, 0, 1 at n <= 3 took 1.5 s against 63.4 s, with the same
+# report, but linf on -1, -1/2, 0, 1/2, 1 at n = 1 took 5.2 s against
+# 0.12 s, nearly all of it perms on 1,562 classes.
 _SYMMETRY_DIMENSIONS = 4
 
 
@@ -350,10 +355,15 @@ class _Classes:
     reps holds each class's representative (the larger of +-u), in
     universe order, and mirrored whether the class holds two vectors.
     group holds G, the signed coordinate permutations (norms.act) that
-    fix the norm and map the universe onto itself, the identity first.
-    perms holds each permutation of the classes that some g in G induces
-    (g -v = -g v) once, the identity first: g and -g induce the same
-    one, and on the l1 grid -1, 0, 1 so do all 2^d sign flips."""
+    fix the norm, with sign flips only when the universe's coordinate
+    values are their own negation, the identity first.  Each keeps every
+    coordinate among those values, u != 0 and the norm, so it maps the
+    universe onto itself.  Where coordinates differ in reach, G can be a
+    subgroup of the universe's full symmetry, whose finer orbits cost
+    tasks and never report bytes.  perms holds each permutation of the
+    classes that some g in G induces (g -v = -g v) once, the identity
+    first: g and -g induce the same one, and on the l1 grid -1, 0, 1 so
+    do all 2^d sign flips."""
 
     def __init__(self, universe: list[tuple], d: int, norm: NormSpec):
         inside = set(universe)
@@ -364,11 +374,12 @@ class _Classes:
                    if _negated(u) in inside])
         group = [tuple((j, 1) for j in range(d))]
         if d <= _SYMMETRY_DIMENSIONS:
+            values = {c for u in universe for c in u}
+            flips = (1, -1) if values == {-c for c in values} else (1,)
             for perm in permutations(range(d)):
-                for signs in product((1, -1), repeat=d):
+                for signs in product(flips, repeat=d):
                     g = tuple(zip(perm, signs))
-                    if (g != group[0] and fixes_norm(norm, g)
-                            and all(act(g, u) in inside for u in inside)):
+                    if g != group[0] and fixes_norm(norm, g):
                         group.append(g)
         self.reps = tuple(reps)
         self.mirrored = tuple(_negated(u) in inside for u in reps)

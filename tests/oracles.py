@@ -8,9 +8,12 @@ the exhaustive-grid sweep in its unreduced form, every target of every
 multiset verified alone, as the reference for the orbit sweep; the
 members of an orbit are enumerated one by one (orbit_members), and the
 orbits of a block counted by Burnside's lemma (burnside_count), as
-references for the orbit sizes and the orderly search.  The
-single-instance chain is kept on full sum tables (reference_verify), as
-the reference for its half-table probes, and the random sampler in
+references for the orbit sizes and the orderly search, and the
+symmetry group tested on every vector of the universe
+(reference_group), as the reference for the group built from the norm
+and the universe's coordinate values.  The single-instance chain is
+kept on full sum tables (reference_verify), as the reference for its
+half-table probes, and the random sampler in
 Fraction arithmetic (reference_gen_random), with random campaign tasks
 verified one Instance at a time on it (reference_random_task), as the
 reference for their integer draws and probes.
@@ -21,17 +24,18 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import (chain, combinations_with_replacement, count, groupby,
-                       product)
+                       permutations, product)
 
 from littlewood_offord import (CampaignReport, InputError, Instance,
                                VerificationReport, Witness, ceil_norm, delta,
                                format_norm, in_unit_ball, is_zero, lo_bound,
                                reachable_sums_nd, sum_table_1d, sum_table_nd,
                                verify_instance)
-from littlewood_offord.campaign import (_RECORDED_FAILURES, _VECTOR_RETRIES,
+from littlewood_offord.campaign import (_RECORDED_FAILURES,
+                                        _SYMMETRY_DIMENSIONS, _VECTOR_RETRIES,
                                         _derive_seed, _tally)
 from littlewood_offord.concentration import target_units
-from littlewood_offord.norms import act
+from littlewood_offord.norms import act, fixes_norm
 from littlewood_offord.reduction import Chain
 
 
@@ -240,6 +244,23 @@ def orbit_members(rep, mirrored, group) -> list:
         for member in sign_orbit(tuple(act(g, v) for v in rep), mirrored):
             members.setdefault(member, g)
     return [(g, member) for member, g in members.items()]
+
+
+def reference_group(universe, d, norm) -> tuple:
+    """The signed coordinate permutations (norms.act) that fix the norm
+    and map every vector of the universe into it, in candidate order
+    (permutations x sign tuples), the identity first; the identity alone
+    above _SYMMETRY_DIMENSIONS."""
+    inside = set(universe)
+    group = [tuple((j, 1) for j in range(d))]
+    if d <= _SYMMETRY_DIMENSIONS:
+        for perm in permutations(range(d)):
+            for signs in product((1, -1), repeat=d):
+                g = tuple(zip(perm, signs))
+                if (g != group[0] and fixes_norm(norm, g)
+                        and all(act(g, u) in inside for u in inside)):
+                    group.append(g)
+    return tuple(group)
 
 
 def rational_vectors(scaled, den) -> tuple:

@@ -4,6 +4,7 @@ config parsing, and report serialization."""
 import math
 import os
 import pickle
+import random
 import signal
 import sys
 import time
@@ -32,7 +33,8 @@ from littlewood_offord.norms import act, ceil_norm_over, dot
 import oracles
 from oracles import (burnside_count, enumerate_atom_1d, enumerate_atom_nd,
                      orbit_members, outcome, rational_vectors,
-                     reference_gen_random, reference_sweep, sign_orbit)
+                     reference_gen_random, reference_group, reference_sweep,
+                     sign_orbit)
 
 L1, L2, LINF = NormSpec.l1(), NormSpec.l2(), NormSpec.linf()
 GRID = (F(-1), F(-1, 2), F(1, 2), F(1))
@@ -472,6 +474,95 @@ def test_class_permutations_are_distinct_and_weights_count_orbits():
                 assert sum(task[4] for task in tasks) == sum(
                     math.comb(len(universe) + n - 1, n)
                     for n in range(1, n_max + 1)), (norm, d, grid)
+
+
+# A norm whose coordinates differ in reach: on -3/4, -1/2, 1/2 only -1/2
+# and 1/2 fit its second coordinate, so negating that coordinate maps
+# the universe onto itself, but the universe's coordinate values are not
+# their own negation, and G keeps no sign flip.
+REACH = NormSpec.polyhedral([(1, 0), (0, 2)])
+UNEVEN = (F(-3, 4), F(-1, 2), F(1, 2))
+# (norms, d, grid) of the exhaustive-grid sweeps the CI workflow runs
+CI_SWEEPS = (
+    ((LINF,), 3, TERNARY), ((L1, POLY2), 2, GRID),
+    ((L1, LINF), 2, ORBIT_GRIDS[1]), ((L2, LINF), 2, GRID0),
+    ((POLY3D,), 3, TERNARY), ((L1, L2, LINF), 3, GRID0),
+    ((L1, LINF), 4, TERNARY), ((L1, LINF), 5, TERNARY),
+    ((L1, L2, LINF, POLY2), 2, GRID), ((L1, L2, LINF), 4, GRID0))
+QUARTERS = tuple(F(c, 4) for c in (0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6))
+
+
+def _group_blocks():
+    """(norm, d, grid) of every group and permutation case, every CI
+    sweep, and 40 seeded grids of 1 to 5 quarter values at d = 1..3
+    under every norm that fits d."""
+    yield from (case[:3] for case in GROUP_CASES + list(PERMUTATION_CASES))
+    for norms, d, grid in CI_SWEEPS:
+        yield from ((norm, d, grid) for norm in norms)
+    draw = random.Random(31)
+    for _ in range(40):
+        grid = tuple(sorted(draw.sample(QUARTERS, draw.randint(1, 5))))
+        for d in (1, 2, 3):
+            for norm in (L1, L2, LINF, POLY2, REACH, POLY3D):
+                if norm.dimension in (None, d):
+                    yield norm, d, grid
+
+
+def test_the_group_comes_from_the_norm_and_the_coordinate_values():
+    # Where the universe's coordinate values are their own negation, G is
+    # the group that the per-vector test finds, in its order.  Elsewhere
+    # G keeps only the permutations that fix the norm: a subgroup of it,
+    # in its order and the identity first, which is all of it unless the
+    # coordinates differ in reach.
+    subgroups = 0
+    for norm, d, grid in _group_blocks():
+        _, universe = _universe(norm, d, grid)
+        group = _Classes(universe, d, norm).group
+        reference = reference_group(universe, d, norm)
+        values = {c for u in universe for c in u}
+        if values == {-c for c in values}:
+            assert group == reference, (norm, d, grid)
+            continue
+        assert group[0] == reference[0]
+        assert tuple(g for g in reference if g in group) == group
+        columns = {tuple(act(g, e) for e in _unit(d)) for g in group}
+        for g in group:
+            for h in group:
+                assert tuple(act(g, act(h, e)) for e in _unit(d)) in columns
+        subgroups += group != reference
+    assert subgroups > 0
+    _, universe = _universe(REACH, 2, UNEVEN)
+    assert reference_group(universe, 2, REACH) == (((0, 1), (1, 1)),
+                                                   ((0, 1), (1, -1)))
+    assert _Classes(universe, 2, REACH).group == (((0, 1), (1, 1)),)
+
+
+def test_a_subgroup_of_the_universe_symmetry_gives_the_same_report():
+    # No CI sweep reaches a group smaller than the universe's symmetry.
+    # Here G is the identity alone, though negating the second coordinate
+    # maps the universe onto itself: its orbits are finer, so the sweep
+    # runs more tasks, and its report is the unreduced sweep's.
+    report = _same_as_reference(_sweep((REACH,), 2, UNEVEN, 3))
+    assert (report.instances, report.tight) == (428, 292)
+
+
+def test_the_group_is_built_without_acting_on_the_universe(monkeypatch):
+    # The group build applies no g to the universe: act runs only to
+    # find the class permutation each g in G induces, once for each
+    # class representative.
+    calls = []
+
+    def counted(g, u):
+        calls.append(g)
+        return act(g, u)
+    monkeypatch.setattr(campaign, "act", counted)
+    for norm in (L1, L2, LINF):
+        _, universe = _universe(norm, 4, GRID0)
+        calls.clear()
+        classes = _Classes(universe, 4, norm)
+        assert len(calls) == len(classes.group) * len(classes.reps), norm
+    # 384 signed permutations on 312 classes
+    assert len(calls) == 119_808
 
 
 def test_sweep_work_is_pinned(monkeypatch):
